@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race cover bench experiments report serve-smoke fuzz clean
+.PHONY: all build vet lint lint-baseline test race bench-selftest cover bench experiments report serve-smoke fuzz clean
 
-all: build vet lint test race
+all: build vet lint test race bench-selftest
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark (benchmarks/, BENCHMARK.json) is a nested module that
+# imports mwmerge/internal/..., so `go test ./...` at the root never
+# builds it: vet it and run its self-test here, or an internal/ change
+# that breaks the benchmark goes unnoticed until the benchmark runs.
+bench-selftest:
+	$(GO) -C benchmarks vet ./...
+	$(GO) -C benchmarks test ./...
 
 cover:
 	$(GO) test -cover ./internal/...

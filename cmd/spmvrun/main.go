@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 1, "step-1 worker goroutines (host-side parallelism)")
 		mergeWork  = fs.Int("merge-workers", 0, "step-2 merge goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		mergeKern  = fs.String("merge-kernel", "losertree", "intra-core merge kernel: losertree or mergepath (bit-identical results)")
-		drain      = fs.String("drain", "auto", "store-queue drain: auto, dense, or sparse (bit-identical results)")
 		reportPath = fs.String("report", "", `write the JSON run report to FILE ("-" = stdout)`)
 		tracePath  = fs.String("trace", "", `write the span-lane Gantt chart to FILE ("-" = stdout)`)
 		promPath   = fs.String("prom", "", `write Prometheus text-exposition metrics to FILE ("-" = stdout)`)
@@ -102,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ValueBytes:      8,
 		MetaBytes:       8,
 		Lanes:           8,
-		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork, Kernel: prap.MergeKernel(*mergeKern), Drain: prap.DrainMode(*drain)},
+		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork, Kernel: prap.MergeKernel(*mergeKern)},
 		HBM:             mem.DefaultHBM(),
 		Workers:         *workers,
 		Recorder:        rec,

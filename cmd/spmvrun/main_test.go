@@ -167,4 +167,9 @@ func TestRunPlainStillWorks(t *testing.T) {
 	if !strings.Contains(out.String(), "Off-chip traffic") {
 		t.Errorf("missing traffic summary:\n%s", out.String())
 	}
+	// The store-queue drain is picked per merge by a rule (prap.DrainAuto);
+	// the CLI offers no override.
+	if code := run([]string{"-gen", "er", "-nodes", "1000", "-drain", "sparse"}, &out, &errOut); code != 2 {
+		t.Errorf("-drain: exit %d, want 2 (unknown flag)", code)
+	}
 }

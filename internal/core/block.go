@@ -1,24 +1,16 @@
 package core
 
-// Block (multi-vector) SpMV: one matrix pass applied to k right-hand
-// sides (DESIGN.md §11). The stripes are planned once, each stripe is
-// brought on chip once per batch and fanned across the k source-vector
-// segments, and step 2 merges each column's intermediate lists into its
-// own dense output. The traffic ledger follows the hardware story:
-// matrix bytes (values, meta-data, the HDN filter build) are charged
-// once per batch, while vector-side traffic — source segments,
-// intermediate round trips, results — is charged once per column. A
-// block run is therefore exactly k sequential runs minus (k−1)× the
-// matrix share, and because every column receives the identical
-// per-column float operations in the identical order, the outputs are
-// bit-identical to k sequential SpMV calls at any Workers/MergeWorkers
-// setting.
+// Block (multi-vector) entry points: k right-hand sides per matrix pass
+// (DESIGN.md §9, §11). They are the k-wide driver and loops called with
+// k columns — the scalar entry points are the same code at k=1 — so a
+// block run books exactly k sequential runs minus (k−1)× the matrix
+// share, and because every column receives the identical per-column
+// float operations in the identical order, the outputs are bit-identical
+// to k sequential calls at any Workers/MergeWorkers setting.
 
 import (
 	"fmt"
-	"sync"
 
-	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/report"
 	"mwmerge/internal/vector"
@@ -49,7 +41,7 @@ func (e *Engine) SpMVBlock(a *matrix.COO, xs, yIns []vector.Dense) (BlockResult,
 		return res, fmt.Errorf("core: %d y_in vectors for %d right-hand sides", len(yIns), len(xs))
 	}
 	for c := range xs {
-		if err := e.checkSpMV(a, xs[c], blockYIn(yIns, c)); err != nil {
+		if err := e.cfg.CheckOperands(a, uint64(len(xs[c])), blockYIn(yIns, c)); err != nil {
 			return res, err
 		}
 	}
@@ -58,126 +50,13 @@ func (e *Engine) SpMVBlock(a *matrix.COO, xs, yIns []vector.Dense) (BlockResult,
 		ys[c] = vector.NewDense(int(a.Rows))
 	}
 	deltas := make([]report.Counters, len(xs))
-	if err := e.spmvBlockCompute(a, xs, yIns, ys, deltas); err != nil {
+	if err := e.spmvCompute(a, xs, yIns, ys, deltas); err != nil {
 		return res, err
 	}
-	if !e.iterating {
-		e.snapshot("spmv-block")
-	}
+	e.snapshot("spmv-block")
 	res.Ys = ys
 	res.Deltas = deltas
 	return res, nil
-}
-
-// blockYIn indexes an optional y-in set: nil when absent.
-func blockYIn(yIns []vector.Dense, c int) vector.Dense {
-	if yIns == nil {
-		return nil
-	}
-	return yIns[c]
-}
-
-// spmvBlockCompute runs one k-column Two-Step application into ys (each
-// length a.Rows, fully overwritten), reusing the plan cache and a k-wide
-// step-1 bank. With non-nil deltas it additionally splits the batch's
-// counter movement per column: deltas[c] is the cumulative-counter delta
-// across column c's commit + merge, with the batch-level detector and
-// matrix charges folded into deltas[0]. It re-validates the inputs so
-// iterative callers surface exactly the errors a standalone SpMVBlock
-// call would.
-func (e *Engine) spmvBlockCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
-	for c := range xs {
-		if err := e.checkSpMV(a, xs[c], blockYIn(yIns, c)); err != nil {
-			return err
-		}
-	}
-	plan, err := e.planFor(a)
-	if err != nil {
-		return err
-	}
-	var prev report.Counters
-	if deltas != nil {
-		prev = e.counters()
-	}
-	e.chargeDetector(a, plan.det)
-	bank := e.nextBank()
-	e.step1ComputeBlock(plan.stripes, xs, plan.det, bank)
-	n := len(plan.stripes)
-	for c := range xs {
-		e.noteStripeSkew(plan.stripes)
-		lists := bank.lists[c*n : (c+1)*n]
-		if err := e.commitOutcomes(bank.outcomes[c*n:(c+1)*n], lists); err != nil {
-			return err
-		}
-		if err := e.runStep2Into(lists, a.Rows, blockYIn(yIns, c), ys[c], 0, nil); err != nil {
-			return err
-		}
-		if deltas != nil {
-			cur := e.counters()
-			deltas[c] = cur.Sub(prev)
-			prev = cur
-		}
-	}
-	return nil
-}
-
-// step1ComputeBlock is step1Compute widened to k columns: the worker
-// fan-out still dispatches stripes, but a worker holding stripe s runs
-// it against all k source segments before moving on — the stripe stays
-// resident while every column consumes it, which is exactly why the
-// matrix stream is charged only for the first column (chargeMatrix).
-// Outcome and scratch slots are laid out column-major, c·n + s, so
-// stripe s of column c touches only its own slot and parallel runs stay
-// race-free and deterministic.
-func (e *Engine) step1ComputeBlock(stripes []*matrix.Stripe, xs []vector.Dense, det *hdn.Detector, bank *stripeBank) {
-	n := len(stripes)
-	bank.sized(n * len(xs))
-	outcomes := bank.outcomes
-	//lint:allow allocfree per-batch worker closure, counted in the DESIGN.md §9 alloc budget
-	run := func(w, k int) {
-		for c, x := range xs {
-			outcomes[c*n+k] = e.stripeTask(w, k, stripes[k], x, det, &bank.stripes[c*n+k], c == 0)
-		}
-	}
-
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var s1 report.Span
-	if e.rec != nil {
-		s1 = e.rec.StartSpan("phase", "s1")
-	}
-	if workers <= 1 {
-		for k := range stripes {
-			run(0, k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		//lint:allow allocfree per-batch fan-out channel, counted in the DESIGN.md §9 alloc budget
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			//lint:allow allocfree per-batch worker goroutine closure, counted in the DESIGN.md §9 alloc budget
-			go func(w int) {
-				defer wg.Done()
-				for k := range work {
-					run(w, k)
-				}
-			}(w)
-		}
-		for k := range stripes {
-			work <- k
-		}
-		close(work)
-		wg.Wait()
-	}
-	if e.rec != nil {
-		s1.End()
-	}
 }
 
 // IterateBlockResult reports a block iterative run: the k final vectors
@@ -196,75 +75,17 @@ type IterateBlockResult struct {
 // does not have — run columns separately when overlap matters more than
 // matrix amortization.
 func (e *Engine) IterateBlock(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) (IterateBlockResult, error) {
-	var res IterateBlockResult
 	if len(x0s) == 0 {
-		return res, fmt.Errorf("core: block iteration needs at least one start vector")
-	}
-	if opt.Iterations < 1 {
-		return res, fmt.Errorf("core: iteration count must be positive")
+		return IterateBlockResult{}, fmt.Errorf("core: block iteration needs at least one start vector")
 	}
 	if opt.Overlap {
-		return res, fmt.Errorf("core: block iteration does not support ITS overlap")
+		return IterateBlockResult{}, fmt.Errorf("core: block iteration does not support ITS overlap")
 	}
-	if a.Rows != a.Cols {
-		return res, fmt.Errorf("core: iterative SpMV needs a square matrix, got %dx%d", a.Rows, a.Cols)
+	xs, _, err := e.iterate(a, x0s, opt)
+	if err != nil {
+		return IterateBlockResult{}, err
 	}
-	if err := e.checkIterativeCapacity(a.Rows, false); err != nil {
-		return res, err
-	}
-	for c := range x0s {
-		if err := e.checkSpMV(a, x0s[c], nil); err != nil {
-			return res, err
-		}
-	}
-	k := len(x0s)
-	e.reserveDense(k)
-	e.iterating = true
-	defer func() { e.iterating = false }()
-
-	damping := opt.Damping
-	base := (1 - damping) / float64(a.Rows)
-	xs := make([]vector.Dense, k)
-	ys := make([]vector.Dense, k)
-	for c := range x0s {
-		xs[c] = x0s[c].Clone()
-	}
-	for it := 0; it < opt.Iterations; it++ {
-		var iterStart uint64
-		if e.rec != nil {
-			iterStart = e.rec.Now()
-		}
-		// k-wide ping-pong through the widened dense free list: every
-		// source buffer becomes a future result buffer. The final xs are
-		// returned and therefore never recycled.
-		for c := range ys {
-			ys[c] = e.getDense(int(a.Rows))
-		}
-		if err := e.spmvBlockCompute(a, xs, nil, ys, nil); err != nil {
-			for c := range ys {
-				e.putDense(ys[c])
-			}
-			return res, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
-		for c := range ys {
-			if damping != 0 {
-				dampSegment(ys[c], damping, base)
-			}
-			e.putDense(xs[c])
-			xs[c] = ys[c]
-		}
-		if it < opt.Iterations-1 {
-			// One y-as-next-x round trip per column, exactly as k
-			// sequential Iterate runs would book.
-			for range xs {
-				e.accountTransition(a.Rows, false)
-			}
-		}
-		e.recordIteration(it, iterStart)
-	}
-	res.Xs = xs
-	res.Iterations = opt.Iterations
-	return res, nil
+	return IterateBlockResult{Xs: xs, Iterations: opt.Iterations}, nil
 }
 
 // PageRankBlockResult reports a multi-source block PageRank run: one
@@ -286,98 +107,12 @@ type PageRankBlockResult struct {
 // not personalized teleport, which is what keeps the per-segment update
 // identical to PageRank's.
 func (e *Engine) PageRankBlock(a *matrix.COO, x0s []vector.Dense, damping, tol float64, maxIters int) (PageRankBlockResult, error) {
-	var res PageRankBlockResult
-	k := len(x0s)
-	if k == 0 {
-		return res, fmt.Errorf("core: block PageRank needs at least one column")
+	if len(x0s) == 0 {
+		return PageRankBlockResult{}, fmt.Errorf("core: block PageRank needs at least one column")
 	}
-	if a.Rows != a.Cols {
-		return res, fmt.Errorf("core: PageRank needs a square matrix")
+	ranks, iters, err := e.pageRank(a, x0s, damping, tol, maxIters, false)
+	if err != nil {
+		return PageRankBlockResult{}, err
 	}
-	// Capacity is checked before the O(nnz) normalization below: an
-	// over-capacity matrix must fail fast, not after a full clone.
-	if err := e.checkIterativeCapacity(a.Rows, false); err != nil {
-		return res, err
-	}
-	n := a.Rows
-	for c := range x0s {
-		if x0s[c] != nil && uint64(len(x0s[c])) != n {
-			return res, fmt.Errorf("core: column %d start vector has dimension %d, want %d", c, len(x0s[c]), n)
-		}
-	}
-	norm, dangling := pageRankSetup(a)
-
-	ranks := make([]vector.Dense, k)
-	iters := make([]int, k)
-	// The live set: sources and original column indices of the columns
-	// still iterating, compacted in place as columns retire.
-	xs := make([]vector.Dense, k)
-	cols := make([]int, k)
-	for c := range x0s {
-		x := vector.NewDense(int(n))
-		if x0s[c] == nil {
-			x.Fill(1 / float64(n))
-		} else {
-			copy(x, x0s[c])
-		}
-		xs[c] = x
-		cols[c] = c
-	}
-	if maxIters < 1 {
-		copy(ranks, xs)
-		res.Ranks = ranks
-		res.Iterations = iters
-		return res, nil
-	}
-	e.reserveDense(k)
-	e.iterating = true
-	defer func() { e.iterating = false }()
-
-	ys := make([]vector.Dense, k)
-	for it := 1; it <= maxIters; it++ {
-		var iterStart uint64
-		if e.rec != nil {
-			iterStart = e.rec.Now()
-		}
-		live := len(xs)
-		ys = ys[:live]
-		for i := range ys {
-			ys[i] = e.getDense(int(n))
-		}
-		if err := e.spmvBlockCompute(norm, xs, nil, ys, nil); err != nil {
-			for i := range ys {
-				e.putDense(ys[i])
-			}
-			return res, err
-		}
-		// Damp, test convergence, and retire or advance each live column.
-		w := 0
-		for i := 0; i < live; i++ {
-			dampSegment(ys[i], damping, teleportBase(xs[i], dangling, damping, n))
-			delta := l1Delta(ys[i], xs[i])
-			e.putDense(xs[i])
-			if delta < tol || it == maxIters {
-				ranks[cols[i]] = ys[i]
-				iters[cols[i]] = it
-				continue
-			}
-			xs[w] = ys[i]
-			cols[w] = cols[i]
-			w++
-		}
-		xs = xs[:w]
-		cols = cols[:w]
-		// Columns that continue book their y-as-next-x round trip, as in
-		// the scalar driver.
-		for range xs {
-			e.accountTransition(n, false)
-		}
-		e.recordIteration(it-1, iterStart)
-		if w == 0 {
-			break
-		}
-	}
-	res.Ranks = ranks
-	res.Iterations = iters
-	return res, nil
+	return PageRankBlockResult{Ranks: ranks, Iterations: iters}, nil
 }

@@ -23,12 +23,9 @@ type Engine struct {
 
 	// Observability state, live only when rec is non-nil. lastSnap is
 	// the cumulative counter state at the previous iteration boundary
-	// (snapshots record deltas); iterating suppresses the per-SpMV
-	// snapshot inside Iterate/PageRank, which record per-iteration
-	// boundaries themselves.
-	rec       *report.Recorder
-	lastSnap  report.Counters
-	iterating bool
+	// (snapshots record deltas).
+	rec      *report.Recorder
+	lastSnap report.Counters
 
 	// Steady-state memory reuse (scratch.go): the cached matrix plan,
 	// the two rotating step-1 banks, the dense free list, and the
@@ -45,7 +42,15 @@ type Engine struct {
 	nextCh       chan step1Result
 	frontier     frontierScratch
 	lpt          lptScratch
+
+	// one backs the one-element xs/yIns/ys column sets the scalar entry
+	// points hand to the k-wide driver (see col), so being its k=1 case
+	// costs them no slice-header allocation per call or per iteration.
+	one oneCols
 }
+
+// oneCols holds the k=1 column-set headers, one slot per driver operand.
+type oneCols struct{ x, yIn, y [1]vector.Dense }
 
 // RunStats aggregates execution statistics across calls: every field
 // accumulates monotonically from engine construction (or the last
@@ -198,9 +203,6 @@ func (s RunStats) Add(o RunStats) RunStats {
 // method it must be called from the goroutine driving the engine.
 func (e *Engine) Counters() report.Counters { return e.stats.Counters(e.traffic) }
 
-// counters is the internal spelling used by the snapshot machinery.
-func (e *Engine) counters() report.Counters { return e.Counters() }
-
 // snapshot books the counter delta since the previous snapshot into the
 // recorder as one iteration boundary. Because every entry point
 // snapshots when it finishes, the sum of a report's per-iteration
@@ -209,81 +211,133 @@ func (e *Engine) snapshot(label string) {
 	if e.rec == nil {
 		return
 	}
-	cum := e.counters()
+	cum := e.Counters()
 	e.rec.RecordIteration(label, cum.Sub(e.lastSnap))
 	e.lastSnap = cum
 }
 
 // SpMV computes y = A·x + yIn with the Two-Step algorithm. yIn may be nil
 // for y = A·x. The matrix dimension must not exceed cfg.MaxDimension().
+// It is the k=1 case of the k-wide driver (spmvCompute).
 func (e *Engine) SpMV(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, error) {
-	if err := e.checkSpMV(a, x, yIn); err != nil {
+	if err := e.cfg.CheckOperands(a, uint64(len(x)), yIn); err != nil {
 		return nil, err
 	}
 	y := vector.NewDense(int(a.Rows))
-	if err := e.spmvCompute(a, x, yIn, y); err != nil {
+	defer e.dropCols()
+	if err := e.spmvCompute(a, col(&e.one.x, x), col(&e.one.yIn, yIn), col(&e.one.y, y), nil); err != nil {
 		return nil, err
 	}
-	if !e.iterating {
-		e.snapshot("spmv")
-	}
+	e.snapshot("spmv")
 	return y, nil
 }
 
-// checkSpMV validates the SpMV preconditions shared by the one-shot and
-// iterative entry points.
-func (e *Engine) checkSpMV(a *matrix.COO, x, yIn vector.Dense) error {
-	return e.checkOperands(a, uint64(len(x)), yIn)
+// col wraps v as a one-column operand set in the given slot of the
+// engine-resident k=1 headers (e.one).
+func col(slot *[1]vector.Dense, v vector.Dense) []vector.Dense {
+	slot[0] = v
+	return slot[:]
 }
 
-// checkOperands validates the operand dimensions against the matrix and
-// the matrix against the engine capacity. SpMV and SpMSpV both funnel
-// through here (SpMSpV with its sparse x's logical dimension), so the
-// dense and frontier paths reject bad inputs with identical errors.
-func (e *Engine) checkOperands(a *matrix.COO, xDim uint64, yIn vector.Dense) error {
-	return e.cfg.CheckOperands(a, xDim, yIn)
-}
+// dropCols clears the k=1 headers once a call is done with them, so an
+// idle engine never keeps a caller's vectors reachable.
+func (e *Engine) dropCols() { e.one = oneCols{} }
 
 // CheckOperands is the operand-dimension check every SpMV entry point
 // applies, exposed on Config (like CheckIterativeCapacity) so the
 // serving layer's batcher can pre-validate a request before it joins a
 // coalesced batch: a bad-dimension request is rejected alone, with
 // exactly the engine's error, instead of poisoning the shared SpMVBlock
-// call.
+// call. SpMSpV passes its sparse x's logical dimension, so the dense and
+// frontier paths reject bad inputs with identical errors.
 func (c Config) CheckOperands(a *matrix.COO, xDim uint64, yIn vector.Dense) error {
-	if xDim != a.Cols {
-		return fmt.Errorf("core: x dimension %d != %d columns", xDim, a.Cols)
+	if err := checkVectors(a.Rows, a.Cols, xDim, yIn); err != nil {
+		return err
 	}
-	if yIn != nil && uint64(len(yIn)) != a.Rows {
-		return fmt.Errorf("core: y dimension %d != %d rows", len(yIn), a.Rows)
+	return c.checkCapacity(a.Rows)
+}
+
+// checkVectors is the vector half of CheckOperands. SpMVSliced applies it
+// alone: slicing exists precisely to exceed the capacity bound.
+func checkVectors(rows, cols, xDim uint64, yIn vector.Dense) error {
+	if xDim != cols {
+		return fmt.Errorf("core: x dimension %d != %d columns", xDim, cols)
 	}
-	if a.Rows > c.MaxDimension() {
-		return fmt.Errorf("core: dimension %d exceeds engine capacity %d (ways %d x segment %d)",
-			a.Rows, c.MaxDimension(), c.Merge.Ways, c.SegmentWidth())
+	if yIn != nil && uint64(len(yIn)) != rows {
+		return fmt.Errorf("core: y dimension %d != %d rows", len(yIn), rows)
 	}
 	return nil
 }
 
-// spmvCompute runs one Two-Step application into y (length a.Rows,
-// fully overwritten), reusing the plan cache and a step-1 bank. It
+// checkCapacity is the capacity half of CheckOperands.
+func (c Config) checkCapacity(rows uint64) error {
+	if rows > c.MaxDimension() {
+		return fmt.Errorf("core: dimension %d exceeds engine capacity %d (ways %d x segment %d)",
+			rows, c.MaxDimension(), c.Merge.Ways, c.SegmentWidth())
+	}
+	return nil
+}
+
+// spmvCompute is the k-wide Two-Step driver: ys[c] = A·xs[c] + yIns[c]
+// for every column c with one matrix pass, each ys[c] (length a.Rows)
+// fully overwritten. yIns may be nil or per-entry nil. Every dense entry
+// point funnels through it — SpMV and the non-overlap Iterate/PageRank as
+// its k=1 case — reusing the plan cache and a step-1 bank. It
 // re-validates the inputs so iterative callers surface exactly the
-// errors a standalone SpMV call would.
-func (e *Engine) spmvCompute(a *matrix.COO, x, yIn, y vector.Dense) error {
-	if err := e.checkSpMV(a, x, yIn); err != nil {
-		return err
+// errors a standalone call would.
+func (e *Engine) spmvCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
+	for c := range xs {
+		if err := e.cfg.CheckOperands(a, uint64(len(xs[c])), blockYIn(yIns, c)); err != nil {
+			return err
+		}
 	}
 	plan, err := e.planFor(a)
 	if err != nil {
 		return err
 	}
-	e.chargeDetector(a, plan.det)
-	bank := e.nextBank()
-	e.step1Compute(plan.stripes, x, plan.det, nil, bank)
-	lists, err := e.commitStep1(plan.stripes, bank)
-	if err != nil {
-		return err
+	return e.runStripes(plan.stripes, plan.det, a.Rows, xs, yIns, ys, deltas)
+}
+
+// runStripes is spmvCompute past the plan: one step-1 run fans every
+// resident stripe across the k source vectors, then each column commits
+// its outcomes and merges them into its own output. Matrix-side traffic
+// (stripe values and meta-data, the HDN filter build) is charged once per
+// batch and vector-side traffic once per column, so a k-wide run books
+// exactly k sequential runs minus (k−1)× the matrix share (DESIGN.md
+// §9). With non-nil deltas it splits the batch's counter movement per
+// column: deltas[c] is the cumulative-counter delta across column c's
+// commit + merge, with the once-per-batch charges folded into deltas[0].
+func (e *Engine) runStripes(stripes []*matrix.Stripe, det *hdn.Detector, rows uint64, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
+	var prev report.Counters
+	if deltas != nil {
+		prev = e.Counters()
 	}
-	return e.runStep2Into(lists, a.Rows, yIn, y, 0, nil)
+	e.chargeDetector(stripes, det)
+	bank := e.nextBank()
+	e.step1Compute(stripes, xs, det, nil, bank)
+	for c := range xs {
+		lists, err := e.commitOutcomes(stripes, bank, c)
+		if err != nil {
+			return err
+		}
+		if err := e.runStep2Into(lists, rows, blockYIn(yIns, c), ys[c], 0, nil); err != nil {
+			return err
+		}
+		if deltas != nil {
+			cur := e.Counters()
+			deltas[c] = cur.Sub(prev)
+			prev = cur
+		}
+	}
+	return nil
+}
+
+// blockYIn indexes an optional y-in set: nil when absent.
+func blockYIn(yIns []vector.Dense, c int) vector.Dense {
+	if yIns == nil {
+		return nil
+	}
+	return yIns[c]
 }
 
 // stripeOutcome carries one stripe's records plus its accounting deltas,
@@ -298,80 +352,70 @@ type stripeOutcome struct {
 	err                error
 }
 
-// buildDetector constructs the HDN Bloom filter when one is configured
-// (nil otherwise). The build is deterministic in (a, cfg), so iterative
-// runs build once and reuse the detector across iterations.
-func (e *Engine) buildDetector(a *matrix.COO) (*hdn.Detector, error) {
-	if e.cfg.HDN == nil {
-		return nil, nil
-	}
-	return hdn.Build(a, *e.cfg.HDN)
-}
-
 // chargeDetector books one filter construction: the filter footprint
-// statistic plus the one-pass meta-data stream that populates it
-// (§5.3). Iterative runs call it once per iteration so the ledger
-// matches an equivalent sequence of standalone SpMV calls exactly.
-func (e *Engine) chargeDetector(a *matrix.COO, det *hdn.Detector) {
+// statistic plus the one-pass meta-data stream over every nonzero that
+// populates it (§5.3). Iterative runs call it once per iteration so the
+// ledger matches an equivalent sequence of standalone SpMV calls exactly.
+func (e *Engine) chargeDetector(stripes []*matrix.Stripe, det *hdn.Detector) {
 	if det == nil {
 		return
 	}
+	var nnz uint64
+	for _, s := range stripes {
+		nnz += uint64(s.NNZ())
+	}
 	e.stats.HDNFilterBytes += det.SizeBytes()
-	e.charge(mem.Traffic{MatrixBytes: uint64(a.NNZ()) * uint64(e.cfg.MetaBytes)})
-}
-
-// planStripes partitions A into engine-width column stripes and checks
-// the merge-way bound.
-func (e *Engine) planStripes(a *matrix.COO) ([]*matrix.Stripe, error) {
-	stripes, err := matrix.Partition1D(a, e.cfg.SegmentWidth())
-	if err != nil {
-		return nil, err
-	}
-	if len(stripes) > e.cfg.Merge.Ways {
-		return nil, fmt.Errorf("core: %d stripes exceed %d merge ways", len(stripes), e.cfg.Merge.Ways)
-	}
-	return stripes, nil
+	e.charge(mem.Traffic{MatrixBytes: nnz * uint64(e.cfg.MetaBytes)})
 }
 
 // step1Compute executes the per-stripe partial SpMV across Workers
 // goroutines without touching persistent engine state (recorder spans
 // aside), which is what lets the ITS pipeline run it concurrently with
-// the previous iteration's step 2. Outcomes land in the bank, whose
-// per-stripe scratch slots the workers recycle (stripe k touches only
-// slot k, so parallel runs stay race-free and deterministic). With a
-// non-nil gate, stripe k first waits until segment k of x has been
+// the previous iteration's step 2. A worker holding stripe s runs it
+// against all k source vectors before moving on — the stripe stays
+// resident while every column consumes it, which is exactly why only
+// column 0 charges the matrix stream (chargeMatrix). Outcomes land in
+// the bank, whose scratch slots the workers recycle; slots are laid out
+// column-major, c·n + s, so stripe s of column c touches only its own
+// slot and parallel runs stay race-free and deterministic. With a
+// non-nil gate, stripe s first waits until segment s of x has been
 // published and releases its handoff slot when done — successful or
 // not, so a failed stripe can never starve the producer.
-func (e *Engine) step1Compute(stripes []*matrix.Stripe, x vector.Dense, det *hdn.Detector, gate *segmentGate, bank *stripeBank) {
-	bank.sized(len(stripes))
+func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *hdn.Detector, gate *segmentGate, bank *stripeBank) {
+	n := len(stripes)
+	bank.sized(n * len(xs))
 	outcomes := bank.outcomes
 	//lint:allow allocfree per-iteration worker closure, counted in the DESIGN.md §9 alloc budget
-	run := func(w, k int) {
+	run := func(w, s int) {
 		if gate != nil {
-			if err := gate.wait(k); err != nil {
-				outcomes[k] = stripeOutcome{err: err}
-				gate.consume()
+			err := gate.wait(s)
+			defer gate.consume()
+			if err != nil {
+				for c := range xs {
+					outcomes[c*n+s] = stripeOutcome{err: err}
+				}
 				return
 			}
-			defer gate.consume()
 		}
-		outcomes[k] = e.stripeTask(w, k, stripes[k], x, det, &bank.stripes[k], true)
+		for c, x := range xs {
+			outcomes[c*n+s] = e.stripeTask(w, s, stripes[s], x, det, &bank.stripes[c*n+s], c == 0)
+		}
 	}
 
 	workers := e.cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(stripes) {
-		workers = len(stripes)
+	if workers > n {
+		workers = n
 	}
 	var s1 report.Span
 	if e.rec != nil {
 		s1 = e.rec.StartSpan("phase", "s1")
 	}
 	if workers <= 1 {
-		for k := range stripes {
-			run(0, k)
+		for s := range stripes {
+			run(0, s)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -382,8 +426,8 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, x vector.Dense, det *hdn
 			//lint:allow allocfree per-iteration worker goroutine closure, counted in the DESIGN.md §9 alloc budget
 			go func(w int) {
 				defer wg.Done()
-				for k := range work {
-					run(w, k)
+				for s := range work {
+					run(w, s)
 				}
 			}(w)
 		}
@@ -397,12 +441,12 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, x vector.Dense, det *hdn
 		// because the ungated run always executes on the goroutine
 		// driving the engine, with at most one in flight.
 		if gate != nil {
-			for k := range stripes {
-				work <- k
+			for s := range stripes {
+				work <- s
 			}
 		} else {
-			for _, k := range e.lpt.plan(stripes) {
-				work <- k
+			for _, s := range e.lpt.plan(stripes) {
+				work <- s
 			}
 		}
 		close(work)
@@ -413,27 +457,43 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, x vector.Dense, det *hdn
 	}
 }
 
-// commitStep1 folds the bank's side-effect-free stripe outcomes into the
-// persistent ledger and statistics, in stripe order, and returns the
-// sorted intermediate record lists (headers owned by the bank, records
-// by its per-stripe slots — both live until the consuming step 2
-// finishes, which the two-bank rotation guarantees).
-func (e *Engine) commitStep1(stripes []*matrix.Stripe, bank *stripeBank) ([][]types.Record, error) {
+// commitOutcomes folds column c's side-effect-free stripe outcomes into
+// the persistent ledger and statistics, in stripe order, and returns the
+// column's sorted intermediate record lists (headers owned by the bank,
+// records by its per-stripe slots — both live until the consuming step 2
+// finishes, which the two-bank rotation guarantees). It is the only
+// place a stripeOutcome reaches the books, whichever entry point
+// produced it.
+func (e *Engine) commitOutcomes(stripes []*matrix.Stripe, bank *stripeBank, c int) ([][]types.Record, error) {
 	e.noteStripeSkew(stripes)
-	if err := e.commitOutcomes(bank.outcomes, bank.lists); err != nil {
-		return nil, err
+	n := len(stripes)
+	lists := bank.lists[c*n : (c+1)*n]
+	for s, out := range bank.outcomes[c*n : (c+1)*n] {
+		if out.err != nil {
+			return nil, out.err
+		}
+		lists[s] = out.recs
+		e.charge(out.traffic)
+		e.stats.Products += out.st.Products
+		e.stats.HDN.HDNRecords += out.st.HDN.HDNRecords
+		e.stats.HDN.GeneralRecords += out.st.HDN.GeneralRecords
+		e.stats.HDN.FalseRouted += out.st.HDN.FalseRouted
+		e.stats.IntermediateRecords += uint64(len(out.recs))
+		e.stats.CompressedVecBytes += out.compVec
+		e.stats.UncompressedVecBytes += out.uncompVec
+		e.stats.CompressedMatBytes += out.compMat
+		e.stats.UncompressedMatBytes += out.uncompMat
 	}
-	return bank.lists, nil
+	return lists, nil
 }
 
 // noteStripeSkew books one step-1 run's load-skew counters alongside
 // its stripe count: the total and per-run-maximum stripe nonzeros
-// behind RunStats.StripeImbalance. Every path that charges Stripes
-// funnels through here (or calls it beside its charge), so the skew
-// surface covers SpMV, pipelined iteration, block columns, SpMSpV, and
-// the sliced multi-pass path alike. The charge depends only on the
-// stripe partition, never on dispatch order, so LPT scheduling and the
-// gated ascending schedule book identical statistics.
+// behind RunStats.StripeImbalance. Only commitOutcomes calls it, so the
+// skew surface covers every entry point alike, once per column. The
+// charge depends only on the stripe partition, never on dispatch order,
+// so LPT scheduling and the gated ascending schedule book identical
+// statistics.
 func (e *Engine) noteStripeSkew(stripes []*matrix.Stripe) {
 	e.stats.Stripes += len(stripes)
 	e.stats.Step1Runs++
@@ -448,29 +508,6 @@ func (e *Engine) noteStripeSkew(stripes []*matrix.Stripe) {
 	e.stats.StripeNNZMax += max
 }
 
-// commitOutcomes is the shared fold behind commitStep1 and the block
-// path's per-column commit: outcome k's accounting lands in the
-// persistent ledger/statistics and its records become lists[k].
-func (e *Engine) commitOutcomes(outcomes []stripeOutcome, lists [][]types.Record) error {
-	for k, out := range outcomes {
-		if out.err != nil {
-			return out.err
-		}
-		lists[k] = out.recs
-		e.charge(out.traffic)
-		e.stats.Products += out.st.Products
-		e.stats.HDN.HDNRecords += out.st.HDN.HDNRecords
-		e.stats.HDN.GeneralRecords += out.st.HDN.GeneralRecords
-		e.stats.HDN.FalseRouted += out.st.HDN.FalseRouted
-		e.stats.IntermediateRecords += uint64(len(out.recs))
-		e.stats.CompressedVecBytes += out.compVec
-		e.stats.UncompressedVecBytes += out.uncompVec
-		e.stats.CompressedMatBytes += out.compMat
-		e.stats.UncompressedMatBytes += out.uncompMat
-	}
-	return nil
-}
-
 // stripeTask runs one stripe's step 1, wrapped in a span on the
 // executing worker's lane when a recorder is attached — the per-lane
 // utilization behind the report's step-1 load-balance view.
@@ -483,38 +520,30 @@ func (e *Engine) stripeTask(worker, k int, s *matrix.Stripe, x vector.Dense, det
 	return e.processStripe(s, x, det, scr, chargeMatrix)
 }
 
-// processStripeFresh is processStripe with a throwaway scratch slot.
-// The one-shot paths (SpMVStripes, SpMVSliced) allocate per stripe
-// instead of recycling a bank slot; keeping that mode out of
-// processStripe itself means the steady-state call graph never reaches
-// the allocating constructors, which is what lets spmvlint's allocfree
-// analyzer pin the iteration loop.
-func (e *Engine) processStripeFresh(s *matrix.Stripe, x vector.Dense, det *hdn.Detector) stripeOutcome {
-	var scr stripeScratch
-	return e.processStripe(s, x, det, &scr, true)
+// processStripe runs step 1 for one stripe of a dense source vector and
+// computes its full accounting without touching engine state beyond scr,
+// the stripe's recycled scratch slot. Requiring the slot keeps the
+// steady-state call graph clear of allocating constructors, which is
+// what lets spmvlint's allocfree analyzer pin the iteration loop.
+func (e *Engine) processStripe(s *matrix.Stripe, x vector.Dense, det *hdn.Detector, scr *stripeScratch, chargeMatrix bool) stripeOutcome {
+	scr.v = vector.Sparse{Dim: int(s.Rows), Recs: scr.recsFor(s.NNZ())}
+	st, err := step1Into(&scr.v, s, x[s.ColStart:s.ColStart+s.Width], det)
+	if err != nil {
+		return stripeOutcome{err: err}
+	}
+	// The whole x segment streams into the scratchpad once per stripe.
+	return e.accountStripe(s, scr, st, s.Width*uint64(e.cfg.ValueBytes), chargeMatrix)
 }
 
-// processStripe runs step 1 for one stripe and computes its full
-// accounting without touching engine state beyond scr, the stripe's
-// recycled scratch slot. chargeMatrix books the stripe's matrix stream
-// (values + meta-data); the block path passes false for every column
-// after the first, because the stripe stays resident while all k
-// columns consume it — the once-per-batch accounting rule (DESIGN.md
-// §11).
-func (e *Engine) processStripe(s *matrix.Stripe, x vector.Dense, det *hdn.Detector, scr *stripeScratch, chargeMatrix bool) stripeOutcome {
-	var out stripeOutcome
-	xSeg := x[s.ColStart : s.ColStart+s.Width]
-	// x segment streamed into the scratchpad once per stripe.
-	out.traffic.SourceVectorBytes += s.Width * uint64(e.cfg.ValueBytes)
-
-	scr.v = vector.Sparse{Dim: int(s.Rows), Recs: scr.recsFor(s.NNZ())}
-	v := &scr.v
-	st, err := step1Into(v, s, xSeg, det)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	out.st = st
+// accountStripe builds the outcome of a stripe whose products are in
+// scr.v, given the multiply's statistics and the source-vector bytes it
+// streamed — the accounting shared by the dense multiply (processStripe)
+// and SpMSpV's zero-skipping one. chargeMatrix books the stripe's matrix
+// stream (values + meta-data); a k-wide run passes false for every
+// column after the first — the once-per-batch accounting rule.
+func (e *Engine) accountStripe(s *matrix.Stripe, scr *stripeScratch, st Step1Stats, sourceBytes uint64, chargeMatrix bool) stripeOutcome {
+	out := stripeOutcome{st: st}
+	out.traffic.SourceVectorBytes = sourceBytes
 
 	// Matrix stripe stream: values plus (possibly VLDI-compressed)
 	// meta-data, with CSR vs RM-COO chosen by the §3.1 hypersparsity
@@ -531,7 +560,7 @@ func (e *Engine) processStripe(s *matrix.Stripe, x vector.Dense, det *hdn.Detect
 	}
 
 	// Intermediate vector write (the DRAM half of the round trip).
-	wBytes, comp, uncomp := e.vecBytes(v.Recs)
+	wBytes, comp, uncomp := e.vecBytes(scr.v.Recs)
 	out.traffic.IntermediateWrite += wBytes
 	out.compVec += comp
 	out.uncompVec += uncomp
@@ -543,39 +572,26 @@ func (e *Engine) processStripe(s *matrix.Stripe, x vector.Dense, det *hdn.Detect
 		// materializing the decompressed copy; values are stored
 		// uncompressed, so key-exact reconstruction is bit-identical to
 		// the CompressSparse/DecompressSparse materializing round trip.
-		if err := e.cfg.VectorCodec.RoundTripRecords(v.Recs, &scr.bw); err != nil {
-			out.err = fmt.Errorf("core: VLDI round trip failed: %w", err)
-			return out
+		if err := e.cfg.VectorCodec.RoundTripRecords(scr.v.Recs, &scr.bw); err != nil {
+			return stripeOutcome{err: fmt.Errorf("core: VLDI round trip failed: %w", err)}
 		}
 	}
-	out.recs = recordsOf(v)
+	out.recs = scr.v.Recs
 	return out
 }
 
-// runStep2 merges the intermediate lists through the PRaP network and
-// accounts the intermediate-read and result traffic.
-func (e *Engine) runStep2(lists [][]types.Record, dim uint64, yIn vector.Dense) (vector.Dense, error) {
-	y := vector.NewDense(int(dim))
-	if err := e.runStep2Into(lists, dim, yIn, y, 0, nil); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
-// runStep2Into is runStep2 draining into the caller-provided y, with
-// the accounting unchanged. A positive segWidth plus a non-nil publish
-// forwards the PRaP store queue's segment-completion stream (ascending,
-// exactly once per segment) to the caller — the producer side of the
-// ITS pipeline's bounded segment handoff.
+// runStep2Into merges the intermediate lists through the PRaP network
+// into the caller-provided y and accounts the intermediate-read and
+// result traffic. A positive segWidth plus a non-nil publish forwards
+// the PRaP store queue's segment-completion stream (ascending, exactly
+// once per segment) to the caller — the producer side of the ITS
+// pipeline's bounded segment handoff.
 func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.Dense, segWidth uint64, publish func(seg int)) error {
 	if e.rec != nil {
 		defer e.rec.StartSpan("phase", "s2").End()
 	}
 	for _, l := range lists {
-		b, comp, uncomp := e.vecBytes(l)
-		e.charge(mem.Traffic{IntermediateRead: b})
-		e.stats.CompressedVecBytes += comp
-		e.stats.UncompressedVecBytes += uncomp
+		e.chargeIntermediateRead(l)
 	}
 	st, err := e.network.MergeInto(lists, dim, yIn, y, segWidth, publish)
 	if err != nil {
@@ -588,6 +604,15 @@ func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.
 		e.charge(mem.Traffic{ResultBytes: yBytes}) // y-in streamed in
 	}
 	return nil
+}
+
+// chargeIntermediateRead books one intermediate list streaming back in
+// from DRAM, ahead of a merge.
+func (e *Engine) chargeIntermediateRead(l []types.Record) {
+	b, comp, uncomp := e.vecBytes(l)
+	e.charge(mem.Traffic{IntermediateRead: b})
+	e.stats.CompressedVecBytes += comp
+	e.stats.UncompressedVecBytes += uncomp
 }
 
 // compressedStripeMeta returns the byte footprint of the stripe's

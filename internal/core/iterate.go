@@ -36,7 +36,7 @@ type IterateResult struct {
 
 // accountTransition books the traffic of one inter-iteration transition:
 // the freshly produced y must be streamed back in as the next source
-// vector. runStep2 already charged the y stream-out of every SpMV call,
+// vector. runStep2Into already charged the y stream-out of every SpMV call,
 // so only the x re-read is charged here — charging both would count the
 // y-out bytes twice per transition. With ITS overlap the segment stays
 // on chip in the second buffer and the bytes are recorded as saved
@@ -64,14 +64,6 @@ func (e *Engine) recordIteration(it int, start uint64) {
 	e.snapshot("iter")
 }
 
-// checkIterativeCapacity enforces the iterative-run capacity bound.
-// Iterate and PageRank share Config.CheckIterativeCapacity so their
-// error messages cannot drift apart from each other or from the serving
-// layer's admission check.
-func (e *Engine) checkIterativeCapacity(dim uint64, overlap bool) error {
-	return e.cfg.CheckIterativeCapacity(dim, overlap)
-}
-
 // Iterate runs iterative SpMV. With Overlap set, the engine verifies the
 // halved-capacity constraint (two segments must fit in the scratchpad)
 // and then executes the software ITS pipeline: step 2 of each iteration
@@ -80,23 +72,38 @@ func (e *Engine) checkIterativeCapacity(dim uint64, overlap bool) error {
 // the differences are wall-clock, the traffic ledger and the capacity
 // bound, exactly as in the paper's Table 2.
 func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (IterateResult, error) {
-	var res IterateResult
+	xs, saved, err := e.iterate(a, []vector.Dense{x0}, opt)
+	if err != nil {
+		return IterateResult{}, err
+	}
+	return IterateResult{X: xs[0], Iterations: opt.Iterations, TransitionBytesSaved: saved}, nil
+}
+
+// iterate is the iterative-SpMV driver behind Iterate (its k=1 case) and
+// IterateBlock: k damped chains advanced in lock step, one k-wide
+// spmvCompute per iteration. It returns the final vectors and the
+// transition bytes ITS kept on chip. Overlap selects the ITS pipeline
+// instead, whose bounded segment handoff joins exactly one producer and
+// one consumer vector — only Iterate passes it, with its single column.
+func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) ([]vector.Dense, uint64, error) {
 	if opt.Iterations < 1 {
-		return res, fmt.Errorf("core: iteration count must be positive")
+		return nil, 0, fmt.Errorf("core: iteration count must be positive")
 	}
 	if a.Rows != a.Cols {
-		return res, fmt.Errorf("core: iterative SpMV needs a square matrix, got %dx%d", a.Rows, a.Cols)
+		return nil, 0, fmt.Errorf("core: iterative SpMV needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	if err := e.checkIterativeCapacity(a.Rows, opt.Overlap); err != nil {
-		return res, err
+	if err := e.cfg.CheckIterativeCapacity(a.Rows, opt.Overlap); err != nil {
+		return nil, 0, err
 	}
-
-	e.iterating = true
-	defer func() { e.iterating = false }()
-
+	for _, x0 := range x0s {
+		if err := e.cfg.CheckOperands(a, uint64(len(x0)), nil); err != nil {
+			return nil, 0, err
+		}
+	}
+	k := len(x0s)
 	damping := opt.Damping
 	base := (1 - damping) / float64(a.Rows)
-
+	xs := make([]vector.Dense, k)
 	if opt.Overlap {
 		var hooks pipelineHooks
 		if damping != 0 {
@@ -104,44 +111,49 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
 			}
 		}
-		x, iters, saved, err := e.iteratePipelined(a, x0, opt.Iterations, hooks)
-		if err != nil {
-			return res, err
-		}
-		res.X = x
-		res.Iterations = iters
-		res.TransitionBytesSaved = saved
-		return res, nil
+		x, _, saved, err := e.iteratePipelined(a, x0s[0], opt.Iterations, hooks)
+		xs[0] = x
+		return xs, saved, err
 	}
 
-	x := x0.Clone()
+	e.reserveDense(k)
+	ys := make([]vector.Dense, k)
+	for c := range x0s {
+		xs[c] = x0s[c].Clone()
+	}
 	for it := 0; it < opt.Iterations; it++ {
 		var iterStart uint64
 		if e.rec != nil {
 			iterStart = e.rec.Now()
 		}
-		// Ping-pong through the engine's dense free list: the previous
-		// iteration's source buffer becomes a future result buffer. The
-		// final x is returned and therefore never recycled.
-		y := e.getDense(int(a.Rows))
-		if err := e.spmvCompute(a, x, nil, y); err != nil {
-			e.putDense(y)
-			return res, fmt.Errorf("core: iteration %d: %w", it, err)
+		// k-wide ping-pong through the engine's dense free list: every
+		// source buffer becomes a future result buffer. The final xs are
+		// returned and therefore never recycled.
+		for c := range ys {
+			ys[c] = e.getDense(int(a.Rows))
 		}
-		if damping != 0 {
-			dampSegment(y, damping, base)
+		if err := e.spmvCompute(a, xs, nil, ys, nil); err != nil {
+			for c := range ys {
+				e.putDense(ys[c])
+			}
+			return nil, 0, fmt.Errorf("core: iteration %d: %w", it, err)
 		}
-		e.putDense(x)
-		x = y
-
+		for c := range ys {
+			if damping != 0 {
+				dampSegment(ys[c], damping, base)
+			}
+			e.putDense(xs[c])
+			xs[c] = ys[c]
+		}
 		if it < opt.Iterations-1 {
-			e.accountTransition(a.Rows, false)
+			// One y-as-next-x round trip per column.
+			for range xs {
+				e.accountTransition(a.Rows, false)
+			}
 		}
 		e.recordIteration(it, iterStart)
 	}
-	res.X = x
-	res.Iterations = opt.Iterations
-	return res, nil
+	return xs, 0, nil
 }
 
 // PageRank runs damped power iteration until the L1 delta drops below tol
@@ -154,26 +166,55 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 // with the teleport update applied streaming per published segment —
 // bit-identical to the sequential schedule.
 func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, overlap bool) (vector.Dense, int, error) {
+	ranks, iters, err := e.pageRank(a, []vector.Dense{nil}, damping, tol, maxIters, overlap)
+	if err != nil {
+		return nil, iters[0], err
+	}
+	return ranks[0], iters[0], nil
+}
+
+// pageRank is the power-iteration driver behind PageRank (its k=1 case,
+// one uniform start) and PageRankBlock: one rank vector per column of
+// x0s, nil meaning the uniform start, plus per-column iteration counts —
+// on error, how far each live column got. Like iterate, overlap is the
+// single-column ITS schedule that only PageRank passes.
+func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float64, maxIters int, overlap bool) ([]vector.Dense, []int, error) {
+	k := len(x0s)
+	iters := make([]int, k)
 	if a.Rows != a.Cols {
-		return nil, 0, fmt.Errorf("core: PageRank needs a square matrix")
+		return nil, iters, fmt.Errorf("core: PageRank needs a square matrix")
 	}
 	// Capacity is checked before the O(nnz) normalization below: an
 	// over-capacity matrix must fail fast, not after a full clone.
-	if err := e.checkIterativeCapacity(a.Rows, overlap); err != nil {
-		return nil, 0, err
+	if err := e.cfg.CheckIterativeCapacity(a.Rows, overlap); err != nil {
+		return nil, iters, err
 	}
-
 	n := a.Rows
+	for c := range x0s {
+		if x0s[c] != nil && uint64(len(x0s[c])) != n {
+			return nil, iters, fmt.Errorf("core: column %d start vector has dimension %d, want %d", c, len(x0s[c]), n)
+		}
+	}
 	norm, dangling := pageRankSetup(a)
 
-	x := vector.NewDense(int(n))
-	x.Fill(1 / float64(n))
-	if maxIters < 1 {
-		return x, 0, nil
+	ranks := make([]vector.Dense, k)
+	// The live set: sources and original column indices of the columns
+	// still iterating, compacted in place as columns retire.
+	xs := make([]vector.Dense, k)
+	cols := make([]int, k)
+	for c := range x0s {
+		x := vector.NewDense(int(n))
+		if x0s[c] == nil {
+			x.Fill(1 / float64(n))
+		} else {
+			copy(x, x0s[c])
+		}
+		xs[c] = x
+		cols[c] = c
 	}
-	e.iterating = true
-	defer func() { e.iterating = false }()
-
+	if maxIters < 1 {
+		return xs, iters, nil
+	}
 	if overlap {
 		hooks := pipelineHooks{
 			update: func(_ int, src vector.Dense) func(vector.Dense) {
@@ -184,35 +225,54 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 				return l1Delta(y, src) < tol
 			},
 		}
-		ranks, iters, _, err := e.iteratePipelined(norm, x, maxIters, hooks)
+		var err error
+		ranks[0], iters[0], _, err = e.iteratePipelined(norm, xs[0], maxIters, hooks)
 		return ranks, iters, err
 	}
 
-	for it := 1; it <= maxIters; it++ {
+	e.reserveDense(k)
+	ys := make([]vector.Dense, k)
+	for it := 1; len(xs) > 0; it++ {
 		var iterStart uint64
 		if e.rec != nil {
 			iterStart = e.rec.Now()
 		}
-		y := e.getDense(int(n))
-		if err := e.spmvCompute(norm, x, nil, y); err != nil {
-			e.putDense(y)
-			return nil, it, err
+		live := len(xs)
+		ys = ys[:live]
+		for i := range ys {
+			ys[i] = e.getDense(int(n))
 		}
-		dampSegment(y, damping, teleportBase(x, dangling, damping, n))
-		delta := l1Delta(y, x)
-		e.putDense(x)
-		x = y
-		if delta < tol {
-			e.recordIteration(it-1, iterStart)
-			return x, it, nil
+		if err := e.spmvCompute(norm, xs, nil, ys, nil); err != nil {
+			for i := range ys {
+				e.putDense(ys[i])
+				iters[cols[i]] = it
+			}
+			return nil, iters, err
 		}
-		if it < maxIters {
-			// Another SpMV follows: book the transition round trip.
-			e.accountTransition(a.Rows, false)
+		// Damp, test convergence, and retire or advance each live column.
+		w := 0
+		for i := 0; i < live; i++ {
+			dampSegment(ys[i], damping, teleportBase(xs[i], dangling, damping, n))
+			delta := l1Delta(ys[i], xs[i])
+			e.putDense(xs[i])
+			if delta < tol || it == maxIters {
+				ranks[cols[i]] = ys[i]
+				iters[cols[i]] = it
+				continue
+			}
+			xs[w] = ys[i]
+			cols[w] = cols[i]
+			w++
+		}
+		xs = xs[:w]
+		cols = cols[:w]
+		// Columns that continue book their y-as-next-x round trip.
+		for range xs {
+			e.accountTransition(n, false)
 		}
 		e.recordIteration(it-1, iterStart)
 	}
-	return x, maxIters, nil
+	return ranks, iters, nil
 }
 
 // pageRankSetup builds the PageRank operand from a: the column-normalized
@@ -220,9 +280,7 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 // Dangling columns (sinks) push no mass through A, so ‖A·x‖₁ < 1 and
 // rank mass would leak every iteration; each iteration redistributes
 // their mass uniformly via the teleport base, keeping ‖x‖₁ = 1 exactly
-// (up to rounding). Shared by PageRank and PageRankBlock so the
-// normalized values — and therefore the per-column numerics — cannot
-// drift between the scalar and block drivers.
+// (up to rounding).
 func pageRankSetup(a *matrix.COO) (*matrix.COO, []uint64) {
 	n := a.Rows
 	colSum := make([]float64, n)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
 	"mwmerge/internal/merge"
@@ -19,34 +17,22 @@ import (
 // PRaP merge. Functionally identical to SpMV; the price is the extra
 // round-trip traffic, which the ledger records.
 func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, int, error) {
-	if uint64(len(x)) != a.Cols {
-		return nil, 0, fmt.Errorf("core: x dimension %d != %d columns", len(x), a.Cols)
+	// No capacity bound here: slicing exists precisely to exceed it.
+	if err := checkVectors(a.Rows, a.Cols, uint64(len(x)), yIn); err != nil {
+		return nil, 0, err
 	}
-	if yIn != nil && uint64(len(yIn)) != a.Rows {
-		return nil, 0, fmt.Errorf("core: y dimension %d != %d rows", len(yIn), a.Rows)
-	}
-	// No MaxDimension bound here: slicing exists precisely to exceed it.
-
-	width := e.cfg.SegmentWidth()
-	stripes, err := matrix.Partition1D(a, width)
+	stripes, err := matrix.Partition1D(a, e.cfg.SegmentWidth())
 	if err != nil {
 		return nil, 0, err
 	}
-	e.noteStripeSkew(stripes)
-	lists := make([][]types.Record, len(stripes))
-	for k, s := range stripes {
-		out := e.processStripeFresh(s, x, nil)
-		if out.err != nil {
-			return nil, 0, out.err
-		}
-		lists[k] = out.recs
-		e.charge(out.traffic)
-		e.stats.Products += out.st.Products
-		e.stats.IntermediateRecords += uint64(len(out.recs))
-		e.stats.CompressedVecBytes += out.compVec
-		e.stats.UncompressedVecBytes += out.uncompVec
-		e.stats.CompressedMatBytes += out.compMat
-		e.stats.UncompressedMatBytes += out.uncompMat
+	// Step 1 is the shared one (k=1), past the plan cache: its merge-way
+	// bound is what this entry point lifts.
+	bank := e.nextBank()
+	defer e.dropCols()
+	e.step1Compute(stripes, col(&e.one.x, x), nil, nil, bank)
+	lists, err := e.commitOutcomes(stripes, bank, 0)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	passes := 0
@@ -63,10 +49,7 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 			// Reading each batch list and writing the combined list are
 			// extra DRAM round trips beyond the baseline two-step flow.
 			for _, l := range batch {
-				b, comp, uncomp := e.vecBytes(l)
-				e.charge(mem.Traffic{IntermediateRead: b})
-				e.stats.CompressedVecBytes += comp
-				e.stats.UncompressedVecBytes += uncomp
+				e.chargeIntermediateRead(l)
 			}
 			combined := merge.MergeAccumulate(batch)
 			b, comp, uncomp := e.vecBytes(combined)
@@ -77,8 +60,8 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 		}
 		lists = next
 	}
-	y, err := e.runStep2(lists, a.Rows, yIn)
-	if err != nil {
+	y := vector.NewDense(int(a.Rows))
+	if err := e.runStep2Into(lists, a.Rows, yIn, y, 0, nil); err != nil {
 		return nil, passes, err
 	}
 	e.snapshot("sliced")

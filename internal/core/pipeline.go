@@ -176,12 +176,16 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 	if e.rec != nil {
 		iterStart = e.rec.Now()
 	}
-	// Step 1 of iteration 0 has no producing step 2 to overlap with.
+	// Step 1 of iteration 0 has no producing step 2 to overlap with. src
+	// is the running step 1's one-column source set: x here, then each
+	// y under construction.
 	bank := e.nextBank()
-	e.step1Compute(stripes, x, det, nil, bank)
+	src := col(&e.one.x, x)
+	defer e.dropCols()
+	e.step1Compute(stripes, src, det, nil, bank)
 	for it := 0; ; it++ {
-		e.chargeDetector(a, det)
-		lists, err := e.commitStep1(stripes, bank)
+		e.chargeDetector(stripes, det)
+		lists, err := e.commitOutcomes(stripes, bank, 0)
 		if err != nil {
 			return nil, it, saved, fmt.Errorf("core: iteration %d: %w", it, err)
 		}
@@ -212,13 +216,14 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 		gate := e.pipeGate(2)
 		next := e.pipeNext()
 		nextBank := e.nextBank()
+		src[0] = y
 		//lint:allow allocfree per-iteration speculative step-1 closure, counted in the DESIGN.md §9 alloc budget
 		go func() {
 			var r step1Result
 			if e.rec != nil {
 				r.start = e.rec.Now()
 			}
-			e.step1Compute(stripes, y, det, gate, nextBank)
+			e.step1Compute(stripes, src, det, gate, nextBank)
 			if e.rec != nil {
 				r.end = e.rec.Now()
 			}

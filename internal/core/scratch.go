@@ -25,6 +25,7 @@ package core
 // handed, and is joined before the bank rotates back.
 
 import (
+	"fmt"
 	"sort"
 
 	"mwmerge/internal/hdn"
@@ -59,13 +60,18 @@ func (e *Engine) planFor(a *matrix.COO) (*enginePlan, error) {
 	if e.plan != nil && e.plan.matrix == a && e.plan.width == width {
 		return e.plan, nil
 	}
-	stripes, err := e.planStripes(a)
+	stripes, err := matrix.Partition1D(a, width)
 	if err != nil {
 		return nil, err
 	}
-	det, err := e.buildDetector(a)
-	if err != nil {
-		return nil, err
+	if len(stripes) > e.cfg.Merge.Ways {
+		return nil, fmt.Errorf("core: %d stripes exceed %d merge ways", len(stripes), e.cfg.Merge.Ways)
+	}
+	var det *hdn.Detector
+	if e.cfg.HDN != nil {
+		if det, err = hdn.Build(a, *e.cfg.HDN); err != nil {
+			return nil, err
+		}
 	}
 	e.plan = &enginePlan{
 		matrix:   a,

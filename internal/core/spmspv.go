@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/mem"
 	"mwmerge/internal/vector"
 )
 
@@ -39,7 +38,7 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 	if x == nil {
 		return nil, st, fmt.Errorf("core: nil sparse vector")
 	}
-	if err := e.checkOperands(a, uint64(x.Dim), nil); err != nil {
+	if err := e.cfg.CheckOperands(a, uint64(x.Dim), nil); err != nil {
 		return nil, st, err
 	}
 	if err := x.Validate(); err != nil {
@@ -53,7 +52,6 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 	stripes := plan.stripes
 	width := e.cfg.SegmentWidth()
 	st.SegmentsTotal = len(stripes)
-	e.noteStripeSkew(stripes)
 
 	// Scatter x nonzeros into per-segment dense buffers drawn from the
 	// engine's free list (zeroed — free-list contents are unspecified);
@@ -70,53 +68,47 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 		fr.nnz[k]++
 	}
 
+	// The frontier's step 1: a zero-skipping multiply in place of
+	// step1Into (sharing it would put a caller-specific branch in the
+	// dense hot loop), filling the same bank outcomes the shared
+	// accounting, commit and step 2 take over from.
 	bank := e.nextBank()
 	bank.sized(len(stripes))
-	lists := bank.lists
 	for k, s := range stripes {
-		lists[k] = nil
+		bank.outcomes[k] = stripeOutcome{}
 		if fr.segs[k] == nil {
 			continue // inactive: zero traffic, zero work
 		}
 		st.SegmentsActive++
-		// Only the x nonzeros stream on chip for a sparse vector.
-		e.charge(mem.Traffic{SourceVectorBytes: fr.nnz[k] * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)})
-
 		scr := &bank.stripes[k]
 		scr.v = vector.Sparse{Dim: int(s.Rows), Recs: scr.recsFor(s.NNZ())}
-		visitedBefore := st.EntriesVisited
+		var visited uint64
 		for _, ent := range s.Entries {
 			xv := fr.segs[k][ent.Col]
 			if xv == 0 {
 				st.EntriesSkipped++
 				continue
 			}
-			st.EntriesVisited++
+			visited++
 			if err := scr.v.Accumulate(ent.Row, ent.Val*xv); err != nil {
 				fr.release(e)
 				return nil, st, err
 			}
 		}
-		// Each stripe contributes only its own visited-entry delta;
-		// adding the cumulative count would overcount every stripe after
-		// the first.
-		e.stats.Products += st.EntriesVisited - visitedBefore
-		e.stats.IntermediateRecords += uint64(scr.v.NNZ())
-
-		nnz := uint64(s.NNZ())
-		_, metaBytes := matrix.BestStripeFormat(s.Rows, nnz, e.cfg.MetaBytes)
-		e.charge(mem.Traffic{MatrixBytes: nnz*uint64(e.cfg.ValueBytes) + metaBytes})
-		b, comp, uncomp := e.vecBytes(scr.v.Recs)
-		e.charge(mem.Traffic{IntermediateWrite: b})
-		e.stats.CompressedVecBytes += comp
-		e.stats.UncompressedVecBytes += uncomp
-		lists[k] = scr.v.Recs
+		st.EntriesVisited += visited
+		// Only the x nonzeros stream on chip for a sparse vector.
+		sourceBytes := fr.nnz[k] * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
+		bank.outcomes[k] = e.accountStripe(s, scr, Step1Stats{Products: visited}, sourceBytes, true)
 	}
 	// The scatter segments are dead once the stripe loop finishes.
 	fr.release(e)
 
-	y, err := e.runStep2(lists, a.Rows, nil)
+	lists, err := e.commitOutcomes(stripes, bank, 0)
 	if err != nil {
+		return nil, st, err
+	}
+	y := vector.NewDense(int(a.Rows))
+	if err := e.runStep2Into(lists, a.Rows, nil, y, 0, nil); err != nil {
 		return nil, st, err
 	}
 	e.snapshot("spmspv")

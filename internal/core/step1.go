@@ -5,7 +5,6 @@ import (
 
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
@@ -120,6 +119,3 @@ func referenceSpMV(a *matrix.COO, x, y vector.Dense) (vector.Dense, error) {
 func ReferenceSpMV(a *matrix.COO, x, y vector.Dense) (vector.Dense, error) {
 	return referenceSpMV(a, x, y)
 }
-
-// recordsOf converts a sparse vector to its record stream.
-func recordsOf(v *vector.Sparse) []types.Record { return v.Recs }

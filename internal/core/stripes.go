@@ -13,14 +13,11 @@ import (
 // engine's segment width (except the last), contiguous from column 0 —
 // the layout the accelerator keeps resident in DRAM.
 func (e *Engine) SpMVStripes(stripes []*matrix.Stripe, rows, cols uint64, x, yIn vector.Dense) (vector.Dense, error) {
-	if uint64(len(x)) != cols {
-		return nil, fmt.Errorf("core: x dimension %d != %d columns", len(x), cols)
+	if err := checkVectors(rows, cols, uint64(len(x)), yIn); err != nil {
+		return nil, err
 	}
-	if yIn != nil && uint64(len(yIn)) != rows {
-		return nil, fmt.Errorf("core: y dimension %d != %d rows", len(yIn), rows)
-	}
-	if rows > e.cfg.MaxDimension() {
-		return nil, fmt.Errorf("core: dimension %d exceeds engine capacity %d", rows, e.cfg.MaxDimension())
+	if err := e.cfg.checkCapacity(rows); err != nil {
+		return nil, err
 	}
 	if len(stripes) > e.cfg.Merge.Ways {
 		return nil, fmt.Errorf("core: %d stripes exceed %d merge ways", len(stripes), e.cfg.Merge.Ways)
@@ -43,19 +40,13 @@ func (e *Engine) SpMVStripes(stripes []*matrix.Stripe, rows, cols uint64, x, yIn
 		return nil, fmt.Errorf("core: stripes cover %d of %d columns", covered, cols)
 	}
 
-	// The layout-streamed path shares the §9 machinery with SpMV: step 1
-	// fans out across cfg.Workers into a recycled stripe bank (with LPT
-	// dispatch and recorder spans), and the commit books the same skew
-	// statistics — only the plan cache is bypassed, because the stripes
-	// arrived prebuilt.
-	bank := e.nextBank()
-	e.step1Compute(stripes, x, nil, nil, bank)
-	lists, err := e.commitStep1(stripes, bank)
-	if err != nil {
-		return nil, err
-	}
-	y, err := e.runStep2(lists, rows, yIn)
-	if err != nil {
+	// The layout-streamed path is the k-wide driver at k=1 with only the
+	// plan cache bypassed, because the stripes arrived prebuilt: the same
+	// Workers fan-out, LPT dispatch, recycled stripe bank, recorder spans
+	// and skew statistics as SpMV.
+	y := vector.NewDense(int(rows))
+	defer e.dropCols()
+	if err := e.runStripes(stripes, nil, rows, col(&e.one.x, x), col(&e.one.yIn, yIn), col(&e.one.y, y), nil); err != nil {
 		return nil, err
 	}
 	e.snapshot("stripes")

@@ -142,15 +142,15 @@ func DefaultConfig() Config {
 			"mwmerge/internal/prap": {"mergeInto"},
 		},
 		AllocFreeRoots: map[string][]string{
-			// The two shared inner paths of the iterative steady state:
-			// every Iterate/PageRank loop body funnels through one of
-			// them, and both reach the prap merge paths through
-			// Network.MergeInto. The entry points themselves are NOT
-			// roots: per-call warm-up (plan build, x0 clone, PageRank's
-			// normalization) may allocate by design. spmvBlockCompute is
-			// the block counterpart of spmvCompute — the shared inner
-			// path of SpMVBlock/IterateBlock/PageRankBlock.
-			"mwmerge/internal/core": {"Engine.spmvCompute", "Engine.iteratePipelined", "Engine.spmvBlockCompute"},
+			// The two inner paths of the steady state: the k-wide
+			// Two-Step driver every dense entry point and sequential
+			// iteration funnels through (scalar calls are its k=1
+			// case), and the ITS pipeline. Both reach the prap merge
+			// paths through Network.MergeInto. The entry points
+			// themselves are NOT roots: per-call warm-up (plan build,
+			// x0 clone, PageRank's normalization) may allocate by
+			// design.
+			"mwmerge/internal/core": {"Engine.spmvCompute", "Engine.iteratePipelined"},
 			// The Merge-Path kernel's steady-state entry: everything
 			// past its sized() warm-up (arena growth) must stay
 			// allocation-free, DESIGN.md §12.
