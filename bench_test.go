@@ -69,7 +69,6 @@ func BenchmarkStackScaling(b *testing.B)            { benchExperiment(b, "stack-
 func BenchmarkSkewModel(b *testing.B)               { benchExperiment(b, "skew-model") }
 func BenchmarkCapacityBeyond(b *testing.B)          { benchExperiment(b, "capacity-beyond") }
 func BenchmarkFunctionalCrossCheck(b *testing.B)    { benchExperiment(b, "functional") }
-func BenchmarkAllocSteady(b *testing.B)             { benchExperiment(b, "alloc-steady") }
 
 // BenchmarkSpMVEndToEnd measures the functional Two-Step datapath on a
 // 100K-node degree-3 graph (edges/op reported as a custom metric).

@@ -34,9 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list available experiments")
 		scale      = fs.Uint64("scale", 1<<17, "node cap for functional (materialized) runs")
 		seed       = fs.Int64("seed", 1, "random seed for synthetic workloads")
-		mergeW     = fs.Int("merge-workers", 0, "step-2 merge goroutines for functional runs (0 = GOMAXPROCS)")
-		mergeKern  = fs.String("merge-kernel", "losertree", "intra-core merge kernel for functional runs: losertree or mergepath")
-		drain      = fs.String("drain", "auto", "store-queue drain for functional runs: auto, dense, or sparse")
 		outDir     = fs.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
 		reportDir  = fs.String("report", "", "write per-experiment run reports to <dir>/<id>.report.json and <dir>/<id>.gantt.txt")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to FILE")
@@ -67,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	opt := bench.Options{Scale: *scale, Seed: *seed, MergeWorkers: *mergeW, MergeKernel: *mergeKern, Drain: *drain}
+	opt := bench.Options{Scale: *scale, Seed: *seed}
 	for _, dir := range []string{*outDir, *reportDir} {
 		if dir != "" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {

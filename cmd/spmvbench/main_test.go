@@ -19,6 +19,19 @@ func TestListExperiments(t *testing.T) {
 			t.Errorf("-list output missing %s", id)
 		}
 	}
+	// Timing lives in benchmarks/ (spmvperf); the one-off timing
+	// experiments are gone from the registry.
+	listed := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]] = true
+		}
+	}
+	for _, id := range []string{"merge-kernels", "drain", "its-pipeline", "block-spmv", "alloc-steady"} {
+		if listed[id] {
+			t.Errorf("-list still offers retired experiment %s", id)
+		}
+	}
 }
 
 // TestRunTinyExperiment drives one functional experiment end-to-end at
@@ -70,6 +83,13 @@ func TestBadFlag(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-scale", "not-a-number"}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d for bad flag, want 2", code)
+	}
+	// Experiments run the engine's defaults: the A/B switches are not
+	// flags here.
+	for _, args := range [][]string{{"-merge-workers", "1"}, {"-merge-kernel", "mergepath"}, {"-drain", "sparse"}} {
+		if code := run(append(args, "-exp", "tab1"), &out, &errOut); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (unknown flag)", args[0], code)
+		}
 	}
 }
 

@@ -209,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "spmvd: listening on %s\n", ln.Addr())
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler(), readHeaderTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -229,6 +229,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// readHeaderTimeout is how long a connection may take to send its
+// request headers before the daemon drops it; without a bound an idle
+// half-open connection pins its goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout}
 }
 
 // smokeConfig is the fixed design point the smoke check runs at.
@@ -285,7 +295,7 @@ func runSmoke(stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler(), readHeaderTimeout)
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
@@ -102,6 +106,45 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if code := run([]string{"-matrix", "g=er:"}, &out, &errOut); code != 1 {
 		t.Errorf("bad spec: exit %d, want 1", code)
+	}
+	for flag, want := range map[string]string{
+		"-workers":       "core: workers must be non-negative",
+		"-merge-workers": "prap: merge workers must be non-negative",
+	} {
+		errOut.Reset()
+		if code := run([]string{"-matrix", "g=er:100:3:1", flag, "-3"}, &out, &errOut); code != 1 {
+			t.Errorf("%s -3: exit %d, want 1", flag, code)
+		}
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("%s -3: stderr %q lacks %q", flag, errOut.String(), want)
+		}
+	}
+}
+
+// TestHeaderTimeoutClosesSilentConnection checks the server drops a
+// connection that never sends a request line, instead of parking a
+// goroutine on it for good.
+func TestHeaderTimeoutClosesSilentConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler(), 50*time.Millisecond)
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Our own deadline only bounds the test; the server must hang up
+	// first, which reads as EOF, not as a timeout.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a silent connection: %v, want EOF from the server closing it", err)
 	}
 }
 

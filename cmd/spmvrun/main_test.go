@@ -172,4 +172,16 @@ func TestRunPlainStillWorks(t *testing.T) {
 	if code := run([]string{"-gen", "er", "-nodes", "1000", "-drain", "sparse"}, &out, &errOut); code != 2 {
 		t.Errorf("-drain: exit %d, want 2 (unknown flag)", code)
 	}
+	for flag, want := range map[string]string{
+		"-workers":       "spmvrun: core: workers must be non-negative",
+		"-merge-workers": "spmvrun: prap: merge workers must be non-negative",
+	} {
+		errOut.Reset()
+		if code := run([]string{"-gen", "er", "-nodes", "1000", flag, "-3"}, &out, &errOut); code != 1 {
+			t.Errorf("%s -3: exit %d, want 1", flag, code)
+		}
+		if got := strings.TrimSpace(errOut.String()); got != want {
+			t.Errorf("%s -3: stderr %q, want %q", flag, got, want)
+		}
+	}
 }

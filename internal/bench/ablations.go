@@ -98,7 +98,7 @@ func RunAblationPRaP(w io.Writer, opt Options) error {
 	}
 	t := newTable("q", "Cores p", "Output rec/cycle", "Input imbalance", "Injected", "Prefetch (KB)")
 	for q := uint(0); q <= 5; q++ {
-		cfg := prap.Config{Q: q, Ways: 64, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: opt.MergeWorkers}
+		cfg := prap.Config{Q: q, Ways: 64, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16}
 		n, err := prap.New(cfg)
 		if err != nil {
 			return err

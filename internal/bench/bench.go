@@ -21,17 +21,6 @@ type Options struct {
 	Scale uint64
 	// Seed drives all synthetic generation.
 	Seed int64
-	// MergeWorkers bounds the goroutines of the step-2 PRaP merge in
-	// functional runs (0 = GOMAXPROCS, 1 = sequential). Results are
-	// bit-identical at any setting; only wall-clock time changes.
-	MergeWorkers int
-	// MergeKernel selects the intra-core merge kernel for functional
-	// runs ("" or "losertree" = loser tree, "mergepath" = Merge Path).
-	// Like MergeWorkers, the choice is bit-identical by construction.
-	MergeKernel string
-	// Drain selects the step-2 store-queue drain for functional runs
-	// ("" or "auto", "dense", "sparse"); bit-identical in every mode.
-	Drain string
 	// Recorder, when non-nil, is attached to every functional engine the
 	// experiment builds, collecting the observability run report
 	// (DESIGN.md §8). Analytic-model experiments build no engines and
@@ -73,7 +62,6 @@ func Registry() []Experiment {
 		{ID: "ablation-prap", Title: "Ablation §4.2: PRaP scaling vs radix width", Run: RunAblationPRaP},
 		{ID: "ablation-hdn", Title: "Ablation §5.3: Bloom HDN detection on power-law graphs", Run: RunAblationHDN},
 		{ID: "ablation-its", Title: "Ablation §5.2: cycle-simulated ITS overlap vs sequential schedule", Run: RunAblationITS},
-		{ID: "its-pipeline", Title: "Fig 15: measured ITS pipelining, sequential vs overlapped wall-clock", Run: RunITSPipeline},
 		{ID: "ablation-vldi", Title: "Ablation §5.1: measured VLDI block-width sweep on a real graph", Run: RunAblationVLDIMeasured},
 		{ID: "mc-scaling", Title: "§2.2/§4.2: merge cores needed to saturate HBM generations", Run: RunMCScaling},
 		{ID: "onchip-sweep", Title: "§6 scaling: vector buffer vs max dimension; FIFO SRAM packing", Run: RunOnChipSweep},
@@ -84,11 +72,7 @@ func Registry() []Experiment {
 		{ID: "stack-scaling", Title: "§3: GTEPS vs HBM stack count (multi-stack scalability)", Run: RunStackScaling},
 		{ID: "skew-model", Title: "Model refinement: degree-aware intermediate-record estimate vs uniform", Run: RunSkewModel},
 		{ID: "designspace", Title: "Co-design: (p, K, lanes) sweep under the 7.5 mm2 / 11 MiB budget", Run: RunDesignSpace},
-		{ID: "alloc-steady", Title: "Steady state: iterative-SpMV allocations per iteration vs budget", Run: RunAllocSteady},
 		{ID: "host-baseline", Title: "Grounding: measured host-CPU SpMV vs modeled COTS and accelerator", Run: RunHostBaseline},
-		{ID: "block-spmv", Title: "Block SpMV: multi-RHS matrix-stream amortization vs k sequential runs", Run: RunBlockSpMV},
-		{ID: "merge-kernels", Title: "Merge kernels: loser tree vs Merge Path, uniform and skewed, bit-identity enforced", Run: RunMergeKernels},
-		{ID: "drain", Title: "Store-queue drain: dense walk vs sparse fast path across fill ratios, bit-identity enforced", Run: RunDrain},
 		{ID: "functional", Title: "Functional cross-check: Two-Step vs reference on scaled datasets", Run: RunFunctional},
 	}
 }

@@ -101,7 +101,7 @@ func RunAblationVLDIMeasured(w io.Writer, opt Options) error {
 		}
 		cfg := core.Config{
 			ScratchpadBytes: 8 << 10, ValueBytes: 8, MetaBytes: 8, Lanes: 8,
-			Merge:       prap.Config{Q: 2, Ways: 128, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: opt.MergeWorkers},
+			Merge:       prap.Config{Q: 2, Ways: 128, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16},
 			HBM:         defaultHBM(),
 			VectorCodec: codec,
 			MatrixCodec: codec,

@@ -29,7 +29,7 @@ func RunFunctional(w io.Writer, opt Options) error {
 			ValueBytes:      8,
 			MetaBytes:       8,
 			Lanes:           8,
-			Merge:           prap.Config{Q: 3, Ways: 256, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: opt.MergeWorkers, Kernel: prap.MergeKernel(opt.MergeKernel), Drain: prap.DrainMode(opt.Drain)},
+			Merge:           prap.Config{Q: 3, Ways: 256, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16},
 			HBM:             defaultHBM(),
 			Recorder:        opt.Recorder,
 		}

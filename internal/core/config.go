@@ -89,6 +89,9 @@ func (c Config) Validate() error {
 	if c.Lanes < 1 {
 		return fmt.Errorf("core: lane count must be positive")
 	}
+	if c.Workers < 0 {
+		return fmt.Errorf("core: workers must be non-negative")
+	}
 	if err := c.Merge.Validate(); err != nil {
 		return err
 	}

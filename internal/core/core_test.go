@@ -61,6 +61,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("9-byte meta accepted")
 	}
+	c = testConfig()
+	c.Workers = -3
+	if err := c.Validate(); err == nil {
+		t.Error("negative workers accepted")
+	}
 }
 
 func TestCapacityModel(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
+	"mwmerge/internal/prap"
 	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
@@ -65,14 +66,32 @@ func exactX(n uint64, seed int64) vector.Dense {
 
 // entryPointConfigs spans the configurations no output may depend on
 // (blockTestConfigs, with two step-1 workers so that four stripes leave
-// LPT dispatch an order to choose); workers and mergeWorkers must not
-// move the books either.
+// LPT dispatch an order to choose). Every row but vldi and hdn must
+// also leave the books where plain has them; the kernel and drain rows
+// each carry a different Workers x MergeWorkers x other-knob
+// combination, so the knobs are also checked against each other and not
+// only one at a time.
 func entryPointConfigs(t *testing.T) map[string]Config {
 	cfgs := blockTestConfigs(t)
 	w, m := cfgs["workers"], cfgs["mergeWorkers"]
 	w.Workers, m.Merge.MergeWorkers = 2, 2
 	cfgs["workers"], cfgs["mergeWorkers"] = w, m
+
+	mp := testConfig()
+	mp.Merge.Kernel, mp.Workers, mp.Merge.MergeWorkers = prap.KernelMergePath, 2, 3
+	dd := testConfig()
+	dd.Merge.Drain, dd.Merge.Kernel, dd.Merge.MergeWorkers = prap.DrainDense, prap.KernelMergePath, 2
+	ds := testConfig()
+	ds.Merge.Drain, ds.Workers, ds.Merge.MergeWorkers = prap.DrainSparse, 2, 1
+	cfgs["mergepath"], cfgs["drainDense"], cfgs["drainSparse"] = mp, dd, ds
 	return cfgs
+}
+
+// engineBooks is everything an engine reports about its runs besides
+// their outputs.
+type engineBooks struct {
+	Counters report.Counters
+	Stats    RunStats
 }
 
 func TestEntryPointEquivalence(t *testing.T) {
@@ -101,11 +120,11 @@ func TestEntryPointEquivalence(t *testing.T) {
 		name string
 		a    *matrix.COO
 	}{{"er", exactColumns(er)}, {"zipfT", skewed}} {
-		books := map[string][]report.Counters{}
+		books := map[string][]engineBooks{}
 		for name, cfg := range entryPointConfigs(t) {
 			t.Run(m.name+"/"+name, func(t *testing.T) { books[name] = checkEntryPoints(t, m.a, cfg) })
 		}
-		for _, knob := range []string{"workers", "mergeWorkers"} {
+		for _, knob := range []string{"workers", "mergeWorkers", "mergepath", "drainDense", "drainSparse"} {
 			if !reflect.DeepEqual(books[knob], books["plain"]) {
 				t.Errorf("%s: %s moved the books of some entry point:\n got  %+v\n want %+v", m.name, knob, books[knob], books["plain"])
 			}
@@ -114,8 +133,8 @@ func TestEntryPointEquivalence(t *testing.T) {
 }
 
 // checkEntryPoints drives every entry point on fresh engines of one
-// configuration and returns each engine's final counters, in call order.
-func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []report.Counters {
+// configuration and returns each engine's final books, in call order.
+func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 	var engines []*Engine
 	fresh := func() *Engine {
 		e, err := New(cfg)
@@ -160,9 +179,15 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []report.Counters
 		want.MatUncompressedBytes -= passesSaved * single.MatUncompressedBytes
 		return want
 	}
+	// The store queue gives every output element exactly one add, of an
+	// injected +0.0 where no product lands, so a -0.0 in yIn on an empty
+	// row comes out +0.0 — whichever drain runs.
 	ref := func(m *matrix.COO, x, yIn vector.Dense) vector.Dense {
 		y, err := referenceSpMV(m, x, yIn)
 		ok(err)
+		for i := range y {
+			y[i] += 0
+		}
 		return y
 	}
 	// HDN routing is a property of the planned COO paths: the adapters
@@ -173,6 +198,19 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []report.Counters
 	xs := []vector.Dense{exactX(eqDim, 1), exactX(eqDim, 2), exactX(eqDim, 3)}
 	yIns := []vector.Dense{exactX(eqDim, 4), nil, exactX(eqDim, 5)}
 	x, yIn := xs[0], yIns[0]
+	// A dirty yIn: the sparse drain would leave this -0.0 standing, so
+	// prap must fall back to the dense walk even when sparse is forced.
+	hole := -1
+	for row, deg := range a.RowDegrees() {
+		if deg == 0 {
+			hole = row
+			break
+		}
+	}
+	if hole < 0 {
+		t.Fatal("no empty row to hold the -0.0")
+	}
+	yIn[hole] = math.Copysign(0, -1)
 	want := ref(a, x, yIn)
 
 	// --- one application ---
@@ -399,9 +437,9 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []report.Counters
 	if got, want := pblk3.Counters(), amortized(pseq, single, uint64(sumIters-maxIt)); got != want {
 		t.Errorf("PageRankBlock k=3: ledger is not the columns' runs minus the shared passes:\n got  %+v\n want %+v", got, want)
 	}
-	books := make([]report.Counters, len(engines))
+	books := make([]engineBooks, len(engines))
 	for i, e := range engines {
-		books[i] = e.Counters()
+		books[i] = engineBooks{e.Counters(), e.Stats()}
 	}
 	return books
 }

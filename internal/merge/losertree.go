@@ -1,6 +1,8 @@
 // Package merge implements the multi-way merge machinery at the heart of
-// Two-Step SpMV step 2: a fast software loser-tree K-way merger (the
-// functional reference) and a cycle-approximate model of the paper's
+// Two-Step SpMV step 2: three software K-way mergers — the binary-heap
+// Merged in this file (the independent functional reference), the
+// tournament loser tree LoserTreeMerged (loser.go), and the Merge Path
+// kernel (mergepath.go) — and a cycle-approximate model of the paper's
 // binary-tree Merge Core with SRAM-block-packed pipeline FIFOs (Fig. 6).
 package merge
 
@@ -38,14 +40,6 @@ func (s *SliceSource) Next() (types.Record, bool) {
 // Remaining returns the number of unread records.
 func (s *SliceSource) Remaining() int { return len(s.recs) - s.pos }
 
-// LoserTree merges K ascending sources into a single ascending stream,
-// the algorithmic reference the hardware Merge Core is validated against.
-// Ties across sources are broken by source index, making the merge stable
-// with respect to source order.
-type LoserTree struct {
-	items []ltItem
-}
-
 type ltItem struct {
 	rec types.Record
 	src int
@@ -71,7 +65,9 @@ func (h *ltHeap) Pop() interface{} {
 	return it
 }
 
-// Merged streams the merged output of sources.
+// Merged merges K ascending sources into a single ascending stream on a
+// binary heap. Ties across sources are broken by source index, making
+// the merge stable with respect to source order.
 type Merged struct {
 	h ltHeap
 }

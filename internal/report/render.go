@@ -23,8 +23,8 @@ type Meta struct {
 	Overlap bool `json:"overlap,omitempty"`
 	// Host allocation deltas over the run (runtime.MemStats Mallocs and
 	// TotalAlloc), the observability surface of the engine's scratch
-	// arenas: a steady-state regression shows up here without rerunning
-	// the alloc-steady experiment.
+	// arenas: a steady-state regression shows up here as well as in the
+	// allocation-budget test.
 	HostAllocs     uint64 `json:"host_allocs,omitempty"`
 	HostAllocBytes uint64 `json:"host_alloc_bytes,omitempty"`
 }

@@ -72,9 +72,6 @@ type (
 	// MergeKernel selects the intra-core merge-accumulate kernel
 	// (PRaPConfig.Kernel); results are bit-identical either way.
 	MergeKernel = prap.MergeKernel
-	// DrainMode selects the step-2 store-queue drain strategy
-	// (PRaPConfig.Drain); results are bit-identical in every mode.
-	DrainMode = prap.DrainMode
 )
 
 // Merge kernel selections (DESIGN.md §12).
@@ -84,19 +81,6 @@ const (
 	// MergeKernelMergePath is the diagonal-partitioned, branch-free
 	// Merge-Path kernel — faster on skewed inputs, bit-identical output.
 	MergeKernelMergePath = prap.KernelMergePath
-)
-
-// Store-queue drain selections (DESIGN.md §13).
-const (
-	// DrainAuto picks the sparse drain whenever it is bit-safe and
-	// profitable, falling back to the dense walk — the default.
-	DrainAuto = prap.DrainAuto
-	// DrainDense always walks the full residue class, injecting zeros
-	// for missing keys.
-	DrainDense = prap.DrainDense
-	// DrainSparse requests the record-proportional drain; the dense walk
-	// still runs when bit-safety demands it (a -0.0 in y-in).
-	DrainSparse = prap.DrainSparse
 )
 
 // Block (multi-vector) SpMV types (DESIGN.md §11): one matrix pass
