@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race bench-selftest cover bench experiments report serve-smoke fuzz clean
+.PHONY: all build vet lint test race bench-selftest cover bench experiments report serve-smoke fuzz clean
 
 all: build vet lint test race bench-selftest
 
@@ -12,19 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the ten invariant analyzers
-# (determinism, statsalias, sentinel, ledgerdiscipline,
-# goroutinecapture, densewrite, pkgdoc, allocfree, poolconfine,
-# locksnapshot) over the whole module, diffed against the checked-in
-# baseline so only fresh findings fail. Also writes out/lint.sarif for
-# CI artifact upload. See DESIGN.md §7.
+# Project-specific static analysis: the seven per-package invariant
+# analyzers (determinism, statsalias, sentinel, ledgerdiscipline,
+# goroutinecapture, densewrite, pkgdoc) over the whole module; any
+# finding fails. See DESIGN.md §7.
 lint:
-	@mkdir -p out
-	$(GO) run ./cmd/spmvlint -C . -baseline lint.baseline -sarif out/lint.sarif
-
-# Regenerate the accepted-findings baseline from the current tree.
-lint-baseline:
-	$(GO) run ./cmd/spmvlint -C . -baseline lint.baseline -write-baseline
+	$(GO) run ./cmd/spmvlint -C .
 
 test:
 	$(GO) test ./...

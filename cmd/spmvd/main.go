@@ -152,7 +152,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		radix      = fs.Uint("q", 4, "PRaP radix bits (2^q merge cores)")
 		workers    = fs.Int("workers", 1, "step-1 worker goroutines per engine")
 		mergeWork  = fs.Int("merge-workers", 1, "step-2 merge goroutines per engine")
-		mergeKern  = fs.String("merge-kernel", "losertree", "intra-core merge kernel per engine: losertree or mergepath (bit-identical results)")
 		maxBatch   = fs.Int("batch", 1, "max same-matrix /v1/spmv requests coalesced into one block flush (1 disables batching)")
 		batchWin   = fs.Duration("batch-window", 2*time.Millisecond, "how long the first queued request waits for same-matrix company before its batch flushes")
 		smoke      = fs.Bool("smoke", false, "self-check: serve a small graph, run PageRank over HTTP plus a coalesced SpMV batch, verify the /metrics scrape against a direct engine run, exit")
@@ -173,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ValueBytes:      8,
 		MetaBytes:       8,
 		Lanes:           8,
-		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork, Kernel: prap.MergeKernel(*mergeKern)},
+		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork},
 		HBM:             mem.DefaultHBM(),
 		Workers:         *workers,
 	}

@@ -96,10 +96,13 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
-	// The store-queue drain is picked per merge by a rule (prap.DrainAuto);
-	// the daemon offers no override.
-	if code := run([]string{"-drain", "sparse", "-matrix", "g=er:100:3:1"}, &out, &errOut); code != 2 {
-		t.Errorf("-drain: exit %d, want 2 (unknown flag)", code)
+	// The store-queue drain and the merge kernel are picked by rule
+	// (prap.DrainAuto, prap.KernelMergePath); the daemon offers no
+	// override.
+	for _, flag := range []string{"-drain", "-merge-kernel"} {
+		if code := run([]string{flag, "x", "-matrix", "g=er:100:3:1"}, &out, &errOut); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (unknown flag)", flag, code)
+		}
 	}
 	if code := run([]string{"-addr", ":0"}, &out, &errOut); code != 2 {
 		t.Errorf("no matrices: exit %d, want 2", code)

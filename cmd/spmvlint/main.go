@@ -1,8 +1,8 @@
 // Command spmvlint runs the project's static-analysis suite over the
-// whole module: ten analyzers enforcing the determinism, stats-alias,
-// sentinel, traffic-ledger, goroutine-capture, dense-write, package-doc,
-// steady-state-allocation, pool-confinement and snapshot-lock invariants
-// the reproduction's correctness story depends on (see DESIGN.md §7).
+// whole module: seven per-package analyzers enforcing the determinism,
+// stats-alias, sentinel, traffic-ledger, goroutine-capture, dense-write
+// and package-doc invariants the reproduction's correctness story
+// depends on (see DESIGN.md §7).
 //
 // Usage:
 //
@@ -10,16 +10,10 @@
 //	spmvlint -C path              # lint the module rooted at path
 //	spmvlint -only determinism,sentinel
 //	spmvlint -list                # list analyzers
-//	spmvlint -sarif out.sarif     # also write a SARIF 2.1.0 report
-//	spmvlint -baseline lint.baseline            # fail only on findings not in the baseline
-//	spmvlint -baseline lint.baseline -write-baseline  # regenerate the baseline
 //
-// Exit status is 0 when the tree is clean (or every finding is
-// baselined), 1 when fresh findings were reported, 2 on usage or load
-// errors. Findings can be suppressed at the offending line with
-// `//lint:allow <analyzer> <reason>`. The SARIF report always carries
-// the full finding set, baselined or not, so the burn-down backlog
-// stays visible in CI artifacts.
+// Exit status is 0 when the tree is clean, 1 when findings were
+// reported, 2 on usage or load errors. Findings can be suppressed at the
+// offending line with `//lint:allow <analyzer> <reason>`.
 package main
 
 import (
@@ -40,18 +34,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("spmvlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		root      = fs.String("C", ".", "module root to lint")
-		only      = fs.String("only", "", "comma-separated analyzer subset (default: all)")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		sarifPath = fs.String("sarif", "", "write a SARIF 2.1.0 report to this path (\"-\" for stdout)")
-		basePath  = fs.String("baseline", "", "baseline file of accepted findings; only fresh findings fail")
-		writeBase = fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit 0")
+		root = fs.String("C", ".", "module root to lint")
+		only = fs.String("only", "", "comma-separated analyzer subset (default: all)")
+		list = fs.Bool("list", false, "list analyzers and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *writeBase && *basePath == "" {
-		fmt.Fprintln(stderr, "spmvlint: -write-baseline needs -baseline <path>")
 		return 2
 	}
 
@@ -78,57 +65,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags := lint.RunAnalyzers(pkgs, analyzers, lint.DefaultConfig())
-
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, diags, analyzers, stdout); err != nil {
-			fmt.Fprintln(stderr, "spmvlint:", err)
-			return 2
-		}
-	}
-
-	if *writeBase {
-		if err := os.WriteFile(*basePath, []byte(lint.FormatBaseline(diags)), 0o644); err != nil {
-			fmt.Fprintln(stderr, "spmvlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "spmvlint: wrote %d finding(s) to %s\n", len(diags), *basePath)
-		return 0
-	}
-
-	fresh := diags
-	if *basePath != "" {
-		data, err := os.ReadFile(*basePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "spmvlint:", err)
-			return 2
-		}
-		fresh = lint.FilterBaseline(diags, lint.ParseBaseline(data))
-	}
-	for _, d := range fresh {
+	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(stderr, "spmvlint: %d fresh finding(s) across %d package(s)\n", len(fresh), len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "spmvlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
-	if n := len(diags) - len(fresh); n > 0 {
-		fmt.Fprintf(stderr, "spmvlint: clean (%d baselined finding(s) suppressed)\n", n)
-	}
 	return 0
-}
-
-// writeSARIF writes the report to path, or to stdout for "-".
-func writeSARIF(path string, diags []lint.Diagnostic, analyzers []*lint.Analyzer, stdout io.Writer) error {
-	if path == "-" {
-		return lint.WriteSARIF(stdout, diags, analyzers)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := lint.WriteSARIF(f, diags, analyzers); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		damping    = fs.Float64("damping", 0, "PageRank damping applied after each iteration (0 = plain)")
 		workers    = fs.Int("workers", 1, "step-1 worker goroutines (host-side parallelism)")
 		mergeWork  = fs.Int("merge-workers", 0, "step-2 merge goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		mergeKern  = fs.String("merge-kernel", "losertree", "intra-core merge kernel: losertree or mergepath (bit-identical results)")
 		reportPath = fs.String("report", "", `write the JSON run report to FILE ("-" = stdout)`)
 		tracePath  = fs.String("trace", "", `write the span-lane Gantt chart to FILE ("-" = stdout)`)
 		promPath   = fs.String("prom", "", `write Prometheus text-exposition metrics to FILE ("-" = stdout)`)
@@ -101,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ValueBytes:      8,
 		MetaBytes:       8,
 		Lanes:           8,
-		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork, Kernel: prap.MergeKernel(*mergeKern)},
+		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork},
 		HBM:             mem.DefaultHBM(),
 		Workers:         *workers,
 		Recorder:        rec,

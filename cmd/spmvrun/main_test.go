@@ -167,10 +167,12 @@ func TestRunPlainStillWorks(t *testing.T) {
 	if !strings.Contains(out.String(), "Off-chip traffic") {
 		t.Errorf("missing traffic summary:\n%s", out.String())
 	}
-	// The store-queue drain is picked per merge by a rule (prap.DrainAuto);
-	// the CLI offers no override.
-	if code := run([]string{"-gen", "er", "-nodes", "1000", "-drain", "sparse"}, &out, &errOut); code != 2 {
-		t.Errorf("-drain: exit %d, want 2 (unknown flag)", code)
+	// The store-queue drain and the merge kernel are picked by rule
+	// (prap.DrainAuto, prap.KernelMergePath); the CLI offers no override.
+	for _, flag := range []string{"-drain", "-merge-kernel"} {
+		if code := run([]string{"-gen", "er", "-nodes", "1000", flag, "x"}, &out, &errOut); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (unknown flag)", flag, code)
+		}
 	}
 	for flag, want := range map[string]string{
 		"-workers":       "spmvrun: core: workers must be non-negative",

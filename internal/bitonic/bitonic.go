@@ -181,7 +181,7 @@ func (p *PreSorter) SortWith(buf *SortBuf, batch []types.Record) error {
 		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(batch), p.net.Width)
 	}
 	if cap(buf.lanes) < len(batch) {
-		//lint:allow allocfree grow-once lane arena; the worker's SortBuf keeps capacity across batches
+		// Grow-once lane arena; the worker's SortBuf keeps capacity across batches.
 		buf.lanes = make([]lane, len(batch))
 	}
 	lanes := buf.lanes[:len(batch)]

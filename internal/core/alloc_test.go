@@ -10,52 +10,93 @@ import (
 	"testing"
 
 	"mwmerge/internal/graph"
+	"mwmerge/internal/prap"
+	"mwmerge/internal/vector"
 )
 
-// steadyAllocBudget is the documented per-iteration allocation ceiling
-// for warmed-up iterative SpMV at Workers=1/MergeWorkers=1 (DESIGN.md
-// §9). The measured steady state is ~6–8 allocs per iteration — the
-// returned result vector's bookkeeping, the per-call Stats slices, and
-// (with overlap) the pipeline goroutine — against ~1800 before the
-// arenas landed. The ceiling leaves headroom for runtime/version noise
-// while still failing loudly if a per-record or per-batch allocation
-// ever creeps back in.
+// steadyAllocBudget is the documented allocation ceiling for one warmed
+// matrix-vector product at Workers=1/MergeWorkers=1 (DESIGN.md §9). The
+// measured steady state is ~7–9 allocs per product — the returned
+// result vector's bookkeeping, the per-call Stats slices, the fan-out
+// closures, and (with overlap) the pipeline goroutine — against ~1800
+// before the arenas landed. The ceiling leaves headroom for
+// runtime/version noise while still failing loudly if a per-record,
+// per-batch or per-stripe allocation ever creeps back in.
 const steadyAllocBudget = 16
 
-// TestIterateSteadyStateAllocs warms one engine, then measures the
-// allocations of further Iterate calls and holds each schedule to the
-// per-iteration budget.
+// TestIterateSteadyStateAllocs is the allocation-freedom guard for the
+// whole steady state: it warms one engine per merge kernel, then holds
+// every dense entry point — SpMV, SpMVBlock, Iterate on both schedules,
+// PageRank — to the budget per matrix-vector product. Nothing else
+// polices the hot path's allocations, so an entry point added to the
+// engine gets a row here.
 func TestIterateSteadyStateAllocs(t *testing.T) {
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.Merge.MergeWorkers = 1
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n, iters = 2048, 4
+	const n, iters, k = 2048, 4, 4
 	a, err := graph.ErdosRenyi(n, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randomX(n, 3)
-
-	for _, overlap := range []bool{false, true} {
+	xs := make([]vector.Dense, k)
+	for c := range xs {
+		xs[c] = randomX(n, int64(10+c))
+	}
+	iterate := func(overlap bool) func(*Engine) (int, error) {
 		opt := IterateOptions{Iterations: iters, Overlap: overlap, Damping: 0.85}
-		// Warm-up: grow every arena to its steady-state capacity.
-		if _, err := e.Iterate(a, x, opt); err != nil {
+		return func(e *Engine) (int, error) {
+			_, err := e.Iterate(a, x, opt)
+			return iters, err
+		}
+	}
+	// Each entry point reports the products one call computed (a block
+	// call one per column, an iterative call one per iteration);
+	// PageRank's per-call normalization and re-partition are charged to
+	// its iterations.
+	entries := []struct {
+		name string
+		call func(*Engine) (int, error)
+	}{
+		{"SpMV", func(e *Engine) (int, error) {
+			_, err := e.SpMV(a, x, nil)
+			return 1, err
+		}},
+		{"SpMVBlock4", func(e *Engine) (int, error) {
+			_, err := e.SpMVBlock(a, xs, nil)
+			return k, err
+		}},
+		{"Iterate", iterate(false)},
+		{"IterateOverlap", iterate(true)},
+		{"PageRank", func(e *Engine) (int, error) {
+			_, its, err := e.PageRank(a, 0.85, 0, 32, false)
+			return its, err
+		}},
+	}
+	for _, kernel := range []prap.MergeKernel{prap.KernelLoserTree, prap.KernelMergePath} {
+		cfg := testConfig()
+		cfg.Workers = 1
+		cfg.Merge.MergeWorkers = 1
+		cfg.Merge.Kernel = kernel
+		e, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		perCall := testing.AllocsPerRun(10, func() {
-			if _, err := e.Iterate(a, x, opt); err != nil {
+		for _, en := range entries {
+			// Warm-up: grow every arena to its steady-state capacity.
+			products, err := en.call(e)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		perIter := perCall / iters
-		t.Logf("overlap=%v: %.1f allocs/call, %.2f allocs/iteration", overlap, perCall, perIter)
-		if perIter > steadyAllocBudget {
-			t.Errorf("overlap=%v: %.2f allocs/iteration exceeds budget %d",
-				overlap, perIter, steadyAllocBudget)
+			perCall := testing.AllocsPerRun(10, func() {
+				if _, err := en.call(e); err != nil {
+					t.Fatal(err)
+				}
+			})
+			perProduct := perCall / float64(products)
+			t.Logf("%s/%s: %.1f allocs/call, %.2f allocs/product", kernel, en.name, perCall, perProduct)
+			if perProduct > steadyAllocBudget {
+				t.Errorf("%s/%s: %.2f allocs per product exceeds budget %d",
+					kernel, en.name, perProduct, steadyAllocBudget)
+			}
 		}
 	}
 }

@@ -385,7 +385,6 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *
 	n := len(stripes)
 	bank.sized(n * len(xs))
 	outcomes := bank.outcomes
-	//lint:allow allocfree per-iteration worker closure, counted in the DESIGN.md §9 alloc budget
 	run := func(w, s int) {
 		if gate != nil {
 			err := gate.wait(s)
@@ -419,11 +418,9 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *
 		}
 	} else {
 		var wg sync.WaitGroup
-		//lint:allow allocfree per-iteration fan-out channel, counted in the DESIGN.md §9 alloc budget
 		work := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			//lint:allow allocfree per-iteration worker goroutine closure, counted in the DESIGN.md §9 alloc budget
 			go func(w int) {
 				defer wg.Done()
 				for s := range work {
@@ -523,8 +520,8 @@ func (e *Engine) stripeTask(worker, k int, s *matrix.Stripe, x vector.Dense, det
 // processStripe runs step 1 for one stripe of a dense source vector and
 // computes its full accounting without touching engine state beyond scr,
 // the stripe's recycled scratch slot. Requiring the slot keeps the
-// steady-state call graph clear of allocating constructors, which is
-// what lets spmvlint's allocfree analyzer pin the iteration loop.
+// steady state clear of allocating constructors: a per-record or
+// per-stripe allocation here fails TestIterateSteadyStateAllocs.
 func (e *Engine) processStripe(s *matrix.Stripe, x vector.Dense, det *hdn.Detector, scr *stripeScratch, chargeMatrix bool) stripeOutcome {
 	scr.v = vector.Sparse{Dim: int(s.Rows), Recs: scr.recsFor(s.NNZ())}
 	st, err := step1Into(&scr.v, s, x[s.ColStart:s.ColStart+s.Width], det)

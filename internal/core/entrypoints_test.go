@@ -70,7 +70,8 @@ func exactX(n uint64, seed int64) vector.Dense {
 // also leave the books where plain has them; the kernel and drain rows
 // each carry a different Workers x MergeWorkers x other-knob
 // combination, so the knobs are also checked against each other and not
-// only one at a time.
+// only one at a time. Merge Path is the default kernel, so drainDense is
+// the row that runs the loser tree.
 func entryPointConfigs(t *testing.T) map[string]Config {
 	cfgs := blockTestConfigs(t)
 	w, m := cfgs["workers"], cfgs["mergeWorkers"]
@@ -80,7 +81,7 @@ func entryPointConfigs(t *testing.T) map[string]Config {
 	mp := testConfig()
 	mp.Merge.Kernel, mp.Workers, mp.Merge.MergeWorkers = prap.KernelMergePath, 2, 3
 	dd := testConfig()
-	dd.Merge.Drain, dd.Merge.Kernel, dd.Merge.MergeWorkers = prap.DrainDense, prap.KernelMergePath, 2
+	dd.Merge.Drain, dd.Merge.Kernel, dd.Merge.MergeWorkers = prap.DrainDense, prap.KernelLoserTree, 2
 	ds := testConfig()
 	ds.Merge.Drain, ds.Workers, ds.Merge.MergeWorkers = prap.DrainSparse, 2, 1
 	cfgs["mergepath"], cfgs["drainDense"], cfgs["drainSparse"] = mp, dd, ds

@@ -217,7 +217,6 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 		next := e.pipeNext()
 		nextBank := e.nextBank()
 		src[0] = y
-		//lint:allow allocfree per-iteration speculative step-1 closure, counted in the DESIGN.md §9 alloc budget
 		go func() {
 			var r step1Result
 			if e.rec != nil {
@@ -234,7 +233,6 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 		if e.rec != nil {
 			s2Start = e.rec.Now()
 		}
-		//lint:allow allocfree per-iteration segment-publish closure, counted in the DESIGN.md §9 alloc budget
 		err = e.runStep2Into(lists, rows, nil, y, width, func(seg int) {
 			if update != nil {
 				lo := uint64(seg) * width

@@ -71,47 +71,6 @@ type Config struct {
 	// literals may write shared dense vectors — the store-queue drain
 	// behind the ITS segment-publish protocol.
 	BlessedDenseWriters map[string][]string
-
-	// AllocFreeRoots maps an import path to the steady-state root
-	// functions of the allocfree analyzer: everything reachable from
-	// them through the call graph must not allocate. An empty map
-	// disables the analyzer.
-	AllocFreeRoots map[string][]string
-	// AllocFreeWarm maps an import path to blessed warm-up/arena-growth
-	// functions: the allocfree walk neither scans nor descends into
-	// them, because allocating on a cold path is their whole job.
-	AllocFreeWarm map[string][]string
-	// AllocFreeExemptPackages lists import paths the allocfree walk
-	// skips entirely (the nil-gated observability layer, whose runs
-	// trade allocations for evidence deliberately).
-	AllocFreeExemptPackages []string
-
-	// PoolPackage is the import path of the engine-pool serving layer
-	// checked by the poolconfine analyzer. Empty disables the analyzer.
-	PoolPackage string
-	// EngineTypePackage and EngineTypeName identify the pooled engine
-	// type whose goroutine confinement poolconfine enforces.
-	EngineTypePackage string
-	EngineTypeName    string
-	// PoolCheckoutFuncs and PoolReturnFuncs name the PoolPackage
-	// functions that check an engine out of the pool and give it back;
-	// a checkout must be paired with a return on every exit.
-	PoolCheckoutFuncs []string
-	PoolReturnFuncs   []string
-	// BlessedPoolFuncs maps an import path to the pool-mechanics
-	// functions (construction, checkout, return) that may legitimately
-	// store or send pooled engines.
-	BlessedPoolFuncs map[string][]string
-
-	// SnapshotTypes maps an import path to struct type names holding a
-	// published snapshot: every field declared after the struct's
-	// sync.Mutex field may be touched only while that mutex is held
-	// (the locksnapshot analyzer). An empty map disables the analyzer.
-	SnapshotTypes map[string][]string
-	// BlessedSnapshotFuncs maps an import path to helper functions
-	// exempt from the lock-span check because they are documented to
-	// run under a caller-held lock.
-	BlessedSnapshotFuncs map[string][]string
 }
 
 // DefaultConfig returns the repository's invariant surface.
@@ -141,56 +100,6 @@ func DefaultConfig() Config {
 		BlessedDenseWriters: map[string][]string{
 			"mwmerge/internal/prap": {"mergeInto"},
 		},
-		AllocFreeRoots: map[string][]string{
-			// The two inner paths of the steady state: the k-wide
-			// Two-Step driver every dense entry point and sequential
-			// iteration funnels through (scalar calls are its k=1
-			// case), and the ITS pipeline. Both reach the prap merge
-			// paths through Network.MergeInto. The entry points
-			// themselves are NOT roots: per-call warm-up (plan build,
-			// x0 clone, PageRank's normalization) may allocate by
-			// design.
-			"mwmerge/internal/core": {"Engine.spmvCompute", "Engine.iteratePipelined"},
-			// The Merge-Path kernel's steady-state entry: everything
-			// past its sized() warm-up (arena growth) must stay
-			// allocation-free, DESIGN.md §12.
-			"mwmerge/internal/merge": {"MergePathWorkspace.MergeAccumulateInto"},
-		},
-		AllocFreeWarm: map[string][]string{
-			// Arena-growth and first-use paths (DESIGN.md §9): they
-			// allocate only until the arenas reach steady-state capacity.
-			"mwmerge/internal/core": {
-				"Engine.planFor", "Engine.getDense", "Engine.putDense",
-				"Engine.pipeGate", "Engine.pipeNext",
-				"stripeBank.sized", "stripeScratch.recsFor", "frontierScratch.sized",
-				"lptScratch.sized",
-			},
-			"mwmerge/internal/prap": {
-				"Network.acquire",
-				"mergeScratch.slotsFor", "mergeScratch.outcomesFor",
-				"mergeScratch.batchesFor", "mergeScratch.sortBufsFor",
-				"mergeScratch.coresFor", "mergeScratch.countersFor",
-				"mergeScratch.planFor",
-			},
-			"mwmerge/internal/merge":  {"Workspace.MergeAccumulateInto", "MergePathWorkspace.sized"},
-			"mwmerge/internal/vector": {"Dense.Clone", "NewDense"},
-		},
-		AllocFreeExemptPackages: []string{
-			"mwmerge/internal/report",
-			"mwmerge/internal/trace",
-		},
-		PoolPackage:       "mwmerge/internal/serve",
-		EngineTypePackage: "mwmerge/internal/core",
-		EngineTypeName:    "Engine",
-		PoolCheckoutFuncs: []string{"Pool.acquire", "Pool.acquireBatch"},
-		PoolReturnFuncs:   []string{"Pool.release", "Pool.releaseBatch"},
-		BlessedPoolFuncs: map[string][]string{
-			"mwmerge/internal/serve": {"NewPool", "Pool.acquire", "Pool.release", "Pool.acquireBatch", "Pool.releaseBatch"},
-		},
-		SnapshotTypes: map[string][]string{
-			"mwmerge/internal/serve": {"member", "batcher"},
-		},
-		BlessedSnapshotFuncs: map[string][]string{},
 	}
 }
 
@@ -213,55 +122,11 @@ func (p *Pass) report(diags *[]Diagnostic, analyzer string, pos token.Pos, forma
 	})
 }
 
-// Program hands the whole loaded module — every package plus the static
-// call graph over them — to a call-graph-aware analyzer.
-type Program struct {
-	Fset   *token.FileSet
-	Pkgs   []*Package
-	Graph  *CallGraph
-	Config Config
-}
-
-// byPath returns the loaded package with the given import path, or nil.
-func (p *Program) byPath(path string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// pass builds the per-package view of a program package, so program
-// analyzers can reuse the Pass-based helpers.
-func (p *Program) pass(pkg *Package) *Pass {
-	return &Pass{
-		Fset:    pkg.Fset,
-		Files:   pkg.Files,
-		Pkg:     pkg.Types,
-		Info:    pkg.Info,
-		PkgPath: pkg.Path,
-		Config:  p.Config,
-	}
-}
-
-// report appends a finding at pos.
-func (p *Program) report(diags *[]Diagnostic, analyzer string, pos token.Pos, format string, args ...any) {
-	*diags = append(*diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: analyzer,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Analyzer is one invariant checker: either per-package (Run) or
-// call-graph-aware over the whole module (RunProgram). Exactly one of
-// the two is set.
+// Analyzer is one per-package invariant checker.
 type Analyzer struct {
-	Name       string
-	Doc        string
-	Run        func(*Pass) []Diagnostic
-	RunProgram func(*Program) []Diagnostic
+	Name string
+	Doc  string
+	Run  func(*Pass) []Diagnostic
 }
 
 // All returns every analyzer in the suite, in a fixed order.
@@ -274,9 +139,6 @@ func All() []*Analyzer {
 		GoroutineAnalyzer,
 		DenseWriteAnalyzer,
 		PkgDocAnalyzer,
-		AllocFreeAnalyzer,
-		PoolConfineAnalyzer,
-		LockSnapshotAnalyzer,
 	}
 }
 
@@ -297,13 +159,11 @@ func Lookup(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunAnalyzers applies the analyzers to every package — per-package
-// analyzers to each in turn, call-graph-aware analyzers once over the
-// whole set — filters the findings through the //lint:allow annotations,
-// and returns them in stable position order.
+// RunAnalyzers applies the analyzers to every package in turn, filters
+// the findings through the //lint:allow annotations, and returns them in
+// stable position order.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Diagnostic {
 	var diags []Diagnostic
-	allAllows := make(allowSet)
 	for _, pkg := range pkgs {
 		pass := &Pass{
 			Fset:    pkg.Fset,
@@ -315,37 +175,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Diagnost
 		}
 		allows, allowDiags := collectAllows(pass)
 		diags = append(diags, allowDiags...)
-		for k := range allows {
-			allAllows[k] = true
-		}
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			for _, d := range a.Run(pass) {
 				if allows.suppresses(d) {
 					continue
 				}
 				diags = append(diags, d)
 			}
-		}
-	}
-	var prog *Program
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if prog == nil {
-			if len(pkgs) == 0 {
-				break
-			}
-			prog = &Program{Fset: pkgs[0].Fset, Pkgs: pkgs, Graph: BuildCallGraph(pkgs), Config: cfg}
-		}
-		for _, d := range a.RunProgram(prog) {
-			if allAllows.suppresses(d) {
-				continue
-			}
-			diags = append(diags, d)
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {

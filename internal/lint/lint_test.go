@@ -180,88 +180,6 @@ func TestAnalyzers(t *testing.T) {
 			corpus: "buildtags",
 			config: func(p string) Config { return Config{} },
 		},
-		{
-			// The arena-reuse-deleted shape: every allocation kind the
-			// analyzer classifies, all reachable from the corpus root.
-			corpus: "allocfree/pos",
-			config: func(p string) Config {
-				return Config{AllocFreeRoots: map[string][]string{p: {"engine.Iterate"}}}
-			},
-			want: []string{
-				"allocfree|make in",
-				"allocfree|growing append",
-				"allocfree|heap composite literal",
-				"allocfree|closure creation",
-				"allocfree|string/[]byte conversion",
-				"allocfree|interface boxing",
-				"allocfree|growing append",
-			},
-		},
-		{
-			corpus: "allocfree/neg",
-			config: func(p string) Config {
-				return Config{
-					AllocFreeRoots: map[string][]string{p: {"engine.Iterate"}},
-					AllocFreeWarm:  map[string][]string{p: {"engine.grow"}},
-				}
-			},
-		},
-		{
-			corpus: "poolconfine/pos",
-			config: func(p string) Config {
-				return Config{
-					PoolPackage:       p,
-					EngineTypePackage: p,
-					EngineTypeName:    "Engine",
-					PoolCheckoutFuncs: []string{"Pool.acquire"},
-					PoolReturnFuncs:   []string{"Pool.release"},
-					BlessedPoolFuncs:  map[string][]string{p: {"NewPool", "Pool.acquire", "Pool.release"}},
-				}
-			},
-			want: []string{
-				"poolconfine|stored in field p.leak",
-				"poolconfine|stored in collection m",
-				"poolconfine|sent on a channel",
-				"poolconfine|goroutine literal captures",
-				"poolconfine|passed to a goroutine",
-				"poolconfine|exit without returning the engine",
-				"poolconfine|used after being returned",
-			},
-		},
-		{
-			corpus: "poolconfine/neg",
-			config: func(p string) Config {
-				return Config{
-					PoolPackage:       p,
-					EngineTypePackage: p,
-					EngineTypeName:    "Engine",
-					PoolCheckoutFuncs: []string{"Pool.acquire"},
-					PoolReturnFuncs:   []string{"Pool.release"},
-					BlessedPoolFuncs:  map[string][]string{p: {"NewPool", "Pool.acquire", "Pool.release"}},
-				}
-			},
-		},
-		{
-			// The snapshot-write-moved-outside-the-mutex shape.
-			corpus: "locksnapshot/pos",
-			config: func(p string) Config {
-				return Config{SnapshotTypes: map[string][]string{p: {"member"}}}
-			},
-			want: []string{
-				"locksnapshot|in BadRead",
-				"locksnapshot|in BadWrite",
-				"locksnapshot|in BadCarry",
-			},
-		},
-		{
-			corpus: "locksnapshot/neg",
-			config: func(p string) Config {
-				return Config{
-					SnapshotTypes:        map[string][]string{p: {"member"}},
-					BlessedSnapshotFuncs: map[string][]string{p: {"aggregate"}},
-				}
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.corpus, func(t *testing.T) {
@@ -309,17 +227,9 @@ func TestDefaultConfigTargetsExist(t *testing.T) {
 	ld := sharedLoader(t, root)
 	cfg := DefaultConfig()
 	paths := append(append([]string{}, cfg.NumericPackages...), cfg.ParallelPackages...)
-	paths = append(paths, cfg.LedgerPackage, cfg.PoolPackage, cfg.EngineTypePackage)
+	paths = append(paths, cfg.LedgerPackage)
 	for p := range cfg.BlessedLedgerFuncs {
 		paths = append(paths, p)
-	}
-	for _, m := range []map[string][]string{
-		cfg.AllocFreeRoots, cfg.AllocFreeWarm,
-		cfg.BlessedPoolFuncs, cfg.SnapshotTypes, cfg.BlessedSnapshotFuncs,
-	} {
-		for p := range m {
-			paths = append(paths, p)
-		}
 	}
 	for _, p := range paths {
 		rel := strings.TrimPrefix(p, "mwmerge/")

@@ -137,15 +137,6 @@ func (ld *Loader) LoadDir(dir string) (*Package, error) {
 	return ld.l.loadDir(dir)
 }
 
-// LoadDir is the one-shot form of Loader.LoadDir.
-func LoadDir(root, dir string) (*Package, error) {
-	ld, err := NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	return ld.LoadDir(dir)
-}
-
 func hasGoFiles(dir string) (bool, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -173,10 +173,18 @@ func TestPartition1D(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		if cap(s.Entries) != len(s.Entries) {
+			t.Errorf("stripe %d holds %d entries in capacity %d, want an exact fit", s.Index, len(s.Entries), cap(s.Entries))
+		}
 		total += s.NNZ()
 	}
 	if total != m.NNZ() {
 		t.Errorf("stripes lose entries: %d vs %d", total, m.NNZ())
+	}
+	// One allocation per stripe header and per entry slice, plus the
+	// stripe table and the sizing histogram: nothing re-grows.
+	if allocs, max := testing.AllocsPerRun(10, func() { _, _ = Partition1D(m, 16) }), float64(2*len(stripes)+2); allocs > max {
+		t.Errorf("Partition1D allocates %.0f times, want ≤ %.0f", allocs, max)
 	}
 	// Reconstruct and compare.
 	var rebuilt []Entry

@@ -41,6 +41,13 @@ func Partition1D(m *COO, width uint64) ([]*Stripe, error) {
 		}
 		stripes[k] = &Stripe{Index: k, ColStart: start, Width: w, Rows: m.Rows}
 	}
+	// Size every stripe exactly: growing by append would copy each one
+	// ~log(nnz) times and leave up to 2× its payload in slack capacity.
+	for k, nnz := range StripeNNZHistogram(m, width) {
+		if nnz > 0 {
+			stripes[k].Entries = make([]Entry, 0, nnz)
+		}
+	}
 	// m is row-major; distributing in order preserves row-major order
 	// within each stripe.
 	for _, e := range m.Entries {

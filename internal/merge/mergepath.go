@@ -78,8 +78,7 @@ func (ws *MergePathWorkspace) MergeAccumulateInto(dst []types.Record, lists [][]
 // level 0 with the non-empty list views. Dropping empty lists keeps the
 // reduction tree shallow without disturbing the (key, source index)
 // order — relative order of the survivors is preserved. Everything
-// after this call is allocation-free (the allocfree analyzer walks the
-// kernel from its steady-state root with only sized blessed as warm).
+// after this call is allocation-free (TestMergePathWarmAllocFree).
 func (ws *MergePathWorkspace) sized(dst []types.Record, lists [][]types.Record) ([]types.Record, [][]types.Record, [][]types.Record) {
 	total, live := 0, 0
 	for _, l := range lists {

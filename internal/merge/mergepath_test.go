@@ -252,3 +252,17 @@ func BenchmarkMergeAccumulateKernels(b *testing.B) {
 		})
 	}
 }
+
+// TestMergePathWarmAllocFree holds the kernel's steady state to zero
+// allocations: once sized has grown the arenas for a shape, further
+// merges of that shape reuse them (DESIGN.md §12).
+func TestMergePathWarmAllocFree(t *testing.T) {
+	lists := randomSortedLists(rand.New(rand.NewSource(16)), 24, 400, 5000)
+	var ws MergePathWorkspace
+	dst := ws.MergeAccumulateInto(nil, lists)
+	if allocs := testing.AllocsPerRun(10, func() {
+		dst = ws.MergeAccumulateInto(dst, lists)
+	}); allocs != 0 {
+		t.Errorf("warmed MergeAccumulateInto allocates %.0f times per merge, want 0", allocs)
+	}
+}

@@ -14,6 +14,9 @@ func TestConfigValidateKernel(t *testing.T) {
 			t.Errorf("kernel %q rejected: %v", k, err)
 		}
 	}
+	if k := (Config{}).kernel(); k != KernelMergePath {
+		t.Errorf("default kernel = %q, want %q", k, KernelMergePath)
+	}
 	cfg.Kernel = "quicksort"
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown kernel accepted")
@@ -32,6 +35,7 @@ func TestMergeKernelBitIdentity(t *testing.T) {
 		lists := randomLists(rng, 13, dim, 0.2)
 		base := smallConfig(q, 32)
 		base.MergeWorkers = 1
+		base.Kernel = KernelLoserTree
 		nb, err := New(base)
 		if err != nil {
 			t.Fatal(err)
@@ -82,6 +86,7 @@ func TestMergeKernelConcurrentHammer(t *testing.T) {
 	lists := randomLists(rng, 9, dim, 0.25)
 	ref := smallConfig(3, 16)
 	ref.MergeWorkers = 1
+	ref.Kernel = KernelLoserTree
 	nr, _ := New(ref)
 	want, _, err := nr.Merge(lists, dim, nil)
 	if err != nil {

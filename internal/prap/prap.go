@@ -39,10 +39,10 @@ const invalidKey = ^uint64(0)
 type MergeKernel string
 
 const (
-	// KernelLoserTree is the default tournament-tree kernel
-	// (merge.Workspace): one comparison path replayed per record.
+	// KernelLoserTree is the tournament-tree kernel (merge.Workspace):
+	// one comparison path replayed per record.
 	KernelLoserTree MergeKernel = "losertree"
-	// KernelMergePath is the Merge-Path kernel
+	// KernelMergePath is the default Merge-Path kernel
 	// (merge.MergePathWorkspace): diagonal-search partitioning into
 	// cache-sized, branch-free pairwise leaf merges.
 	KernelMergePath MergeKernel = "mergepath"
@@ -91,8 +91,8 @@ type Config struct {
 	// bit-identical at any setting — no float reassociation occurs.
 	MergeWorkers int
 	// Kernel selects the intra-core merge-accumulate implementation.
-	// Empty defaults to KernelLoserTree; results are bit-identical
-	// either way.
+	// Empty defaults to KernelMergePath, the faster kernel on every
+	// benchmark workload; results are bit-identical either way.
 	Kernel MergeKernel
 	// Drain selects the store-queue drain strategy. Empty defaults to
 	// DrainAuto; results are bit-identical at any setting.
@@ -135,11 +135,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// kernel resolves the configured merge kernel, defaulting to the loser
-// tree.
+// kernel resolves the configured merge kernel, defaulting to Merge Path.
 func (c Config) kernel() MergeKernel {
 	if c.Kernel == "" {
-		return KernelLoserTree
+		return KernelMergePath
 	}
 	return c.Kernel
 }
@@ -184,11 +183,9 @@ func forEach(w, n int, fn func(worker, i int)) {
 		return
 	}
 	var wg sync.WaitGroup
-	//lint:allow allocfree per-merge fan-out channel, counted in the DESIGN.md §9 alloc budget
 	work := make(chan int)
 	for g := 0; g < w; g++ {
 		wg.Add(1)
-		//lint:allow allocfree per-merge worker goroutine closure, counted in the DESIGN.md §9 alloc budget
 		go func(g int) {
 			defer wg.Done()
 			for i := range work {
@@ -239,7 +236,7 @@ func (s *Stats) Accumulate(o Stats) {
 
 func addCounts(dst, src []uint64) []uint64 {
 	if len(dst) < len(src) {
-		//lint:allow allocfree grow-once per-core counters; the steady state accumulates into already-sized slices
+		// Grow-once per-core counters; the steady state accumulates into already-sized slices.
 		grown := make([]uint64, len(src))
 		copy(grown, dst)
 		dst = grown
@@ -283,7 +280,6 @@ func (n *Network) instrumented(phase, task string, fn func(worker, i int)) func(
 	if n.obs == nil {
 		return fn
 	}
-	//lint:allow allocfree observability wrapper; the nil-observer steady state returns fn unchanged
 	return func(worker, i int) {
 		end := n.obs.Begin(phase+"/g"+strconv.Itoa(worker), task+strconv.Itoa(i))
 		fn(worker, i)
@@ -346,7 +342,7 @@ func (n *Network) routeList(li int, list []types.Record, slots [][][]types.Recor
 				continue
 			}
 			r := int(rec.Radix(n.cfg.Q))
-			//lint:allow allocfree amortized growth of the recycled slot arena; capacity survives across runs
+			// Amortized growth of the recycled slot arena; capacity survives across runs.
 			slots[r][li] = append(slots[r][li], rec)
 			out.perCore[r]++
 		}
@@ -367,7 +363,6 @@ func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratc
 	outcomes := scr.outcomesFor(len(lists), p)
 	batches := scr.batchesFor(w, p)
 	sortBufs := scr.sortBufsFor(w)
-	//lint:allow allocfree per-merge routing closure, counted in the DESIGN.md §9 alloc budget
 	forEach(w, len(lists), n.instrumented("presort", "l", func(worker, li int) {
 		n.routeList(li, lists[li], slots, batches[worker], &sortBufs[worker], &outcomes[li])
 	}))
@@ -440,7 +435,6 @@ func (n *Network) MergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 // newStats returns a Stats with per-core slices sized for this network.
 func (n *Network) newStats() Stats {
 	p := n.cfg.Cores()
-	//lint:allow allocfree the returned Stats escapes to the caller by contract; two counted allocations in the DESIGN.md §9 budget
 	return Stats{PerCoreInput: make([]uint64, p), PerCoreOutput: make([]uint64, p)}
 }
 
@@ -491,7 +485,6 @@ func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 	injected, emitted := scr.countersFor(p)
 	cores := scr.coresFor(p)
 	kernel := n.cfg.kernel()
-	//lint:allow allocfree per-merge core-drain closure, counted in the DESIGN.md §9 alloc budget
 	forEach(n.cfg.workers(p), p, n.instrumented("merge", "mc", func(_, r int) {
 		cs := &cores[r]
 		// Kernel dispatch cannot perturb results: both kernels emit the

@@ -101,3 +101,36 @@ func TestConcurrentMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMergeIntoWarmAllocs holds a warmed single-worker MergeInto, on
+// both kernels, to the handful of allocations its contract implies —
+// the returned Stats' two per-core slices and the fan-out closures (5
+// measured, 6 under -race) — however many records it merges: a
+// per-list or per-record allocation on the route/merge/drain path
+// lands far above the bound.
+func TestMergeIntoWarmAllocs(t *testing.T) {
+	const dim, bound = 4096, 8
+	rng := rand.New(rand.NewSource(43))
+	for _, kernel := range []MergeKernel{KernelLoserTree, KernelMergePath} {
+		cfg := smallConfig(2, 16)
+		cfg.MergeWorkers = 1
+		cfg.Kernel = kernel
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := vector.NewDense(dim)
+		for _, density := range []float64{0.05, 0.4} {
+			lists := randomLists(rng, 12, dim, density)
+			run := func() {
+				if _, err := n.MergeInto(lists, dim, nil, out, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm-up: grow the arenas to this shape
+			if allocs := testing.AllocsPerRun(10, run); allocs > bound {
+				t.Errorf("%s, density %g: warmed MergeInto allocates %.0f times per call, want ≤ %d", kernel, density, allocs, bound)
+			}
+		}
+	}
+}

@@ -50,22 +50,32 @@ type batcher struct {
 	p        *Pool
 	window   time.Duration
 	maxBatch int
+	// admit holds one token per request between submit and its flush's
+	// reply; capacity Size·MaxBatch + MaxQueue, so requests in the
+	// batcher — and with them the flush goroutines waiting for a member
+	// — are bounded like the unbatched queue.
+	admit chan struct{}
 
 	mu      sync.Mutex
 	pending []*batchReq
 	timer   *time.Timer
 	// Flush accounting behind Pool.BatchStats and the /metrics
-	// occupancy histogram.
-	flushes   uint64
-	requests  uint64
-	occupancy [len(occupancyBuckets) + 1]uint64
+	// occupancy histogram; touched only by record and stats, under mu.
+	flushed BatchStats
 }
 
 // submit queues one request and blocks until its flush replies or ctx
-// expires. A request whose deadline passes mid-window returns
-// ErrDeadline here — and is skipped by its flush when it comes — so an
-// expired request never poisons the batch it was queued into.
+// expires; with the batcher at its admission bound the request is
+// rejected with ErrQueueFull before it joins a window. A request whose
+// deadline passes mid-window returns ErrDeadline here — and is skipped
+// by its flush when it comes — so an expired request never poisons the
+// batch it was queued into.
 func (b *batcher) submit(ctx context.Context, x, yIn vector.Dense) (vector.Dense, report.Counters, error) {
+	select {
+	case b.admit <- struct{}{}:
+	default:
+		return nil, report.Counters{}, ErrQueueFull
+	}
 	r := &batchReq{ctx: ctx, x: x, yIn: yIn, done: make(chan batchOut, 1)}
 	b.mu.Lock()
 	b.pending = append(b.pending, r)
@@ -109,16 +119,23 @@ func (b *batcher) windowExpired() {
 	}
 }
 
+// reply answers one request and gives its admission token back.
+func (b *batcher) reply(r *batchReq, out batchOut) {
+	r.done <- out
+	<-b.admit
+}
+
 // flush serves one batch with a single SpMVBlock call on a single pool
 // member, then distributes each column's output and counter delta to
-// its request.
+// its request. The member is published and back in the pool before any
+// reply goes out, so a client that has its answer finds it in Ledger().
 func (b *batcher) flush(batch []*batchReq) {
 	// Answer requests whose deadline expired while queued and exclude
 	// them from the block call.
 	live := batch[:0]
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
-			r.done <- batchOut{err: ErrDeadline}
+			b.reply(r, batchOut{err: ErrDeadline})
 			continue
 		}
 		live = append(live, r)
@@ -139,25 +156,26 @@ func (b *batcher) flush(batch []*batchReq) {
 			yIns[i] = r.yIn
 		}
 	}
-	err := b.p.doBatch(func(eng *core.Engine) (int, error) {
-		res, err := eng.SpMVBlock(b.p.a, xs, yIns)
-		if err != nil {
+	// Each request's deadline was enforced at submit and above; the
+	// checkout itself is bounded by the pool's own service time.
+	var res core.BlockResult
+	err := b.p.checkout(context.Background(), true, func(eng *core.Engine) (int, error) {
+		var err error
+		if res, err = eng.SpMVBlock(b.p.a, xs, yIns); err != nil {
 			return 0, err
-		}
-		for i, r := range live {
-			r.done <- batchOut{y: res.Ys[i], delta: res.Deltas[i]}
 		}
 		return len(live), nil
 	})
-	if err != nil {
-		// Engine-level rejection (defensive: operands are pre-validated
-		// before they may join a batch). Every live request gets the
-		// engine's error.
-		for _, r := range live {
-			r.done <- batchOut{err: err}
-		}
-	}
 	b.record(len(live))
+	for i, r := range live {
+		if err != nil {
+			// Engine-level rejection (defensive: operands are
+			// pre-validated before they may join a batch).
+			b.reply(r, batchOut{err: err})
+			continue
+		}
+		b.reply(r, batchOut{y: res.Ys[i], delta: res.Deltas[i]})
+	}
 }
 
 // record books one flush into the occupancy histogram.
@@ -167,39 +185,17 @@ func (b *batcher) record(nReq int) {
 		i++
 	}
 	b.mu.Lock()
-	b.flushes++
-	b.requests += uint64(nReq)
-	b.occupancy[i]++
+	b.flushed.Flushes++
+	b.flushed.Requests += uint64(nReq)
+	b.flushed.Occupancy[i]++
 	b.mu.Unlock()
 }
 
-// acquireBatch checks a member out for a coalesced flush. Unlike acquire
-// it bypasses the per-request wait queue — batched requests are already
-// admitted and counted upstream — and waits without a deadline: checkout
-// is bounded by the pool's own service time, and each request's deadline
-// is enforced individually at submit and flush time.
-func (p *Pool) acquireBatch() *member {
-	return <-p.idle
-}
-
-// releaseBatch publishes n completed requests in one snapshot and
-// returns the member to the pool.
-func (p *Pool) releaseBatch(m *member, n int) {
-	m.publishN(uint64(n))
-	p.idle <- m
-}
-
-// doBatch checks out a member, runs the batch fn on its engine
-// exclusively, and publishes however many requests fn reports served
-// (zero on error, so a rejected batch refreshes the ledger snapshot
-// without counting requests).
-func (p *Pool) doBatch(fn func(eng *core.Engine) (int, error)) error {
-	m := p.acquireBatch()
-	served := 0
-	var err error
-	defer func() { p.releaseBatch(m, served) }()
-	served, err = fn(m.eng)
-	return err
+// stats returns the flush accounting so far.
+func (b *batcher) stats() BatchStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.flushed
 }
 
 // Batching reports whether the pool coalesces SpMV requests.
@@ -223,9 +219,5 @@ func (p *Pool) BatchStats() (BatchStats, bool) {
 	if p.batch == nil {
 		return BatchStats{}, false
 	}
-	b := p.batch
-	b.mu.Lock()
-	s := BatchStats{Flushes: b.flushes, Requests: b.requests, Occupancy: b.occupancy}
-	b.mu.Unlock()
-	return s, true
+	return p.batch.stats(), true
 }

@@ -241,6 +241,98 @@ func TestBatchDeadlineMidWindow(t *testing.T) {
 	}
 }
 
+// TestBatchedQueueBound pins admission on a coalescing pool: with every
+// member held, Size·MaxBatch + MaxQueue requests are admitted (their
+// flushes wait for a member), the next one is rejected 429 before it can
+// join a window, and once the members return every admitted request is
+// answered bit-exactly and the pool is whole again.
+func TestBatchedQueueBound(t *testing.T) {
+	const size, maxBatch, maxQueue = 2, 2, 1
+	const bound = size*maxBatch + maxQueue
+	a := testGraph(t, 256, 3, 53)
+	p, err := NewPool(PoolConfig{
+		Name: "g", Matrix: a, Engine: testEngineConfig(),
+		Size: size, MaxQueue: maxQueue, MaxBatch: maxBatch, BatchWindow: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Config{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var releases []func()
+	for i := 0; i < size; i++ {
+		releases = append(releases, holdEngine(t, p))
+	}
+
+	xs := make([]vector.Dense, bound)
+	got := make([]vector.Dense, bound)
+	errs := make([]error, bound)
+	var wg sync.WaitGroup
+	for i := range xs {
+		xs[i] = testX(a.Cols, int64(300+i))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = postSpMV(ts.URL, map[string]any{"matrix": "g", "x": xs[i]})
+		}(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(p.batch.admit) < bound; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted", len(p.batch.admit), bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	status, body, err := soakPost(ts.URL+"/v1/spmv", map[string]any{"matrix": "g", "x": xs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusTooManyRequests {
+		t.Fatalf("request past the bound: status %d, want 429 (%s)", status, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `mwmerge_serve_rejected_total{reason="queue_full"} 1`; !strings.Contains(string(raw), want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+
+	for _, release := range releases {
+		release()
+	}
+	wg.Wait()
+	e, err := core.New(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("admitted request %d: %v", i, errs[i])
+		}
+		want, err := e.SpMV(a, xs[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got[i].MaxAbsDiff(want); d != 0 {
+			t.Errorf("admitted request %d diverged by %g", i, d)
+		}
+	}
+	if len(p.batch.admit) != 0 || len(p.idle) != size {
+		t.Errorf("after drain: %d admission tokens held, %d of %d members idle", len(p.batch.admit), len(p.idle), size)
+	}
+}
+
 // TestBatchMetricsExposition pins the /metrics batch surface after a
 // deterministic single flush: the flush and batched-request totals and
 // the cumulative occupancy histogram with its _sum and _count.

@@ -66,8 +66,10 @@ type PoolConfig struct {
 
 // member is one pool engine plus its last published accounting snapshot.
 // The engine itself is only ever touched by the goroutine that checked
-// it out; the snapshot is the cross-goroutine view, updated under mu at
-// every return, so aggregation never races with an in-flight request.
+// it out; the snapshot is the cross-goroutine view. published is named
+// only in publish and last, both of which hold mu, so aggregation never
+// races with an in-flight request (go test -race ./internal/serve is
+// the detector: TestServeSoak scrapes Ledger() concurrently).
 type member struct {
 	eng *core.Engine
 
@@ -83,24 +85,22 @@ type snapshot struct {
 	requests uint64
 }
 
-// publish refreshes the member's snapshot from its engine. Called by the
-// goroutine holding the engine, immediately before returning it.
-func (m *member) publish() { m.publishN(1) }
-
-// publishN is publish crediting n completed requests in one snapshot —
-// the batched path's whole-flush publication. The request count is
-// carried over inside the lock span: reading m.published outside it
-// would race with a concurrent Ledger().
-func (m *member) publishN(n uint64) {
+// publish refreshes the member's snapshot from its engine, crediting n
+// completed requests. Called by the goroutine holding the engine,
+// immediately before returning it.
+func (m *member) publish(n uint64) {
 	c := m.eng.Counters()
 	st := m.eng.Stats()
 	m.mu.Lock()
-	m.published = snapshot{
-		counters: c,
-		stats:    st,
-		requests: m.published.requests + n,
-	}
+	m.published = snapshot{counters: c, stats: st, requests: m.published.requests + n}
 	m.mu.Unlock()
+}
+
+// last returns the member's most recently published snapshot.
+func (m *member) last() snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.published
 }
 
 // Pool is a warmed, fixed-size set of engines serving one matrix.
@@ -168,7 +168,10 @@ func NewPool(pc PoolConfig) (*Pool, error) {
 		if window == 0 {
 			window = 2 * time.Millisecond
 		}
-		p.batch = &batcher{p: p, window: window, maxBatch: pc.MaxBatch}
+		p.batch = &batcher{
+			p: p, window: window, maxBatch: pc.MaxBatch,
+			admit: make(chan struct{}, size*pc.MaxBatch+pc.MaxQueue),
+		}
 	}
 	return p, nil
 }
@@ -185,56 +188,60 @@ func (p *Pool) Config() core.Config { return p.cfg }
 // Size returns the number of engines in the pool.
 func (p *Pool) Size() int { return len(p.members) }
 
-// acquire checks an engine out: immediately when one is idle, otherwise
-// by taking a bounded queue slot and waiting until an engine returns or
-// the context expires. Both rejection paths fire before any work starts.
-func (p *Pool) acquire(ctx context.Context) (*member, error) {
+// checkout is the pool's only checkout path, and the only code that
+// touches p.idle after NewPool: it takes a member, runs fn on its engine
+// exclusively, publishes the engine's cumulative ledger crediting the
+// requests fn reports served, and returns the member in a defer — so
+// every exit gives the engine back and nothing can use it afterwards.
+// A member is taken immediately when one is idle; otherwise the call
+// waits until one returns or ctx expires, first taking a bounded queue
+// slot unless the request was admitted upstream (the batcher bounds its
+// own admissions). Both rejections, ErrQueueFull and ErrDeadline, fire
+// before fn runs.
+func (p *Pool) checkout(ctx context.Context, admitted bool, fn func(eng *core.Engine) (served int, err error)) error {
+	var m *member
 	select {
-	case m := <-p.idle:
-		if ctx.Err() != nil {
-			p.idle <- m
-			return nil, ErrDeadline
-		}
-		return m, nil
+	case m = <-p.idle:
 	default:
-	}
-	select {
-	case p.waiting <- struct{}{}:
-	default:
-		return nil, ErrQueueFull
-	}
-	defer func() { <-p.waiting }()
-	select {
-	case m := <-p.idle:
-		if ctx.Err() != nil {
-			p.idle <- m
-			return nil, ErrDeadline
+		if !admitted {
+			select {
+			case p.waiting <- struct{}{}:
+			default:
+				return ErrQueueFull
+			}
 		}
-		return m, nil
-	case <-ctx.Done():
-		return nil, ErrDeadline
+		select {
+		case m = <-p.idle:
+		case <-ctx.Done():
+		}
+		if !admitted {
+			<-p.waiting
+		}
+		if m == nil {
+			return ErrDeadline
+		}
 	}
-}
-
-// release publishes the member's accounting and returns it to the pool.
-func (p *Pool) release(m *member) {
-	m.publish()
-	p.idle <- m
+	served := 0
+	defer func() {
+		m.publish(uint64(served))
+		p.idle <- m
+	}()
+	if ctx.Err() != nil {
+		return ErrDeadline
+	}
+	var err error
+	served, err = fn(m.eng)
+	return err
 }
 
 // Do checks out a warmed engine, runs fn on it exclusively, publishes
 // the engine's cumulative ledger, and returns it to the pool. fn must
 // not retain the engine (or internal buffers other than returned
 // results, which every engine entry point detaches) past its return.
-// Admission failures surface as ErrQueueFull or ErrDeadline without an
-// engine ever being touched.
+// Admission failures surface as ErrQueueFull or ErrDeadline without fn
+// ever running.
 func (p *Pool) Do(ctx context.Context, fn func(eng *core.Engine) error) error {
-	m, err := p.acquire(ctx)
-	if err != nil {
-		return err
-	}
-	defer p.release(m)
-	return fn(m.eng)
+	return p.checkout(ctx, false, func(eng *core.Engine) (int, error) { return 1, fn(eng) })
 }
 
 // CheckCapacity is the pool's admission-time capacity check: the shared
@@ -256,9 +263,7 @@ func (p *Pool) Ledger() (report.Counters, core.RunStats, uint64) {
 	var st core.RunStats
 	var n uint64
 	for _, m := range p.members {
-		m.mu.Lock()
-		snap := m.published
-		m.mu.Unlock()
+		snap := m.last()
 		c = c.Add(snap.counters)
 		st = st.Add(snap.stats)
 		n += snap.requests

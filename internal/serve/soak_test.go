@@ -27,12 +27,16 @@ type soakOp struct {
 
 // TestServeSoak is the serving concurrency hammer: several clients fire
 // interleaved SpMV / SpMSpV / Iterate / PageRank requests at a shared
-// pool, across step-1 × step-2 parallelism configs, and every response
-// must match a sequential fresh-engine run bit for bit. Afterwards the
-// aggregated pool ledger must equal the sum of the per-op deltas
-// exactly — concurrency may reorder requests but never change what any
-// of them computed or charged. Run under -race this also exercises the
-// pool's checkout/publish paths against concurrent /metrics scrapes.
+// coalescing pool — SpMV rides the batcher, the rest check out directly
+// — across step-1 × step-2 parallelism configs, and every response must
+// match a sequential fresh-engine run bit for bit. Afterwards every
+// member must be back in the pool and the aggregated ledger must equal
+// the sum of the per-op deltas less one matrix stream per request a
+// flush coalesced — concurrency may reorder and batch requests but
+// never change what any of them computed or charged. Run under -race
+// this is the guard for the pool's two locking rules: the published
+// snapshots and flush counters are scraped (Ledger, /metrics) while
+// checkouts publish them.
 func TestServeSoak(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		for _, mergeWorkers := range []int{1, 2} {
@@ -119,7 +123,8 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 
 	// Pool smaller than the client count so checkouts genuinely contend;
 	// queue deep enough that no request is rejected.
-	p, err := NewPool(PoolConfig{Name: "g", Matrix: a, Engine: cfg, Size: 3, MaxQueue: clients * rounds})
+	const size = 3
+	p, err := NewPool(PoolConfig{Name: "g", Matrix: a, Engine: cfg, Size: size, MaxQueue: clients * rounds, MaxBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +167,9 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 		}(c)
 	}
 
-	// A concurrent scraper: /metrics must stay consistent (and race-free)
-	// while requests are in flight.
+	// A concurrent scraper: /metrics (every member's snapshot plus the
+	// flush counters) must stay consistent and race-free while requests
+	// are in flight.
 	scrapeStop := make(chan struct{})
 	scrapeExit := make(chan struct{})
 	go func() {
@@ -195,10 +201,24 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 		return
 	}
 
+	if len(p.idle) != size {
+		t.Fatalf("%d of %d members back in the pool", len(p.idle), size)
+	}
 	got, _, served := p.Ledger()
 	if served != uint64(len(ops)) {
 		t.Fatalf("ledger counted %d requests, want %d", served, len(ops))
 	}
+	// A flush of k requests streams the matrix once, not k times (ops[0]
+	// is a lone SpMV, so its delta carries exactly one matrix share:
+	// the stream and its meta-data footprint).
+	bs, _ := p.BatchStats()
+	if want := uint64(len(ops) / 4); bs.Requests != want || bs.Flushes == 0 {
+		t.Fatalf("batcher served %d requests in %d flushes, want all %d SpMV ops", bs.Requests, bs.Flushes, want)
+	}
+	saved, single := bs.Requests-bs.Flushes, ops[0].delta
+	wantLedger.Traffic.MatrixBytes -= saved * single.Traffic.MatrixBytes
+	wantLedger.MatCompressedBytes -= saved * single.MatCompressedBytes
+	wantLedger.MatUncompressedBytes -= saved * single.MatUncompressedBytes
 	if got != wantLedger {
 		t.Fatalf("aggregated ledger diverged from sequential reference:\ngot  %+v\nwant %+v", got, wantLedger)
 	}

@@ -131,7 +131,7 @@ func (s *Sparse) Append(r types.Record) error {
 	if r.Key >= uint64(s.Dim) {
 		return fmt.Errorf("vector: key %d out of dimension %d", r.Key, s.Dim)
 	}
-	//lint:allow allocfree arena-backed record store; the engine's stripe scratch presizes capacity to NNZ
+	// Arena-backed record store; the engine's stripe scratch presizes capacity to NNZ.
 	s.Recs = append(s.Recs, r)
 	return nil
 }

@@ -47,7 +47,7 @@ func (w *BitWriter) WriteBits(v uint64, width int) {
 		bit := (v >> uint(i)) & 1
 		byteIdx := w.nbit >> 3
 		if int(byteIdx) == len(w.buf) {
-			//lint:allow allocfree grow-once bit buffer; Reset keeps capacity, so steady-state round trips reuse it
+			// Grow-once bit buffer; Reset keeps capacity, so steady-state round trips reuse it.
 			w.buf = append(w.buf, 0)
 		}
 		if bit == 1 {

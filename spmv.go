@@ -69,18 +69,6 @@ type (
 	Traffic = mem.Traffic
 	// PRaPConfig parameterizes the step-2 merge network.
 	PRaPConfig = prap.Config
-	// MergeKernel selects the intra-core merge-accumulate kernel
-	// (PRaPConfig.Kernel); results are bit-identical either way.
-	MergeKernel = prap.MergeKernel
-)
-
-// Merge kernel selections (DESIGN.md §12).
-const (
-	// MergeKernelLoserTree is the default tournament-tree kernel.
-	MergeKernelLoserTree = prap.KernelLoserTree
-	// MergeKernelMergePath is the diagonal-partitioned, branch-free
-	// Merge-Path kernel — faster on skewed inputs, bit-identical output.
-	MergeKernelMergePath = prap.KernelMergePath
 )
 
 // Block (multi-vector) SpMV types (DESIGN.md §11): one matrix pass
