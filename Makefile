@@ -60,12 +60,16 @@ report:
 serve-smoke:
 	$(GO) run ./cmd/spmvd -smoke
 
-# Short fuzz pass over the parser/codec targets plus the PRaP
-# sentinel-rejection contract.
+# Short fuzz pass over the parser/codec targets, the PRaP routing
+# (sentinel rejection and agreement with the bitonic pre-sorter), the
+# Merge Path kernel against both reference mergers, and the sparse vs
+# dense store-queue drains.
 fuzz:
 	$(GO) test -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/vldi/
 	$(GO) test -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/matrix/
 	$(GO) test -fuzz=FuzzRouteLists -fuzztime=10s ./internal/prap/
+	$(GO) test -fuzz=FuzzDrainModes -fuzztime=10s ./internal/prap/
+	$(GO) test -fuzz=FuzzMergeKernels -fuzztime=10s ./internal/merge/
 
 clean:
 	rm -rf out test_output.txt bench_output.txt

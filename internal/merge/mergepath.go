@@ -1,6 +1,8 @@
 package merge
 
 import (
+	"math/bits"
+
 	"mwmerge/internal/types"
 )
 
@@ -19,11 +21,11 @@ const mergePathChunkRecords = 1024
 // (key, source index, position) — so float accumulation is bit-identical
 // to Workspace.MergeAccumulateInto; only the wall clock differs.
 //
-// A single goroutine owns a MergePathWorkspace; the ping-pong arenas and
-// run tables are recycled across calls, so steady-state reuse is
+// A single goroutine owns a MergePathWorkspace; the merge arena and run
+// tables are recycled across calls, so steady-state reuse is
 // allocation-free. The zero value is ready to use.
 type MergePathWorkspace struct {
-	bufA, bufB   []types.Record   // ping-pong merge arenas
+	bufA         []types.Record   // the one scratch arena; levels ping-pong between it and dst
 	runsA, runsB [][]types.Record // per-level run tables
 }
 
@@ -38,16 +40,19 @@ func (ws *MergePathWorkspace) MergeAccumulateInto(dst []types.Record, lists [][]
 		return dst
 	}
 	// Pairwise reduction: every level stably merges adjacent runs into
-	// the arena the current runs do NOT occupy (level 0 reads the
-	// caller's lists, so it may write bufA). Adjacent pairing preserves
-	// relative list order, which is what keeps the merged sequence
-	// ordered by (key, original list index, position) — the loser
-	// tree's exact visit order.
-	toA := true
+	// the arena the current runs do NOT occupy, alternating between dst
+	// and bufA (level 0 reads the caller's lists, so it may write
+	// either). With ⌈log₂ live⌉ levels, starting in dst when that count
+	// is odd makes the last level land in dst, where accumulateInto
+	// compacts it in place. Adjacent pairing preserves relative list
+	// order, which is what keeps the merged sequence ordered by (key,
+	// original list index, position) — the loser tree's exact visit
+	// order.
+	toDst := bits.Len(uint(len(cur)-1))%2 == 1
 	for len(cur) > 1 {
-		out := ws.bufB
-		if toA {
-			out = ws.bufA
+		out := ws.bufA
+		if toDst {
+			out = dst[:cap(dst)]
 		}
 		n, off := 0, 0
 		for i := 0; i+1 < len(cur); i += 2 {
@@ -68,13 +73,13 @@ func (ws *MergePathWorkspace) MergeAccumulateInto(dst []types.Record, lists [][]
 			off += len(last)
 		}
 		cur, spare = spare[:n], cur
-		toA = !toA
+		toDst = !toDst
 	}
 	return accumulateInto(dst, cur[0])
 }
 
 // sized is the warm-up/arena-growth half of the kernel: it resizes the
-// output buffer, the ping-pong arenas, and the run tables, and seeds
+// output buffer, the merge arena, and the run tables, and seeds
 // level 0 with the non-empty list views. Dropping empty lists keeps the
 // reduction tree shallow without disturbing the (key, source index)
 // order — relative order of the survivors is preserved. Everything
@@ -104,11 +109,8 @@ func (ws *MergePathWorkspace) sized(dst []types.Record, lists [][]types.Record) 
 			li++
 		}
 	}
-	if live > 1 {
-		ws.bufA = grown(ws.bufA, total)
-	}
 	if live > 2 {
-		ws.bufB = grown(ws.bufB, total)
+		ws.bufA = grown(ws.bufA, total)
 	}
 	return dst, ws.runsA[:live], ws.runsB[:live]
 }
@@ -195,7 +197,9 @@ func mergeLeaf(out, a, b []types.Record, i, i1, j, j1 int) {
 // accumulateInto collapses equal-key neighbours of run into dst, whose
 // capacity must be at least len(run), summing values left to right —
 // the same order Accumulator applies over the loser tree's stream, so
-// the floats are bit-identical. run must not alias dst.
+// the floats are bit-identical. run either does not overlap dst or
+// starts at dst[0]: the compaction writes index n only after reading
+// index i ≥ n, so compacting forward in place is safe.
 func accumulateInto(dst, run []types.Record) []types.Record {
 	out := dst[:len(run)]
 	n := 0

@@ -266,3 +266,42 @@ func TestMergePathWarmAllocFree(t *testing.T) {
 		t.Errorf("warmed MergeAccumulateInto allocates %.0f times per merge, want 0", allocs)
 	}
 }
+
+// TestMergePathSingleArenaLevelParity covers both parities of the level
+// count ⌈log₂ live⌉ — the first level's target (dst or bufA) depends on
+// it so that the last level lands in dst. Every second entry of lists is
+// empty, so the live runs are a compacted subset. Each shape runs on a
+// fresh workspace and again warm, bitwise against the loser tree, and
+// the one scratch arena never exceeds the record count (and stays
+// unallocated when two runs merge straight into dst).
+func TestMergePathSingleArenaLevelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, live := range []int{1, 2, 3, 4, 5, 8, 9} {
+		lists := make([][]types.Record, 2*live+1)
+		total := 0
+		for i := 1; i < len(lists); i += 2 {
+			l := randomSortedLists(rng, 1, 300, 40)[0]
+			if len(l) == 0 {
+				l = []types.Record{{Key: 7, Val: rng.Float64()}}
+			}
+			lists[i] = l
+			total += len(l)
+		}
+		var lt Workspace
+		want := lt.MergeAccumulateInto(nil, lists)
+		var ws MergePathWorkspace
+		var dst []types.Record
+		for run := 0; run < 2; run++ {
+			dst = ws.MergeAccumulateInto(dst, lists)
+			if !bitsEqual(dst, want) {
+				t.Fatalf("live=%d run %d: diverges from loser tree", live, run)
+			}
+		}
+		if cap(ws.bufA) > total {
+			t.Errorf("live=%d: bufA capacity %d exceeds %d records", live, cap(ws.bufA), total)
+		}
+		if live <= 2 && cap(ws.bufA) != 0 {
+			t.Errorf("live=%d: bufA grown to %d, want untouched", live, cap(ws.bufA))
+		}
+	}
+}

@@ -8,10 +8,11 @@ import (
 )
 
 // FuzzRouteLists feeds random record lists — including lists smuggling
-// the reserved padding key — through the radix pre-sorter routing and
-// asserts the sentinel contract: genuine sentinel-carrying records are
-// rejected with an error, and accepted inputs route every record to its
-// residue-class slot with no sentinel ever escaping into the slots.
+// the reserved padding key — through the radix routing and asserts the
+// sentinel contract: genuine sentinel-carrying records are rejected with
+// an error, and accepted inputs route every record to its residue-class
+// slot with no sentinel ever escaping into the slots, exactly as the
+// bitonic pre-sorter oracle routes them.
 func FuzzRouteLists(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 5, 9, 13, 2, 6})
@@ -98,5 +99,8 @@ func FuzzRouteLists(f *testing.F) {
 		if perCore != want {
 			t.Fatalf("PerCoreInput sums to %d, want %d", perCore, want)
 		}
+		// Record for record, the scatter must route as the hardware
+		// pre-sorter does.
+		checkRouteMatchesPreSorter(t, n, &mergeScratch{}, lists)
 	})
 }

@@ -1,8 +1,11 @@
 // Package prap implements the paper's central contribution:
 // Parallelization by Radix Pre-sorter (§4.2). Records streamed from DRAM
-// pass through a stable bitonic pre-sorter on the q LSBs of their keys and
-// land in per-radix slots of a shared prefetch buffer; p = 2^q independent
-// Merge Cores each merge only the records of their residue class. Because
+// are routed stably on the q LSBs of their keys into per-radix slots of a
+// shared prefetch buffer; p = 2^q independent Merge Cores each merge only
+// the records of their residue class. The hardware routes with a bitonic
+// pre-sorter (modelled by internal/bitonic and internal/sim); on the host
+// the same stable routing is a two-pass counting scatter, which places
+// every record exactly where the pre-sorter would. Because
 // the final output is a *dense* vector, missing-key injection makes every
 // MC emit exactly one record per key of its class, which hides load
 // imbalance and lets a simple store queue interleave the p outputs into
@@ -21,15 +24,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mwmerge/internal/bitonic"
 	"mwmerge/internal/mem"
 	"mwmerge/internal/merge"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
-// invalidKey marks pre-sorter padding lanes on the final, partially filled
-// batch of a list (hardware carries a valid bit per lane).
+// invalidKey is the reserved padding key: the hardware pre-sorter (and
+// internal/sim, which models it) pads the final, partially filled batch of
+// a list with it. The host scatter needs no padding, but the key stays
+// reserved and routeLists rejects genuine records carrying it, so host and
+// hardware models accept exactly the same inputs.
 const invalidKey = ^uint64(0)
 
 // MergeKernel selects the intra-core K-way merge-accumulate
@@ -83,7 +88,7 @@ type Config struct {
 	// RecordBytes is the record width for buffer accounting.
 	RecordBytes int
 	// MergeWorkers bounds the goroutines Network.Merge runs: the radix
-	// pre-sort shards over input lists and the p merge cores run one
+	// routing shards over input lists and the p merge cores run one
 	// goroutine per residue class, both capped at this bound (the
 	// host-side analogue of the MC-level independence of §4.2). 0
 	// defaults to runtime.GOMAXPROCS; 1 runs fully sequentially. Every
@@ -212,7 +217,7 @@ type Stats struct {
 	PerCoreOutput  []uint64 // records emitted by each MC incl. injections
 	Injected       uint64   // missing keys injected across all MCs
 	Emitted        uint64   // dense elements streamed out by the store queue
-	PresortBatches uint64   // batches pushed through the bitonic network
+	PresortBatches uint64   // p-record batches the hardware pre-sorter would take: Σ ⌈len/p⌉ per list
 }
 
 // Clone returns a deep copy of s, per-core slices included, so callers
@@ -249,7 +254,7 @@ func addCounts(dst, src []uint64) []uint64 {
 
 // SpanObserver receives begin/end callbacks for the network's internal
 // parallel phases, letting an observability layer (internal/report)
-// attribute wall-clock time to individual pre-sort lists and merge
+// attribute wall-clock time to individual routed lists and merge
 // cores without this package depending on it. Begin opens a span on the
 // given lane and returns the closure that ends it. Implementations must
 // be safe for concurrent use: spans arrive from MergeWorkers goroutines
@@ -261,7 +266,6 @@ type SpanObserver interface {
 // Network is a PRaP step-2 merge network instance.
 type Network struct {
 	cfg     Config
-	sorter  *bitonic.PreSorter
 	obs     SpanObserver
 	scratch mergeScratch
 }
@@ -292,89 +296,90 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ps, err := bitonic.NewPreSorter(cfg.Cores(), cfg.Q)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{cfg: cfg, sorter: ps}, nil
+	return &Network{cfg: cfg}, nil
 }
 
-// routeOutcome carries one list's routing deltas so parallel routing
-// stays side-effect free and the stats merge is deterministic in list
-// order.
+// routeOutcome is one list's share of the routing: its per-core record
+// counts (pass 1), its write cursors into the core arenas (pass 2), and
+// its rejection. Each list owns its outcome, so both parallel passes stay
+// side-effect free and the stats merge is deterministic in list order.
 type routeOutcome struct {
 	perCore []uint64
-	batches uint64
+	cursor  []int
 	err     error
 }
 
-// routeList streams one input list through the radix pre-sorter in
-// batches of p records and scatters the outputs into its per-(radix,
-// list) slots. Each list owns column li of every slots[r], so concurrent
-// routeList calls over distinct lists never share a slice element. batch
-// and sb are the calling worker's p-record presort scratch and bitonic
-// lane buffer, out the list's pre-zeroed outcome — all arena-owned, so
-// routing allocates only when a slot outgrows its recycled capacity. A
-// genuine record carrying the padding sentinel key is rejected rather
-// than silently dropped.
-func (n *Network) routeList(li int, list []types.Record, slots [][][]types.Record, batch []types.Record, sb *bitonic.SortBuf, out *routeOutcome) {
-	p := n.cfg.Cores()
-	for off := 0; off < len(list); off += p {
-		m := copy(batch, list[off:])
-		for i := 0; i < m; i++ {
-			if batch[i].Key == invalidKey {
-				out.err = fmt.Errorf("prap: list %d record %d carries the reserved padding key %#x", li, off+i, invalidKey)
-				return
-			}
+// countList is routing pass 1 for list li: it histograms the list's
+// records by radix (mask = p-1) and rejects a genuine record carrying the
+// reserved padding key rather than silently routing it.
+func countList(li int, list []types.Record, mask uint64, out *routeOutcome) {
+	for i, rec := range list {
+		if rec.Key == invalidKey {
+			out.err = fmt.Errorf("prap: list %d record %d carries the reserved padding key %#x", li, i, invalidKey)
+			return
 		}
-		for i := m; i < p; i++ {
-			batch[i] = types.Record{Key: invalidKey}
-		}
-		if p > 1 {
-			if err := n.sorter.SortWith(sb, batch); err != nil {
-				out.err = err
-				return
-			}
-		}
-		out.batches++
-		for _, rec := range batch {
-			if rec.Key == invalidKey {
-				continue
-			}
-			r := int(rec.Radix(n.cfg.Q))
-			// Amortized growth of the recycled slot arena; capacity survives across runs.
-			slots[r][li] = append(slots[r][li], rec)
-			out.perCore[r]++
-		}
+		out.perCore[rec.Key&mask]++
 	}
 }
 
-// routeLists streams every input list through the radix pre-sorter in
-// batches of p records and scatters the outputs into per-(list, radix)
-// slots, exactly as the prefetch buffer of Fig. 10 is organized. The
-// stability of the pre-sorter guarantees each slot remains key-sorted.
-// Lists are sharded across MergeWorkers goroutines; per-list stats merge
-// deterministically in list order afterwards. Slots, batches, and
-// outcomes all live in the run's arena.
+// scatterList is routing pass 2: it writes each record of one list at
+// that list's cursor in its core's arena, in arrival order. The cursors
+// start at the list's offset inside each arena, so distinct lists write
+// disjoint ranges and concurrent scatters never share an element.
+func scatterList(list []types.Record, mask uint64, cores []coreScratch, cursor []int) {
+	for _, rec := range list {
+		r := rec.Key & mask
+		cores[r].routed[cursor[r]] = rec
+		cursor[r]++
+	}
+}
+
+// routeLists distributes every input list into per-(radix, list) slots,
+// exactly as the prefetch buffer of Fig. 10 is organized, by a stable
+// counting scatter: pass 1 counts each list's records per radix, a
+// sequential prefix step gives each merge core one exactly sized arena
+// with a per-list offset, and pass 2 writes every record at its list's
+// cursor. Slot [r][li] is therefore list li's radix-r records in arrival
+// order — the same (key, list index, position) order the hardware's
+// stable bitonic pre-sorter delivers (TestRouteMatchesPreSorter) — so
+// each slot stays key-sorted. Both passes shard lists across
+// MergeWorkers goroutines on the presort lane; stats merge in list
+// order. Slots are views into the arenas, so routing never grows a slot.
 func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratch) ([][][]types.Record, error) {
 	p := n.cfg.Cores()
+	mask := uint64(p - 1)
 	w := n.cfg.workers(len(lists))
-	slots := scr.slotsFor(p, len(lists)) // slots[radix][list]
 	outcomes := scr.outcomesFor(len(lists), p)
-	batches := scr.batchesFor(w, p)
-	sortBufs := scr.sortBufsFor(w)
-	forEach(w, len(lists), n.instrumented("presort", "l", func(worker, li int) {
-		n.routeList(li, lists[li], slots, batches[worker], &sortBufs[worker], &outcomes[li])
+	forEach(w, len(lists), n.instrumented("presort", "h", func(_, li int) {
+		countList(li, lists[li], mask, &outcomes[li])
 	}))
-	for _, out := range outcomes {
+	for li, out := range outcomes {
 		if out.err != nil {
 			return nil, out.err
 		}
-		st.PresortBatches += out.batches
-		for r, c := range out.perCore {
-			st.PerCoreInput[r] += c
+		st.PresortBatches += uint64((len(lists[li]) + p - 1) / p)
+	}
+	slots := scr.slotsFor(p, len(lists)) // slots[radix][list]
+	cores := scr.coresFor(p)
+	for r := range cores {
+		total := 0
+		for _, out := range outcomes {
+			total += int(out.perCore[r])
+		}
+		st.PerCoreInput[r] += uint64(total)
+		arena := resized(cores[r].routed, total)
+		cores[r].routed = arena
+		off := 0
+		for li, out := range outcomes {
+			end := off + int(out.perCore[r])
+			out.cursor[r] = off
+			slots[r][li] = arena[off:end:end]
+			off = end
 		}
 	}
+	forEach(w, len(lists), n.instrumented("presort", "l", func(_, li int) {
+		scatterList(lists[li], mask, cores, outcomes[li].cursor)
+	}))
 	return slots, nil
 }
 
@@ -382,7 +387,7 @@ func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratc
 // dimension, adding yIn when non-nil (the +y of y = Ax + y). Input lists
 // must each be sorted by strictly-or-equal ascending key; duplicate keys
 // across or within lists are accumulated. The number of lists must not
-// exceed cfg.Ways. With MergeWorkers != 1 the pre-sort and the merge
+// exceed cfg.Ways. With MergeWorkers != 1 the routing and the merge
 // cores run concurrently; the output is bit-identical to the sequential
 // path at any worker count.
 func (n *Network) Merge(lists [][]types.Record, dim uint64, yIn vector.Dense) (vector.Dense, Stats, error) {

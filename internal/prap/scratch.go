@@ -3,27 +3,25 @@ package prap
 import (
 	"sync"
 
-	"mwmerge/internal/bitonic"
 	"mwmerge/internal/merge"
 	"mwmerge/internal/types"
 )
 
 // mergeScratch is the network-owned arena recycled across Merge/MergeInto
-// calls: presort slots, per-worker route batches, per-list route
-// outcomes, per-core merge workspaces and output buffers, the store-queue
-// counters, and the segmentPlan pending array. Every sub-buffer is
-// indexed by list, worker, or core id, so the parallel phases never share
-// an element and reuse cannot perturb the deterministic schedule. One
+// calls: the [radix][list] slot views, per-list route outcomes (counts and
+// scatter cursors), per-core routing arenas, merge workspaces and output
+// buffers, the store-queue counters, and the segmentPlan pending array.
+// Every sub-buffer is indexed by list or core id (the routing arenas by
+// disjoint per-list ranges), so the parallel phases never share an
+// element and reuse cannot perturb the deterministic schedule. One
 // merge run owns the arena at a time: callers acquire it with TryLock and
 // fall back to a fresh arena when another Merge is in flight, which keeps
 // the public API safe for concurrent use at the cost of allocations only
 // on the contended path.
 type mergeScratch struct {
 	mu       sync.Mutex
-	slots    [][][]types.Record // [radix][list], recycled via [:0]
-	outcomes []routeOutcome     // per list, perCore counters recycled
-	batches  [][]types.Record   // per presort worker
-	sortBufs []bitonic.SortBuf  // per presort worker
+	slots    [][][]types.Record // [radix][list] views into cores[radix].routed
+	outcomes []routeOutcome     // per list, counters and cursors recycled
 	cores    []coreScratch      // per merge core
 	injected []uint64           // per core
 	emitted  []uint64           // per core
@@ -31,11 +29,15 @@ type mergeScratch struct {
 	plan     segmentPlan        // reused plan header
 }
 
-// coreScratch is the per-merge-core slice of the arena: the recycled
-// merge-accumulate output buffer and one workspace per kernel (only the
-// configured kernel's workspace ever grows arenas). Exactly one
-// goroutine drains core r in any run, so cores[r] needs no lock.
+// coreScratch is the per-merge-core slice of the arena: the routing arena
+// every list's radix-r slot is a view into (sized exactly to the core's
+// routed records, list by list), the recycled merge-accumulate output
+// buffer, and one workspace per kernel (only the configured kernel's
+// workspace ever grows arenas). The scatter writes routed at disjoint
+// per-list ranges; exactly one goroutine merges and drains core r, so
+// cores[r] needs no lock.
 type coreScratch struct {
+	routed []types.Record
 	merged []types.Record
 	ws     merge.Workspace
 	mp     merge.MergePathWorkspace
@@ -50,73 +52,28 @@ func (n *Network) acquire() (scr *mergeScratch, release func()) {
 	return &mergeScratch{}, func() {}
 }
 
-// slotsFor returns the [radix][list] slot matrix, every cell truncated to
-// length zero with capacity retained.
+// slotsFor returns the [radix][list] slot matrix. routeLists overwrites
+// every cell with a view into the core's routing arena; cells past nl
+// are cleared so a shrunken call keeps no stale arena alive.
 func (s *mergeScratch) slotsFor(p, nl int) [][][]types.Record {
-	for len(s.slots) < p {
-		s.slots = append(s.slots, nil)
+	s.slots = resized(s.slots, p)
+	for r, row := range s.slots {
+		row = resized(row, nl)
+		clear(row[nl:cap(row)])
+		s.slots[r] = row
 	}
-	slots := s.slots[:p]
-	for r := range slots {
-		row := slots[r]
-		for len(row) < nl {
-			row = append(row, nil)
-		}
-		row = row[:nl]
-		for li := range row {
-			row[li] = row[li][:0]
-		}
-		slots[r] = row
-	}
-	s.slots = slots
-	return slots
+	return s.slots
 }
 
-// outcomesFor returns the per-list route outcomes with zeroed counters.
+// outcomesFor returns the per-list route outcomes with zeroed counters
+// and p-wide cursor arrays.
 func (s *mergeScratch) outcomesFor(nl, p int) []routeOutcome {
-	for len(s.outcomes) < nl {
-		s.outcomes = append(s.outcomes, routeOutcome{})
+	s.outcomes = resized(s.outcomes, nl)
+	for i := range s.outcomes {
+		out := &s.outcomes[i]
+		*out = routeOutcome{perCore: zeroed(out.perCore, p), cursor: resized(out.cursor, p)}
 	}
-	out := s.outcomes[:nl]
-	for i := range out {
-		pc := out[i].perCore
-		if cap(pc) < p {
-			pc = make([]uint64, p)
-		}
-		pc = pc[:p]
-		for j := range pc {
-			pc[j] = 0
-		}
-		out[i] = routeOutcome{perCore: pc}
-	}
-	s.outcomes = out
-	return out
-}
-
-// batchesFor returns one p-record presort batch per worker.
-func (s *mergeScratch) batchesFor(w, p int) [][]types.Record {
-	for len(s.batches) < w {
-		s.batches = append(s.batches, nil)
-	}
-	b := s.batches[:w]
-	for i := range b {
-		if cap(b[i]) < p {
-			b[i] = make([]types.Record, p)
-		}
-		b[i] = b[i][:p]
-	}
-	s.batches = b
-	return b
-}
-
-// sortBufsFor returns one bitonic lane buffer per presort worker, so
-// every batch of the run sorts through a recycled lane array.
-func (s *mergeScratch) sortBufsFor(w int) []bitonic.SortBuf {
-	for len(s.sortBufs) < w {
-		s.sortBufs = append(s.sortBufs, bitonic.SortBuf{})
-	}
-	s.sortBufs = s.sortBufs[:w]
-	return s.sortBufs
+	return s.outcomes
 }
 
 // coresFor returns the per-core workspaces.
@@ -151,14 +108,19 @@ func (s *mergeScratch) planFor(dim, width uint64, cores int, publish func(int)) 
 	return &s.plan
 }
 
+// resized returns s with length n, reusing its capacity when it suffices
+// and allocating exactly n elements otherwise. Reused elements keep their
+// old contents.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // zeroed resizes s to n and clears it, reusing capacity.
 func zeroed(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	s = resized(s, n)
+	clear(s)
 	return s
 }

@@ -3,9 +3,11 @@ package prap
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
@@ -133,4 +135,47 @@ func TestMergeIntoWarmAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergeIntoColdAllocsIndependentOfRecords measures the first
+// MergeInto on a fresh network, on both kernels, at two input sizes 10×
+// apart with the same list shape: every routing slot is a view into an
+// exactly sized per-core arena, so the cold call's allocation count
+// depends on lists and cores, never on how many records they carry.
+func TestMergeIntoColdAllocsIndependentOfRecords(t *testing.T) {
+	const lists, slack = 12, 4
+	for _, kernel := range []MergeKernel{KernelLoserTree, KernelMergePath} {
+		var counts [2]uint64
+		for i, dim := range []uint64{4096, 40960} {
+			// Density 0.4 puts records of every radix in every list at
+			// both sizes, so both runs merge the same number of live runs.
+			counts[i] = coldMergeIntoAllocs(t, kernel, randomLists(rand.New(rand.NewSource(45)), lists, dim, 0.4), dim)
+		}
+		if d := int64(counts[1]) - int64(counts[0]); d > slack || d < -slack {
+			t.Errorf("%s: first MergeInto allocates %d times at 10× the records vs %d, want within %d", kernel, counts[1], counts[0], slack)
+		}
+	}
+}
+
+// coldMergeIntoAllocs counts the heap allocations of the first MergeInto
+// on a fresh single-worker network.
+func coldMergeIntoAllocs(t *testing.T, kernel MergeKernel, lists [][]types.Record, dim uint64) uint64 {
+	t.Helper()
+	cfg := smallConfig(2, 16)
+	cfg.MergeWorkers = 1
+	cfg.Kernel = kernel
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := vector.NewDense(int(dim))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = n.MergeInto(lists, dim, nil, out, 0, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }
