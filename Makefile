@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench-selftest cover bench experiments report serve-smoke fuzz clean
+.PHONY: all build vet fmt test race bench-selftest cover bench experiments report serve-smoke fuzz clean
 
-all: build vet lint test race bench-selftest
+all: build vet fmt test race bench-selftest
 
 build:
 	$(GO) build ./...
@@ -12,16 +12,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the seven per-package invariant
-# analyzers (determinism, statsalias, sentinel, ledgerdiscipline,
-# goroutinecapture, densewrite, pkgdoc) over the whole module; any
-# finding fails. See DESIGN.md §7.
-lint:
-	$(GO) run ./cmd/spmvlint -C .
+# Every Go file gofmt-clean, the nested benchmarks/ module included.
+fmt:
+	test -z "$$(gofmt -l .)"
 
+# Includes the root invariants tests (invariants_test.go: snapshot
+# aliasing, numeric-package determinism, package docs); DESIGN.md §7
+# maps every invariant to its guard.
 test:
 	$(GO) test ./...
 
+# The data-race guard for the parallel step-1 and merge paths (captured
+# writes in worker closures, dense-result writes outside the drain).
 race:
 	$(GO) test -race ./...
 

@@ -13,9 +13,9 @@ import (
 	"mwmerge/internal/vldi"
 )
 
-// noTrafficYet seeds traffic minimum searches; no real run can reach it
-// (and naming it keeps the all-ones bit pattern out of raw literals,
-// which spmvlint reserves for the merge network's padding sentinel).
+// noTrafficYet seeds traffic minimum searches; no real run can reach it.
+// The name keeps it distinct from the merge network's padding sentinel,
+// which shares the all-ones bit pattern.
 const noTrafficYet = ^uint64(0)
 
 // RunAblationITS exercises the cycle-level simulator on an iterative

@@ -15,10 +15,13 @@ import (
 )
 
 // Engine executes Two-Step SpMV while keeping the off-chip traffic ledger.
+// Every byte the evaluation reports enters the ledger through
+// mem.Ledger.Charge; its counters are unexported, so no other write
+// compiles.
 type Engine struct {
 	cfg     Config
 	network *prap.Network
-	traffic mem.Traffic
+	ledger  mem.Ledger
 	stats   RunStats
 
 	// Observability state, live only when rec is non-nil. lastSnap is
@@ -123,14 +126,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Traffic returns the accumulated off-chip traffic ledger.
-func (e *Engine) Traffic() mem.Traffic { return e.traffic }
-
-// charge books delta into the persistent off-chip traffic ledger. All
-// engine code must funnel ledger arithmetic through here or through
-// accountTransition — spmvlint's ledgerdiscipline analyzer enforces
-// it, so every byte the evaluation reports is charged at an auditable
-// call site.
-func (e *Engine) charge(delta mem.Traffic) { e.traffic = e.traffic.Add(delta) }
+func (e *Engine) Traffic() mem.Traffic { return e.ledger.Traffic() }
 
 // Stats returns a snapshot of the accumulated execution statistics; the
 // per-core merge slices are copied so later calls cannot mutate it.
@@ -142,7 +138,7 @@ func (e *Engine) Stats() RunStats {
 
 // ResetCounters clears the traffic ledger and statistics.
 func (e *Engine) ResetCounters() {
-	e.traffic = mem.Traffic{}
+	e.ledger = mem.Ledger{}
 	e.stats = RunStats{}
 	e.lastSnap = report.Counters{}
 }
@@ -201,7 +197,7 @@ func (s RunStats) Add(o RunStats) RunStats {
 // Counters assembles the engine's cumulative observability counter state
 // from the ledger and statistics. Read-only on both; like every engine
 // method it must be called from the goroutine driving the engine.
-func (e *Engine) Counters() report.Counters { return e.stats.Counters(e.traffic) }
+func (e *Engine) Counters() report.Counters { return e.stats.Counters(e.ledger.Traffic()) }
 
 // snapshot books the counter delta since the previous snapshot into the
 // recorder as one iteration boundary. Because every entry point
@@ -365,7 +361,7 @@ func (e *Engine) chargeDetector(stripes []*matrix.Stripe, det *hdn.Detector) {
 		nnz += uint64(s.NNZ())
 	}
 	e.stats.HDNFilterBytes += det.SizeBytes()
-	e.charge(mem.Traffic{MatrixBytes: nnz * uint64(e.cfg.MetaBytes)})
+	e.ledger.Charge(mem.Traffic{MatrixBytes: nnz * uint64(e.cfg.MetaBytes)})
 }
 
 // step1Compute executes the per-stripe partial SpMV across Workers
@@ -470,7 +466,7 @@ func (e *Engine) commitOutcomes(stripes []*matrix.Stripe, bank *stripeBank, c in
 			return nil, out.err
 		}
 		lists[s] = out.recs
-		e.charge(out.traffic)
+		e.ledger.Charge(out.traffic)
 		e.stats.Products += out.st.Products
 		e.stats.HDN.HDNRecords += out.st.HDN.HDNRecords
 		e.stats.HDN.GeneralRecords += out.st.HDN.GeneralRecords
@@ -596,9 +592,9 @@ func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.
 	}
 	e.stats.MergeStats.Accumulate(st)
 	yBytes := dim * uint64(e.cfg.ValueBytes)
-	e.charge(mem.Traffic{ResultBytes: yBytes}) // y streamed out
+	e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y streamed out
 	if yIn != nil {
-		e.charge(mem.Traffic{ResultBytes: yBytes}) // y-in streamed in
+		e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y-in streamed in
 	}
 	return nil
 }
@@ -607,7 +603,7 @@ func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.
 // from DRAM, ahead of a merge.
 func (e *Engine) chargeIntermediateRead(l []types.Record) {
 	b, comp, uncomp := e.vecBytes(l)
-	e.charge(mem.Traffic{IntermediateRead: b})
+	e.ledger.Charge(mem.Traffic{IntermediateRead: b})
 	e.stats.CompressedVecBytes += comp
 	e.stats.UncompressedVecBytes += uncomp
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"mwmerge/internal/matrix"
+	"mwmerge/internal/mem"
 	"mwmerge/internal/vector"
 )
 
@@ -46,7 +47,7 @@ func (e *Engine) accountTransition(rows uint64, overlap bool) uint64 {
 	if overlap {
 		e.stats.TransitionBytesSaved += transition
 	} else {
-		e.traffic.ResultBytes += transition
+		e.ledger.Charge(mem.Traffic{ResultBytes: transition})
 	}
 	return transition
 }

@@ -53,7 +53,7 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 			}
 			combined := merge.MergeAccumulate(batch)
 			b, comp, uncomp := e.vecBytes(combined)
-			e.charge(mem.Traffic{IntermediateWrite: b})
+			e.ledger.Charge(mem.Traffic{IntermediateWrite: b})
 			e.stats.CompressedVecBytes += comp
 			e.stats.UncompressedVecBytes += uncomp
 			next = append(next, combined)

@@ -59,6 +59,18 @@ func (t Traffic) Sub(o Traffic) Traffic {
 	}
 }
 
+// Ledger is a persistent, append-only Traffic account. Its counters are
+// unexported, so code outside this package can only add to them through
+// Charge; the zero value is an empty ledger, and assigning Ledger{}
+// resets one.
+type Ledger struct{ t Traffic }
+
+// Charge books delta into the ledger.
+func (l *Ledger) Charge(delta Traffic) { l.t = l.t.Add(delta) }
+
+// Traffic returns the accumulated ledger.
+func (l *Ledger) Traffic() Traffic { return l.t }
+
 func (t Traffic) String() string {
 	return fmt.Sprintf("traffic{A=%s x=%s vW=%s vR=%s y=%s waste=%s total=%s}",
 		FormatBytes(t.MatrixBytes), FormatBytes(t.SourceVectorBytes),

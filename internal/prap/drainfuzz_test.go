@@ -18,10 +18,10 @@ import (
 // zero-add, or publish-ordering bug shows up as a bit flip.
 func FuzzDrainModes(f *testing.F) {
 	f.Add(int64(1), uint16(257), uint8(3), uint8(20), uint8(0), false)
-	f.Add(int64(2), uint16(64), uint8(1), uint8(0), uint8(1), false)   // empty lists, yIn
-	f.Add(int64(3), uint16(1000), uint8(6), uint8(5), uint8(2), true)  // -0.0 in yIn, parallel
-	f.Add(int64(4), uint16(31), uint8(4), uint8(80), uint8(4), false)  // dense output
-	f.Add(int64(5), uint16(512), uint8(2), uint8(1), uint8(0), true)   // hypersparse, dirty yIn
+	f.Add(int64(2), uint16(64), uint8(1), uint8(0), uint8(1), false)  // empty lists, yIn
+	f.Add(int64(3), uint16(1000), uint8(6), uint8(5), uint8(2), true) // -0.0 in yIn, parallel
+	f.Add(int64(4), uint16(31), uint8(4), uint8(80), uint8(4), false) // dense output
+	f.Add(int64(5), uint16(512), uint8(2), uint8(1), uint8(0), true)  // hypersparse, dirty yIn
 	f.Fuzz(func(t *testing.T, seed int64, dimRaw uint16, nLists, densityPct, workers uint8, negZero bool) {
 		dim := uint64(dimRaw)%2048 + 1
 		rng := rand.New(rand.NewSource(seed))

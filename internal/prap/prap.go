@@ -458,9 +458,10 @@ func (n *Network) validateMerge(lists [][]types.Record, dim uint64, yIn vector.D
 }
 
 // mergeInto routes the lists and drains the merge cores into out. This
-// is the one place goroutines write the shared dense result; spmvlint's
-// densewrite analyzer blesses it (and its exported callers) so new
-// parallel code cannot silently reassociate the per-element sums.
+// is the one place goroutines write the shared dense result: each core
+// owns one residue class of keys, so no two goroutines touch an element
+// and the per-element sums keep one order. `go test -race` over the
+// MergeWorkers rows of the prap and core tests detects any other writer.
 func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.Dense, st *Stats, plan *segmentPlan, scr *mergeScratch) error {
 	p := n.cfg.Cores()
 	slots, err := n.routeLists(lists, st, scr)

@@ -22,9 +22,10 @@ type Config struct {
 	// DefaultDeadline bounds a request that carries no deadline_ms of
 	// its own; 0 leaves such requests unbounded.
 	DefaultDeadline time.Duration
-	// MaxBodyBytes caps request bodies (default 64 MiB).
-	MaxBodyBytes int64
 }
+
+// maxBodyBytes caps request bodies; a larger body is answered with 413.
+const maxBodyBytes = 64 << 20
 
 // Server mounts the serving endpoints over one or more matrix pools:
 //
@@ -58,9 +59,6 @@ type Server struct {
 func NewServer(cfg Config, pools ...*Pool) (*Server, error) {
 	if len(pools) == 0 {
 		return nil, fmt.Errorf("serve: server needs at least one pool")
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
 	}
 	s := &Server{cfg: cfg, pools: make(map[string]*Pool), mux: http.NewServeMux()}
 	for _, p := range pools {
@@ -160,15 +158,46 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
-// decode reads the request body into dst, rejecting oversized bodies
-// and malformed JSON with 400.
+// decode reads the request body into dst. A body over maxBodyBytes is
+// rejected with 413; malformed JSON, or anything but whitespace after
+// the JSON value, with 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, "serve: bad request body: "+err.Error())
-		return false
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(dst)
+	if err == nil {
+		err = onlySpace(io.MultiReader(dec.Buffered(), r.Body))
 	}
-	return true
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, new(*http.MaxBytesError)):
+		httpError(w, http.StatusRequestEntityTooLarge, "serve: request body too large: "+err.Error())
+	default:
+		httpError(w, http.StatusBadRequest, "serve: bad request body: "+err.Error())
+	}
+	return false
+}
+
+// onlySpace reads r to its end and fails on the first byte that is not
+// JSON whitespace. Unlike a second json.Decoder.Decode it holds no more
+// than one read buffer, however long the trailing whitespace runs.
+func onlySpace(r io.Reader) error {
+	var buf [512]byte
+	for {
+		n, err := r.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return errors.New("trailing data after the JSON value")
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // run applies the admission pipeline — pool lookup, capacity check,

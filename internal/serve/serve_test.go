@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -388,6 +389,63 @@ func TestServerStatusCodes(t *testing.T) {
 		t.Fatalf("queued past deadline: status %d, want 503 (%s)", resp3.StatusCode, body3)
 	}
 	release2()
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestServerBodyDecode pins the request-body rules: trailing whitespace
+// is accepted, any other trailing data is a 400, and a body one byte
+// over maxBodyBytes is a 413 (streamed, so neither side holds it).
+func TestServerBodyDecode(t *testing.T) {
+	a := testGraph(t, 64, 2, 3)
+	ts := newTestServer(t, Config{}, newTestPool(t, "g", a, 1, 1))
+	raw, err := json.Marshal(map[string]any{"matrix": "g", "x": testX(64, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := string(raw)
+	cases := []struct {
+		name   string
+		body   io.Reader
+		size   int64
+		status int
+	}{
+		{"trailing-space", strings.NewReader(value + " \n\t\r\n"), -1, http.StatusOK},
+		{"trailing-junk", strings.NewReader(value + " junk"), -1, http.StatusBadRequest},
+		{"second-value", strings.NewReader(value + value), -1, http.StatusBadRequest},
+		{"over-cap", io.MultiReader(strings.NewReader(value), io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(value)))), maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/spmv", tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.size >= 0 {
+				req.ContentLength = tc.size
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.status, body)
+			}
+		})
+	}
 }
 
 // TestServerPerRequestReport checks the on-demand run report: its totals
