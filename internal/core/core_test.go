@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
 	"mwmerge/internal/prap"
+	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
 )
@@ -260,27 +262,63 @@ func TestTrafficLedgerPopulated(t *testing.T) {
 	}
 }
 
+// testPlan plans a at the given stripe width, without a detector.
+func testPlan(t *testing.T, a *matrix.COO, width uint64) *enginePlan {
+	t.Helper()
+	cfg := testConfig()
+	cfg.ScratchpadBytes = width * uint64(cfg.ValueBytes)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.planCOO(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// laneStep1 is the P-lane model of step 1 over the exchange-format
+// stripe: entries in batches of P (one per multiplier lane), written back
+// in entry order into adder chains that merge same-row products. It
+// returns the records and the batch cycles; at one lane it is the
+// entry-at-a-time multiply the row-run dot product replaced.
+func laneStep1(t *testing.T, s *matrix.Stripe, xSeg []float64, lanes int) ([]types.Record, uint64) {
+	t.Helper()
+	v := vector.NewSparse(int(s.Rows), s.NNZ())
+	var cycles uint64
+	for off := 0; off < len(s.Entries); off += lanes {
+		cycles++
+		for _, e := range s.Entries[off:min(off+lanes, len(s.Entries))] {
+			if err := v.Accumulate(e.Row, e.Val*xSeg[e.Col]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return v.Recs, cycles
+}
+
+// TestStep1LanesEquivalence holds the row-run multiply to the P-lane
+// adder-chain model at every lane count: the same records, bit for bit,
+// so lane parallelization and the run layout leave results unchanged.
 func TestStep1LanesEquivalence(t *testing.T) {
 	a, _ := graph.ErdosRenyi(500, 5, 17)
 	stripes, _ := matrix.Partition1D(a, 100)
+	p := testPlan(t, a, 100)
 	x := randomX(500, 18)
-	for _, s := range stripes {
+	for k, s := range stripes {
 		seg := x[s.ColStart : s.ColStart+s.Width]
-		ref, _, err := step1(s, seg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := &p.stripes[k]
+		got := make([]types.Record, len(rs.rows))
+		rs.multiply(seg, got)
 		for _, lanes := range []int{1, 3, 8} {
-			got, cycles, err := step1Lanes(s, seg, lanes)
-			if err != nil {
-				t.Fatal(err)
+			want, cycles := laneStep1(t, s, seg, lanes)
+			if len(got) != len(want) {
+				t.Fatalf("lanes %d: %d records vs %d", lanes, len(got), len(want))
 			}
-			if got.NNZ() != ref.NNZ() {
-				t.Fatalf("lanes %d: nnz %d vs %d", lanes, got.NNZ(), ref.NNZ())
-			}
-			for i := range ref.Recs {
-				if ref.Recs[i] != got.Recs[i] {
-					t.Fatalf("lanes %d: record %d differs", lanes, i)
+			for i := range want {
+				if got[i].Key != want[i].Key || math.Float64bits(got[i].Val) != math.Float64bits(want[i].Val) {
+					t.Fatalf("lanes %d: record %d = %v, model %v", lanes, i, got[i], want[i])
 				}
 			}
 			wantCycles := (uint64(s.NNZ()) + uint64(lanes) - 1) / uint64(lanes)
@@ -291,17 +329,31 @@ func TestStep1LanesEquivalence(t *testing.T) {
 	}
 }
 
+// TestMultiplyKeepsNegativeZero pins the dot product's start: a run's
+// sum begins at its first product, so a row whose products are all -0.0
+// emits -0.0, as the adder chain does, and not the +0.0 of a zero start.
+func TestMultiplyKeepsNegativeZero(t *testing.T) {
+	a := &matrix.COO{Rows: 2, Cols: 2, Entries: []matrix.Entry{{Row: 0, Col: 0, Val: -1}, {Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 1, Val: 2}}}
+	p := testPlan(t, a, 2)
+	got := make([]types.Record, 2)
+	p.stripes[0].multiply([]float64{0, math.Copysign(0, -1)}, got)
+	for r, rec := range got {
+		if !math.Signbit(rec.Val) || rec.Val != 0 {
+			t.Errorf("row %d: %v, want -0.0", r, rec.Val)
+		}
+	}
+}
+
 func TestStep1EmitsSortedVector(t *testing.T) {
 	a, _ := graph.ErdosRenyi(300, 4, 19)
-	stripes, _ := matrix.Partition1D(a, 50)
+	p := testPlan(t, a, 50)
 	x := randomX(300, 20)
-	for _, s := range stripes {
-		v, _, err := step1(s, x[s.ColStart:s.ColStart+s.Width], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for k := range p.stripes {
+		s := &p.stripes[k]
+		v := vector.Sparse{Dim: 300, Recs: make([]types.Record, len(s.rows))}
+		s.multiply(x[s.colStart:s.colStart+s.width], v.Recs)
 		if err := v.Validate(); err != nil {
-			t.Fatalf("stripe %d: %v", s.Index, err)
+			t.Fatalf("stripe %d: %v", k, err)
 		}
 	}
 }

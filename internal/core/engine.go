@@ -30,9 +30,9 @@ type Engine struct {
 	rec      *report.Recorder
 	lastSnap report.Counters
 
-	// Steady-state memory reuse (scratch.go): the cached matrix plan,
-	// the two rotating step-1 banks, the dense free list, and the
-	// recycled pipeline handoff primitives. All are confined to the
+	// Steady-state memory reuse (scratch.go): the cached matrix plan
+	// (plan.go), the two rotating step-1 banks, the dense free list, and
+	// the recycled pipeline handoff primitives. All are confined to the
 	// goroutine driving the engine's public methods. denseFreeCap widens
 	// the free-list bound once a block entry point has run, so k-wide
 	// ping-pong buffers keep recycling (see denseFreeBound).
@@ -44,7 +44,6 @@ type Engine struct {
 	gate         *segmentGate
 	nextCh       chan step1Result
 	frontier     frontierScratch
-	lpt          lptScratch
 
 	// one backs the one-element xs/yIns/ys column sets the scalar entry
 	// points hand to the k-wide driver (see col), so being its k=1 case
@@ -287,36 +286,33 @@ func (e *Engine) spmvCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas 
 			return err
 		}
 	}
-	plan, err := e.planFor(a)
+	p, err := e.planFor(a)
 	if err != nil {
 		return err
 	}
-	return e.runStripes(plan.stripes, plan.det, a.Rows, xs, yIns, ys, deltas)
+	return e.runPlan(p, a.Rows, xs, yIns, ys, deltas)
 }
 
-// runStripes is spmvCompute past the plan: one step-1 run fans every
-// resident stripe across the k source vectors, then each column commits
-// its outcomes and merges them into its own output. Matrix-side traffic
-// (stripe values and meta-data, the HDN filter build) is charged once per
-// batch and vector-side traffic once per column, so a k-wide run books
-// exactly k sequential runs minus (k−1)× the matrix share (DESIGN.md
-// §9). With non-nil deltas it splits the batch's counter movement per
-// column: deltas[c] is the cumulative-counter delta across column c's
-// commit + merge, with the once-per-batch charges folded into deltas[0].
-func (e *Engine) runStripes(stripes []*matrix.Stripe, det *hdn.Detector, rows uint64, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
+// runPlan is spmvCompute past the plan: one step-1 run fans every
+// stripe across the k source vectors, then each column commits the
+// plan's books and merges its lists into its own output. Matrix-side
+// traffic (stripe values and meta-data, the HDN filter build) is charged
+// once per batch and vector-side traffic once per column, so a k-wide
+// run books exactly k sequential runs minus (k−1)× the matrix share
+// (DESIGN.md §9). With non-nil deltas it splits the batch's counter
+// movement per column: deltas[c] is the cumulative-counter delta across
+// column c's commit + merge, with the once-per-batch charges folded into
+// deltas[0].
+func (e *Engine) runPlan(p *enginePlan, rows uint64, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
 	var prev report.Counters
 	if deltas != nil {
 		prev = e.Counters()
 	}
-	e.chargeDetector(stripes, det)
+	e.chargeDetector(p)
 	bank := e.nextBank()
-	e.step1Compute(stripes, xs, det, nil, bank)
+	e.step1Compute(p, xs, nil, bank)
 	for c := range xs {
-		lists, err := e.commitOutcomes(stripes, bank, c)
-		if err != nil {
-			return err
-		}
-		if err := e.runStep2Into(lists, rows, blockYIn(yIns, c), ys[c], 0, nil); err != nil {
+		if err := e.runStep2Into(e.commit(p, bank, c), rows, blockYIn(yIns, c), ys[c], 0, nil); err != nil {
 			return err
 		}
 		if deltas != nil {
@@ -336,32 +332,16 @@ func blockYIn(yIns []vector.Dense, c int) vector.Dense {
 	return yIns[c]
 }
 
-// stripeOutcome carries one stripe's records plus its accounting deltas,
-// so parallel workers stay side-effect free and the ledger merge is
-// deterministic in stripe order.
-type stripeOutcome struct {
-	recs               []types.Record
-	st                 Step1Stats
-	traffic            mem.Traffic
-	compVec, uncompVec uint64
-	compMat, uncompMat uint64
-	err                error
-}
-
 // chargeDetector books one filter construction: the filter footprint
 // statistic plus the one-pass meta-data stream over every nonzero that
 // populates it (§5.3). Iterative runs call it once per iteration so the
 // ledger matches an equivalent sequence of standalone SpMV calls exactly.
-func (e *Engine) chargeDetector(stripes []*matrix.Stripe, det *hdn.Detector) {
-	if det == nil {
+func (e *Engine) chargeDetector(p *enginePlan) {
+	if p.det == nil {
 		return
 	}
-	var nnz uint64
-	for _, s := range stripes {
-		nnz += uint64(s.NNZ())
-	}
-	e.stats.HDNFilterBytes += det.SizeBytes()
-	e.ledger.Charge(mem.Traffic{MatrixBytes: nnz * uint64(e.cfg.MetaBytes)})
+	e.stats.HDNFilterBytes += p.det.SizeBytes()
+	e.ledger.Charge(mem.Traffic{MatrixBytes: p.nnz * uint64(e.cfg.MetaBytes)})
 }
 
 // step1Compute executes the per-stripe partial SpMV across Workers
@@ -370,46 +350,43 @@ func (e *Engine) chargeDetector(stripes []*matrix.Stripe, det *hdn.Detector) {
 // the previous iteration's step 2. A worker holding stripe s runs it
 // against all k source vectors before moving on — the stripe stays
 // resident while every column consumes it, which is exactly why only
-// column 0 charges the matrix stream (chargeMatrix). Outcomes land in
-// the bank, whose scratch slots the workers recycle; slots are laid out
-// column-major, c·n + s, so stripe s of column c touches only its own
-// slot and parallel runs stay race-free and deterministic. With a
-// non-nil gate, stripe s first waits until segment s of x has been
-// published and releases its handoff slot when done — successful or
-// not, so a failed stripe can never starve the producer.
-func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *hdn.Detector, gate *segmentGate, bank *stripeBank) {
-	n := len(stripes)
-	bank.sized(n * len(xs))
-	outcomes := bank.outcomes
+// column 0 books the matrix stream (commit). Column c's records for
+// stripe s land in their own span of the bank's arena and its list
+// header in slot c·n + s, so parallel runs stay race-free and
+// deterministic. With a non-nil gate, stripe s first waits until
+// segment s of x has been published and releases its handoff slot when
+// done; a failed wait means step 2 failed, and iteratePipelined
+// discards the bank without committing it.
+func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense, gate *segmentGate, bank *stripeBank) {
+	n := len(p.stripes)
+	bank.sized(n*len(xs), p.runs*len(xs))
 	run := func(w, s int) {
 		if gate != nil {
 			err := gate.wait(s)
 			defer gate.consume()
 			if err != nil {
-				for c := range xs {
-					outcomes[c*n+s] = stripeOutcome{err: err}
-				}
 				return
 			}
 		}
+		if e.rec != nil {
+			defer e.rec.StartSpan("step1/w"+strconv.Itoa(w), "s"+strconv.Itoa(s)).End()
+		}
+		st := &p.stripes[s]
 		for c, x := range xs {
-			outcomes[c*n+s] = e.stripeTask(w, s, stripes[s], x, det, &bank.stripes[c*n+s], c == 0)
+			off := c*p.runs + st.recOff
+			recs := bank.recs[off : off+len(st.rows) : off+len(st.rows)]
+			st.multiply(x[st.colStart:st.colStart+st.width], recs)
+			bank.lists[c*n+s] = recs
 		}
 	}
 
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(max(e.cfg.Workers, 1), n)
 	var s1 report.Span
 	if e.rec != nil {
 		s1 = e.rec.StartSpan("phase", "s1")
 	}
 	if workers <= 1 {
-		for s := range stripes {
+		for s := range p.stripes {
 			run(0, s)
 		}
 	} else {
@@ -429,16 +406,14 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *
 		// handoff bound, the lowest published-but-unconsumed stripe is
 		// already held by some worker, so the pipeline always advances.
 		// Without a gate every stripe is ready immediately, so the
-		// ungated path is free to dispatch heaviest-first (LPT) and cut
-		// the straggler tail on skewed partitions; e.lpt is safe here
-		// because the ungated run always executes on the goroutine
-		// driving the engine, with at most one in flight.
+		// ungated path dispatches heaviest-first (the plan's LPT order)
+		// to cut the straggler tail on skewed partitions.
 		if gate != nil {
-			for s := range stripes {
+			for s := range p.stripes {
 				work <- s
 			}
 		} else {
-			for _, s := range e.lpt.plan(stripes) {
+			for _, s := range p.lpt {
 				work <- s
 			}
 		}
@@ -450,141 +425,41 @@ func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *
 	}
 }
 
-// commitOutcomes folds column c's side-effect-free stripe outcomes into
-// the persistent ledger and statistics, in stripe order, and returns the
-// column's sorted intermediate record lists (headers owned by the bank,
-// records by its per-stripe slots — both live until the consuming step 2
-// finishes, which the two-bank rotation guarantees). It is the only
-// place a stripeOutcome reaches the books, whichever entry point
-// produced it.
-func (e *Engine) commitOutcomes(stripes []*matrix.Stripe, bank *stripeBank, c int) ([][]types.Record, error) {
-	e.noteStripeSkew(stripes)
-	n := len(stripes)
-	lists := bank.lists[c*n : (c+1)*n]
-	for s, out := range bank.outcomes[c*n : (c+1)*n] {
-		if out.err != nil {
-			return nil, out.err
-		}
-		lists[s] = out.recs
-		e.ledger.Charge(out.traffic)
-		e.stats.Products += out.st.Products
-		e.stats.HDN.HDNRecords += out.st.HDN.HDNRecords
-		e.stats.HDN.GeneralRecords += out.st.HDN.GeneralRecords
-		e.stats.HDN.FalseRouted += out.st.HDN.FalseRouted
-		e.stats.IntermediateRecords += uint64(len(out.recs))
-		e.stats.CompressedVecBytes += out.compVec
-		e.stats.UncompressedVecBytes += out.uncompVec
-		e.stats.CompressedMatBytes += out.compMat
-		e.stats.UncompressedMatBytes += out.uncompMat
-	}
-	return lists, nil
+// commit books column c's step 1 — the plan's precomputed books, with
+// the matrix share on column 0 only — and returns the column's sorted
+// intermediate lists (headers and records owned by the bank, live until
+// the consuming step 2 finishes, which the two-bank rotation
+// guarantees).
+func (e *Engine) commit(p *enginePlan, bank *stripeBank, c int) [][]types.Record {
+	e.noteStripeSkew(p)
+	e.book(&p.books, c == 0)
+	n := len(p.stripes)
+	return bank.lists[c*n : (c+1)*n]
 }
 
 // noteStripeSkew books one step-1 run's load-skew counters alongside
 // its stripe count: the total and per-run-maximum stripe nonzeros
-// behind RunStats.StripeImbalance. Only commitOutcomes calls it, so the
-// skew surface covers every entry point alike, once per column. The
-// charge depends only on the stripe partition, never on dispatch order,
-// so LPT scheduling and the gated ascending schedule book identical
-// statistics.
-func (e *Engine) noteStripeSkew(stripes []*matrix.Stripe) {
-	e.stats.Stripes += len(stripes)
+// behind RunStats.StripeImbalance. Every entry point books them, once
+// per column. The charge depends only on the stripe partition, never on
+// dispatch order, so LPT scheduling and the gated ascending schedule
+// book identical statistics.
+func (e *Engine) noteStripeSkew(p *enginePlan) {
+	e.stats.Stripes += len(p.stripes)
 	e.stats.Step1Runs++
-	var max uint64
-	for _, s := range stripes {
-		nnz := uint64(s.NNZ())
-		e.stats.StripeNNZ += nnz
-		if nnz > max {
-			max = nnz
-		}
-	}
-	e.stats.StripeNNZMax += max
-}
-
-// stripeTask runs one stripe's step 1, wrapped in a span on the
-// executing worker's lane when a recorder is attached — the per-lane
-// utilization behind the report's step-1 load-balance view.
-func (e *Engine) stripeTask(worker, k int, s *matrix.Stripe, x vector.Dense, det *hdn.Detector, scr *stripeScratch, chargeMatrix bool) stripeOutcome {
-	if e.rec == nil {
-		return e.processStripe(s, x, det, scr, chargeMatrix)
-	}
-	sp := e.rec.StartSpan("step1/w"+strconv.Itoa(worker), "s"+strconv.Itoa(k))
-	defer sp.End()
-	return e.processStripe(s, x, det, scr, chargeMatrix)
-}
-
-// processStripe runs step 1 for one stripe of a dense source vector and
-// computes its full accounting without touching engine state beyond scr,
-// the stripe's recycled scratch slot. Requiring the slot keeps the
-// steady state clear of allocating constructors: a per-record or
-// per-stripe allocation here fails TestIterateSteadyStateAllocs.
-func (e *Engine) processStripe(s *matrix.Stripe, x vector.Dense, det *hdn.Detector, scr *stripeScratch, chargeMatrix bool) stripeOutcome {
-	scr.v = vector.Sparse{Dim: int(s.Rows), Recs: scr.recsFor(s.NNZ())}
-	st, err := step1Into(&scr.v, s, x[s.ColStart:s.ColStart+s.Width], det)
-	if err != nil {
-		return stripeOutcome{err: err}
-	}
-	// The whole x segment streams into the scratchpad once per stripe.
-	return e.accountStripe(s, scr, st, s.Width*uint64(e.cfg.ValueBytes), chargeMatrix)
-}
-
-// accountStripe builds the outcome of a stripe whose products are in
-// scr.v, given the multiply's statistics and the source-vector bytes it
-// streamed — the accounting shared by the dense multiply (processStripe)
-// and SpMSpV's zero-skipping one. chargeMatrix books the stripe's matrix
-// stream (values + meta-data); a k-wide run passes false for every
-// column after the first — the once-per-batch accounting rule.
-func (e *Engine) accountStripe(s *matrix.Stripe, scr *stripeScratch, st Step1Stats, sourceBytes uint64, chargeMatrix bool) stripeOutcome {
-	out := stripeOutcome{st: st}
-	out.traffic.SourceVectorBytes = sourceBytes
-
-	// Matrix stripe stream: values plus (possibly VLDI-compressed)
-	// meta-data, with CSR vs RM-COO chosen by the §3.1 hypersparsity
-	// rule.
-	if chargeMatrix {
-		nnz := uint64(s.NNZ())
-		_, metaBytes := matrix.BestStripeFormat(s.Rows, nnz, e.cfg.MetaBytes)
-		out.uncompMat = metaBytes
-		if e.cfg.MatrixCodec != nil {
-			metaBytes = e.compressedStripeMeta(s)
-		}
-		out.compMat = metaBytes
-		out.traffic.MatrixBytes += nnz*uint64(e.cfg.ValueBytes) + metaBytes
-	}
-
-	// Intermediate vector write (the DRAM half of the round trip).
-	wBytes, comp, uncomp := e.vecBytes(scr.v.Recs)
-	out.traffic.IntermediateWrite += wBytes
-	out.compVec += comp
-	out.uncompVec += uncomp
-
-	if e.cfg.VectorCodec != nil {
-		// Functional round trip through the codec proves the compressed
-		// stream reconstructs exactly. The codec is lossless, so the
-		// verification runs in place (zero allocations) instead of
-		// materializing the decompressed copy; values are stored
-		// uncompressed, so key-exact reconstruction is bit-identical to
-		// the CompressSparse/DecompressSparse materializing round trip.
-		if err := e.cfg.VectorCodec.RoundTripRecords(scr.v.Recs, &scr.bw); err != nil {
-			return stripeOutcome{err: fmt.Errorf("core: VLDI round trip failed: %w", err)}
-		}
-	}
-	out.recs = scr.v.Recs
-	return out
+	e.stats.StripeNNZ += p.nnz
+	e.stats.StripeNNZMax += p.maxNNZ
 }
 
 // runStep2Into merges the intermediate lists through the PRaP network
-// into the caller-provided y and accounts the intermediate-read and
-// result traffic. A positive segWidth plus a non-nil publish forwards
+// into the caller-provided y and accounts the result traffic; the
+// lists' DRAM round trips were booked with their writes
+// (chargeRoundTrip). A positive segWidth plus a non-nil publish forwards
 // the PRaP store queue's segment-completion stream (ascending, exactly
 // once per segment) to the caller — the producer side of the ITS
 // pipeline's bounded segment handoff.
 func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.Dense, segWidth uint64, publish func(seg int)) error {
 	if e.rec != nil {
 		defer e.rec.StartSpan("phase", "s2").End()
-	}
-	for _, l := range lists {
-		e.chargeIntermediateRead(l)
 	}
 	st, err := e.network.MergeInto(lists, dim, yIn, y, segWidth, publish)
 	if err != nil {
@@ -597,78 +472,4 @@ func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.
 		e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y-in streamed in
 	}
 	return nil
-}
-
-// chargeIntermediateRead books one intermediate list streaming back in
-// from DRAM, ahead of a merge.
-func (e *Engine) chargeIntermediateRead(l []types.Record) {
-	b, comp, uncomp := e.vecBytes(l)
-	e.ledger.Charge(mem.Traffic{IntermediateRead: b})
-	e.stats.CompressedVecBytes += comp
-	e.stats.UncompressedVecBytes += uncomp
-}
-
-// compressedStripeMeta returns the byte footprint of the stripe's
-// VLDI-encoded meta-data, memoized in the plan cache when the stripe
-// belongs to the cached plan: the matrix is immutable within a run, so
-// the bits are computed once and reused every iteration.
-func (e *Engine) compressedStripeMeta(s *matrix.Stripe) uint64 {
-	if p := e.plan; p != nil && s.Index < len(p.stripes) && p.stripes[s.Index] == s {
-		if !p.metaDone[s.Index] {
-			p.metaBits[s.Index] = e.stripeMetaBits(s)
-			p.metaDone[s.Index] = true
-		}
-		return (p.metaBits[s.Index] + 7) / 8
-	}
-	return (e.stripeMetaBits(s) + 7) / 8
-}
-
-// stripeMetaBits sizes the stripe's VLDI meta-data stream — the
-// column-index delta stream within each row (sequential, streaming-only
-// reads — §5.1) plus one row-delta per row transition — without
-// materializing deltas or the encoding: the streaming sizer is exact
-// (Bytes == EncodeDeltas(...).Bytes()).
-func (e *Engine) stripeMetaBits(s *matrix.Stripe) uint64 {
-	sizer := e.cfg.MatrixCodec.NewSizer()
-	var prevRow, prevCol uint64
-	first := true
-	for _, ent := range s.Entries {
-		if first || ent.Row != prevRow {
-			rowDelta := ent.Row
-			if !first {
-				rowDelta = ent.Row - prevRow
-			}
-			sizer.AddDelta(rowDelta)
-			sizer.AddDelta(ent.Col)
-			prevRow, prevCol = ent.Row, ent.Col
-			first = false
-			continue
-		}
-		sizer.AddDelta(ent.Col - prevCol)
-		prevCol = ent.Col
-	}
-	return sizer.Bits()
-}
-
-// vecBytes returns the DRAM footprint of an intermediate record stream at
-// the engine's precision (VLDI-compressed when configured) together with
-// the compressed/uncompressed byte deltas for the statistics. The
-// compressed size comes from the streaming sizer — exactly
-// EncodeDeltas(DeltasFromKeys(keys)).Bytes(), with zero intermediate
-// slices.
-func (e *Engine) vecBytes(recs []types.Record) (footprint, compressed, uncompressed uint64) {
-	nnz := uint64(len(recs))
-	raw := nnz * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
-	if e.cfg.VectorCodec == nil || nnz == 0 {
-		return raw, raw, raw
-	}
-	sizer := e.cfg.VectorCodec.NewSizer()
-	for _, r := range recs {
-		if err := sizer.AddKey(r.Key); err != nil {
-			// Sorted invariant violated upstream; charge uncompressed.
-			return raw, raw, raw
-		}
-	}
-	b := sizer.Bytes() + nnz*uint64(e.cfg.ValueBytes)
-	return b, b, raw
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/mem"
 	"mwmerge/internal/merge"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
@@ -21,19 +20,16 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 	if err := checkVectors(a.Rows, a.Cols, uint64(len(x)), yIn); err != nil {
 		return nil, 0, err
 	}
-	stripes, err := matrix.Partition1D(a, e.cfg.SegmentWidth())
+	// Step 1 is the shared one (k=1) on a plan built past the cache: the
+	// cache's merge-way bound is what this entry point lifts.
+	p, err := e.planCOO(a, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Step 1 is the shared one (k=1), past the plan cache: its merge-way
-	// bound is what this entry point lifts.
 	bank := e.nextBank()
 	defer e.dropCols()
-	e.step1Compute(stripes, col(&e.one.x, x), nil, nil, bank)
-	lists, err := e.commitOutcomes(stripes, bank, 0)
-	if err != nil {
-		return nil, 0, err
-	}
+	e.step1Compute(p, col(&e.one.x, x), nil, bank)
+	lists := e.commit(p, bank, 0)
 
 	passes := 0
 	ways := e.cfg.Merge.Ways
@@ -45,17 +41,11 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 			if end > len(lists) {
 				end = len(lists)
 			}
-			batch := lists[off:end]
-			// Reading each batch list and writing the combined list are
-			// extra DRAM round trips beyond the baseline two-step flow.
-			for _, l := range batch {
-				e.chargeIntermediateRead(l)
-			}
-			combined := merge.MergeAccumulate(batch)
-			b, comp, uncomp := e.vecBytes(combined)
-			e.ledger.Charge(mem.Traffic{IntermediateWrite: b})
-			e.stats.CompressedVecBytes += comp
-			e.stats.UncompressedVecBytes += uncomp
+			// The combined list is an extra DRAM round trip beyond the
+			// baseline two-step flow; the batch lists' reads were booked
+			// with their writes.
+			combined := merge.MergeAccumulate(lists[off:end])
+			e.chargeRoundTrip(e.vecBytes(combined))
 			next = append(next, combined)
 		}
 		lists = next

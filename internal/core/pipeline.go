@@ -145,7 +145,7 @@ type pipelineHooks struct {
 }
 
 // step1Result carries a speculative step-1 run's recorder timestamps
-// back from its goroutine; the outcomes themselves live in the bank the
+// back from its goroutine; the lists themselves live in the bank the
 // run was handed.
 type step1Result struct {
 	start, end uint64
@@ -154,7 +154,7 @@ type step1Result struct {
 // iteratePipelined runs up to maxIters SpMV applications of a with real
 // ITS overlap and returns the final vector, the iterations executed,
 // and the transition bytes kept on chip. Per iteration it commits the
-// (already computed) step-1 outcomes, launches step 1 of the next
+// (already computed) step-1 lists, launches step 1 of the next
 // iteration against the y under construction, and drains step 2 with
 // segment publishing; the two phases meet only through the gate, so the
 // ledger, statistics and numerics match the sequential schedule
@@ -162,11 +162,10 @@ type step1Result struct {
 // joined and discarded without committing — wasted wall-clock, as on
 // the real machine, but no ledger pollution.
 func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, h pipelineHooks) (vector.Dense, int, uint64, error) {
-	plan, err := e.planFor(a)
+	p, err := e.planFor(a)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	stripes, det := plan.stripes, plan.det
 	rows := a.Rows
 	width := e.cfg.SegmentWidth()
 
@@ -182,13 +181,10 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 	bank := e.nextBank()
 	src := col(&e.one.x, x)
 	defer e.dropCols()
-	e.step1Compute(stripes, src, det, nil, bank)
+	e.step1Compute(p, src, nil, bank)
 	for it := 0; ; it++ {
-		e.chargeDetector(stripes, det)
-		lists, err := e.commitOutcomes(stripes, bank, 0)
-		if err != nil {
-			return nil, it, saved, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
+		e.chargeDetector(p)
+		lists := e.commit(p, bank, 0)
 
 		var update func(vector.Dense)
 		if h.update != nil {
@@ -222,7 +218,7 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 			if e.rec != nil {
 				r.start = e.rec.Now()
 			}
-			e.step1Compute(stripes, src, det, gate, nextBank)
+			e.step1Compute(p, src, gate, nextBank)
 			if e.rec != nil {
 				r.end = e.rec.Now()
 			}

@@ -4,16 +4,16 @@ package core
 // cooperate so repeated SpMV/Iterate/PageRank calls stop allocating after
 // warmup (DESIGN.md §9):
 //
-//   - enginePlan caches everything derivable from an immutable matrix:
-//     the 1D stripe partition, the HDN detector, and each stripe's
-//     VLDI-compressed meta-data bit count. The cache is keyed by matrix
-//     pointer identity — a *matrix.COO handed to the engine is treated
-//     as immutable for as long as it is reused.
-//   - two stripeBanks hold step-1 state (per-stripe record buffers,
-//     outcomes, the committed list headers). Two banks, rotated per
-//     step-1 run, are required and sufficient: the ITS pipeline keeps
-//     iteration i's lists alive (draining through step 2) while
-//     iteration i+1's step 1 fills the other bank.
+//   - enginePlan (plan.go) caches everything derivable from an immutable
+//     matrix: the stripes as row runs, the HDN detector, the LPT order
+//     and the stripes' books. The cache is keyed by matrix pointer
+//     identity — a *matrix.COO handed to the engine is treated as
+//     immutable for as long as it is reused.
+//   - two stripeBanks hold step-1 state (the record arena and the list
+//     headers). Two banks, rotated per step-1 run, are required and
+//     sufficient: the ITS pipeline keeps iteration i's lists alive
+//     (draining through step 2) while iteration i+1's step 1 fills the
+//     other bank.
 //   - a small dense free list recycles iteration-transition vectors.
 //     Buffers handed back to callers (SpMV results, IterateResult.X)
 //     are detached: they never re-enter the free list, so a result the
@@ -25,90 +25,31 @@ package core
 // handed, and is joined before the bank rotates back.
 
 import (
-	"fmt"
-	"sort"
-
-	"mwmerge/internal/hdn"
-	"mwmerge/internal/matrix"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
-	"mwmerge/internal/vldi"
 )
 
-// enginePlan caches the matrix-derived run plan across iterations.
-type enginePlan struct {
-	matrix  *matrix.COO
-	width   uint64
-	stripes []*matrix.Stripe
-	det     *hdn.Detector
-	// metaBits[k] is stripe k's VLDI meta-data bit count, filled lazily
-	// the first time stripe k is processed (valid iff metaDone[k]). Each
-	// stripe index is written by exactly one step-1 worker per run and
-	// the workers are joined before the next run starts, so the lazy
-	// fill is race-free without atomics.
-	metaBits []uint64
-	metaDone []bool
-}
-
-// planFor returns the cached plan for a, rebuilding it when the matrix
-// pointer or the segment width changed. The detector build and the
-// partition are deterministic in (a, cfg), so a cached plan is
-// indistinguishable from a rebuilt one; per-iteration ledger charges
-// (chargeDetector) stay with the callers.
-func (e *Engine) planFor(a *matrix.COO) (*enginePlan, error) {
-	width := e.cfg.SegmentWidth()
-	if e.plan != nil && e.plan.matrix == a && e.plan.width == width {
-		return e.plan, nil
-	}
-	stripes, err := matrix.Partition1D(a, width)
-	if err != nil {
-		return nil, err
-	}
-	if len(stripes) > e.cfg.Merge.Ways {
-		return nil, fmt.Errorf("core: %d stripes exceed %d merge ways", len(stripes), e.cfg.Merge.Ways)
-	}
-	var det *hdn.Detector
-	if e.cfg.HDN != nil {
-		if det, err = hdn.Build(a, *e.cfg.HDN); err != nil {
-			return nil, err
-		}
-	}
-	e.plan = &enginePlan{
-		matrix:   a,
-		width:    width,
-		stripes:  stripes,
-		det:      det,
-		metaBits: make([]uint64, len(stripes)),
-		metaDone: make([]bool, len(stripes)),
-	}
-	return e.plan, nil
-}
-
-// stripeScratch is one stripe slot of a bank: the sparse intermediate
-// vector whose record buffer is recycled, and the bit writer backing the
-// VLDI round-trip verification.
-type stripeScratch struct {
-	v  vector.Sparse
-	bw vldi.BitWriter
-}
-
-// stripeBank holds one generation of step-1 state.
+// stripeBank holds one generation of step-1 state: the record arena
+// every list of one step-1 run is carved from — a column holds exactly
+// the plan's run count of records, column c's stripe s starting at
+// c·runs + recOff — and the list headers, column c's stripe s in slot
+// c·n + s.
 type stripeBank struct {
-	outcomes []stripeOutcome
-	lists    [][]types.Record
-	stripes  []stripeScratch
+	recs  []types.Record
+	lists [][]types.Record
 }
 
-// sized prepares the bank for n stripes, recycling every buffer.
-func (b *stripeBank) sized(n int) {
-	if cap(b.outcomes) < n {
-		b.outcomes = make([]stripeOutcome, n)
+// sized prepares the bank for n list slots over recs records, recycling
+// both buffers.
+func (b *stripeBank) sized(n, recs int) {
+	if cap(b.lists) < n {
 		b.lists = make([][]types.Record, n)
-		b.stripes = make([]stripeScratch, n)
 	}
-	b.outcomes = b.outcomes[:n]
+	if cap(b.recs) < recs {
+		b.recs = make([]types.Record, recs)
+	}
 	b.lists = b.lists[:n]
-	b.stripes = b.stripes[:n]
+	b.recs = b.recs[:recs]
 }
 
 // nextBank rotates to the other bank. At most one step-1 run is in
@@ -119,15 +60,6 @@ func (e *Engine) nextBank() *stripeBank {
 	b := &e.banks[e.bankIdx]
 	e.bankIdx ^= 1
 	return b
-}
-
-// recsFor returns the slot's record buffer, emptied, with capacity for
-// at least hint records.
-func (s *stripeScratch) recsFor(hint int) []types.Record {
-	if cap(s.v.Recs) < hint {
-		return make([]types.Record, 0, hint)
-	}
-	return s.v.Recs[:0]
 }
 
 // getDense returns a dense vector of the given dimension from the free
@@ -214,53 +146,6 @@ func (f *frontierScratch) release(e *Engine) {
 			f.segs[k] = nil
 		}
 	}
-}
-
-// lptScratch recycles the ungated step-1 dispatch order: stripe indices
-// sorted heaviest-nnz-first (longest-processing-time scheduling), so a
-// skewed stripe starts first instead of landing on an already-busy
-// worker at the tail. Ties break toward the lower index, keeping the
-// order deterministic. Confined to the goroutine driving the engine:
-// only the ungated step1Compute path consults it, and at most one
-// ungated step-1 run is ever in flight (the ITS pipeline's concurrent
-// step-1 runs are gated, and the gated path keeps ascending dispatch —
-// see step1Compute).
-type lptScratch struct {
-	order  []int
-	weight []uint64
-}
-
-func (l *lptScratch) Len() int { return len(l.order) }
-func (l *lptScratch) Less(i, j int) bool {
-	a, b := l.order[i], l.order[j]
-	if l.weight[a] != l.weight[b] {
-		return l.weight[a] > l.weight[b]
-	}
-	return a < b
-}
-func (l *lptScratch) Swap(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] }
-
-// sized prepares the scratch for n stripes, recycling both slices.
-func (l *lptScratch) sized(n int) {
-	if cap(l.order) < n {
-		l.order = make([]int, n)
-		l.weight = make([]uint64, n)
-	}
-	l.order = l.order[:n]
-	l.weight = l.weight[:n]
-}
-
-// plan returns the stripe indices in LPT dispatch order. Sorting goes
-// through the pointer receiver (no interface boxing), so the steady
-// state stays allocation-free after warmup.
-func (l *lptScratch) plan(stripes []*matrix.Stripe) []int {
-	l.sized(len(stripes))
-	for k, s := range stripes {
-		l.order[k] = k
-		l.weight[k] = uint64(s.NNZ())
-	}
-	sort.Sort(l)
-	return l.order
 }
 
 // pipeGate returns the engine's reusable segment gate, reset to the

@@ -27,9 +27,8 @@ func sizeTestEngine(t *testing.T) *Engine {
 }
 
 // TestStripeMetaBitsMatchesEncoding checks the size-only stripe-meta
-// path against materializing the delta stream and encoding it — the
-// pre-arena implementation — bit for bit, and the memoized
-// compressedStripeMeta against both.
+// path over row runs against materializing the exchange-format stripe's
+// delta stream and encoding it, bit for bit.
 func TestStripeMetaBitsMatchesEncoding(t *testing.T) {
 	e := sizeTestEngine(t)
 	a, err := graph.ErdosRenyi(2000, 5, 21)
@@ -40,38 +39,25 @@ func TestStripeMetaBitsMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := e.cfg.MatrixCodec
+	p, err := e.planCOO(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range stripes {
-		var deltas []uint64
-		var prevRow, prevCol uint64
-		first := true
-		for _, ent := range s.Entries {
-			if first || ent.Row != prevRow {
-				rowDelta := ent.Row
-				if !first {
-					rowDelta = ent.Row - prevRow
-				}
-				deltas = append(deltas, rowDelta, ent.Col)
-				prevRow, prevCol = ent.Row, ent.Col
-				first = false
-				continue
-			}
-			deltas = append(deltas, ent.Col-prevCol)
-			prevCol = ent.Col
-		}
-		enc := codec.EncodeDeltas(deltas)
-		if got := e.stripeMetaBits(s); got != enc.Bits {
+		enc := e.cfg.MatrixCodec.EncodeDeltas(stripeDeltas(s))
+		rs := &p.stripes[s.Index]
+		if got := e.stripeMetaBits(rs); got != enc.Bits {
 			t.Fatalf("stripe %d: stripeMetaBits %d != encoded %d", s.Index, got, enc.Bits)
 		}
-		if got := e.compressedStripeMeta(s); got != enc.Bytes() {
-			t.Fatalf("stripe %d: compressedStripeMeta %d != encoded %d", s.Index, got, enc.Bytes())
+		if rs.books.compMat != enc.Bytes() {
+			t.Fatalf("stripe %d: booked meta %d != encoded %d", s.Index, rs.books.compMat, enc.Bytes())
 		}
 	}
 }
 
-// TestCompressedStripeMetaMemoized verifies the plan cache returns the
-// same bytes on repeated calls for plan-owned stripes (the memoized
-// path) as the direct computation.
+// TestCompressedStripeMetaMemoized verifies the plan cache: a repeated
+// planFor returns the same plan, whose books equal a fresh plan's, and
+// whose summed books are the stripes' books added up.
 func TestCompressedStripeMetaMemoized(t *testing.T) {
 	e := sizeTestEngine(t)
 	a, err := graph.ErdosRenyi(1000, 4, 22)
@@ -82,14 +68,26 @@ func TestCompressedStripeMetaMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range plan.stripes {
-		direct := (e.stripeMetaBits(s) + 7) / 8
-		if got := e.compressedStripeMeta(s); got != direct {
-			t.Fatalf("stripe %d: first memoized call %d != direct %d", s.Index, got, direct)
+	if again, err := e.planFor(a); err != nil || again != plan {
+		t.Fatalf("planFor rebuilt the plan of an unchanged matrix (%v)", err)
+	}
+	fresh, err := e.planCOO(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum stripeBooks
+	for k := range plan.stripes {
+		b := plan.stripes[k].books
+		if b != fresh.stripes[k].books {
+			t.Fatalf("stripe %d: cached books %+v != fresh %+v", k, b, fresh.stripes[k].books)
 		}
-		if got := e.compressedStripeMeta(s); got != direct {
-			t.Fatalf("stripe %d: second memoized call %d != direct %d", s.Index, got, direct)
+		if want := (e.stripeMetaBits(&plan.stripes[k]) + 7) / 8; b.compMat != want {
+			t.Fatalf("stripe %d: booked meta %d != direct %d", k, b.compMat, want)
 		}
+		sum.add(&b)
+	}
+	if sum != plan.books {
+		t.Fatalf("plan books %+v != stripes summed %+v", plan.books, sum)
 	}
 }
 
@@ -110,22 +108,21 @@ func TestVecBytesMatchesEncoding(t *testing.T) {
 	wantComp := e.cfg.VectorCodec.EncodeDeltas(deltas).Bytes() + uint64(len(recs))*uint64(e.cfg.ValueBytes)
 	wantRaw := uint64(len(recs)) * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
 
-	fp, comp, uncomp := e.vecBytes(recs)
-	if fp != wantComp || comp != wantComp || uncomp != wantRaw {
-		t.Fatalf("vecBytes = (%d, %d, %d), want (%d, %d, %d)", fp, comp, uncomp, wantComp, wantComp, wantRaw)
+	if got, want := e.vecBytes(recs), (vecBooks{wantComp, wantComp, wantRaw}); got != want {
+		t.Fatalf("vecBytes = %+v, want %+v", got, want)
 	}
 
 	// Empty stream: raw zero on every leg.
-	if fp, comp, uncomp := e.vecBytes(nil); fp != 0 || comp != 0 || uncomp != 0 {
-		t.Fatalf("vecBytes(nil) = (%d, %d, %d), want zeros", fp, comp, uncomp)
+	if got := e.vecBytes(nil); got != (vecBooks{}) {
+		t.Fatalf("vecBytes(nil) = %+v, want zeros", got)
 	}
 
 	// Unsorted stream: the sorted invariant is violated upstream, so all
 	// three legs fall back to the uncompressed footprint.
 	bad := []types.Record{{Key: 9}, {Key: 9}}
 	badRaw := uint64(len(bad)) * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
-	if fp, comp, uncomp := e.vecBytes(bad); fp != badRaw || comp != badRaw || uncomp != badRaw {
-		t.Fatalf("vecBytes(unsorted) = (%d, %d, %d), want all %d", fp, comp, uncomp, badRaw)
+	if got := e.vecBytes(bad); got != (vecBooks{badRaw, badRaw, badRaw}) {
+		t.Fatalf("vecBytes(unsorted) = %+v, want all %d", got, badRaw)
 	}
 
 	// No codec configured: footprint is raw.
@@ -133,7 +130,7 @@ func TestVecBytesMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp, comp, uncomp := plain.vecBytes(recs); fp != wantRaw || comp != wantRaw || uncomp != wantRaw {
-		t.Fatalf("vecBytes(no codec) = (%d, %d, %d), want all %d", fp, comp, uncomp, wantRaw)
+	if got := plain.vecBytes(recs); got != (vecBooks{wantRaw, wantRaw, wantRaw}) {
+		t.Fatalf("vecBytes(no codec) = %+v, want all %d", got, wantRaw)
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"mwmerge/internal/prap"
 )
 
-// TestSpMVStripesParallelIdentical pins the satellite rerouting of
-// SpMVStripes through step1Compute: the layout-streamed path now honors
-// cfg.Workers, and the worker count (hence the LPT dispatch order) must
-// be invisible in the result bits, the traffic ledger, and the stats.
+// TestSpMVStripesParallelIdentical pins SpMVStripes to the shared
+// step1Compute: the layout-streamed path honors cfg.Workers, and the
+// worker count (hence the LPT dispatch order) must be invisible in the
+// result bits, the traffic ledger, and the stats.
 func TestSpMVStripesParallelIdentical(t *testing.T) {
 	a, err := graph.Zipf(2000, 4, 1.8, 71)
 	if err != nil {
@@ -57,26 +57,20 @@ func TestSpMVStripesParallelIdentical(t *testing.T) {
 }
 
 // TestLPTPlanOrder pins the ungated dispatch order: stripes sorted by
-// descending nonzero weight, ties broken toward the lower index, and the
-// scratch recycled across plans of different sizes.
+// descending nonzero weight, ties broken toward the lower index.
 func TestLPTPlanOrder(t *testing.T) {
-	mk := func(nnz ...int) []*matrix.Stripe {
-		stripes := make([]*matrix.Stripe, len(nnz))
+	mk := func(nnz ...int) []runStripe {
+		stripes := make([]runStripe, len(nnz))
 		for k, n := range nnz {
-			stripes[k] = &matrix.Stripe{Index: k, Entries: make([]matrix.Entry, n)}
+			stripes[k].vals = make([]float64, n)
 		}
 		return stripes
 	}
-	var l lptScratch
-	got := l.plan(mk(3, 9, 1, 9, 0))
-	want := []int{1, 3, 0, 2, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("plan = %v, want %v", got, want)
+	if got, want := lptOrder(mk(3, 9, 1, 9, 0)), []int{1, 3, 0, 2, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
 	}
-	// Shrinking reuses the arrays and still orders correctly.
-	got = l.plan(mk(0, 5))
-	if !reflect.DeepEqual(got, []int{1, 0}) {
-		t.Errorf("shrunk plan = %v, want [1 0]", got)
+	if got := lptOrder(mk(0, 5)); !reflect.DeepEqual(got, []int{1, 0}) {
+		t.Errorf("order = %v, want [1 0]", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mwmerge/internal/matrix"
+	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
@@ -45,72 +46,99 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 		return nil, st, err
 	}
 
-	plan, err := e.planFor(a)
+	p, err := e.planFor(a)
 	if err != nil {
 		return nil, st, err
 	}
-	stripes := plan.stripes
 	width := e.cfg.SegmentWidth()
-	st.SegmentsTotal = len(stripes)
+	st.SegmentsTotal = len(p.stripes)
 
 	// Scatter x nonzeros into per-segment dense buffers drawn from the
 	// engine's free list (zeroed — free-list contents are unspecified);
 	// segments with none stay nil.
-	fr := e.frontier.sized(len(stripes))
+	fr := e.frontier.sized(len(p.stripes))
 	for _, r := range x.Recs {
 		k := int(r.Key / width)
+		s := &p.stripes[k]
 		if fr.segs[k] == nil {
-			seg := e.getDense(int(stripes[k].Width))
+			seg := e.getDense(int(s.width))
 			seg.Zero()
 			fr.segs[k] = seg
 		}
-		fr.segs[k][r.Key-stripes[k].ColStart] = r.Val
+		fr.segs[k][r.Key-s.colStart] = r.Val
 		fr.nnz[k]++
 	}
 
-	// The frontier's step 1: a zero-skipping multiply in place of
-	// step1Into (sharing it would put a caller-specific branch in the
-	// dense hot loop), filling the same bank outcomes the shared
-	// accounting, commit and step 2 take over from.
+	// The frontier's step 1: a zero-skipping multiply in place of the
+	// dense one (sharing it would put a caller-specific branch in the
+	// dense hot loop), into the same bank. Its records depend on the
+	// frontier, so its books are summed per call; the matrix share is the
+	// plan's, booked for every stripe that streamed.
 	bank := e.nextBank()
-	bank.sized(len(stripes))
-	for k, s := range stripes {
-		bank.outcomes[k] = stripeOutcome{}
+	bank.sized(len(p.stripes), p.runs)
+	var books stripeBooks
+	for k := range p.stripes {
+		s := &p.stripes[k]
+		bank.lists[k] = nil
 		if fr.segs[k] == nil {
 			continue // inactive: zero traffic, zero work
 		}
 		st.SegmentsActive++
-		scr := &bank.stripes[k]
-		scr.v = vector.Sparse{Dim: int(s.Rows), Recs: scr.recsFor(s.NNZ())}
-		var visited uint64
-		for _, ent := range s.Entries {
-			xv := fr.segs[k][ent.Col]
-			if xv == 0 {
-				st.EntriesSkipped++
-				continue
-			}
-			visited++
-			if err := scr.v.Accumulate(ent.Row, ent.Val*xv); err != nil {
-				fr.release(e)
-				return nil, st, err
-			}
-		}
+		recs, skipped := s.multiplyFrontier(fr.segs[k], bank.recs[s.recOff:s.recOff:s.recOff+len(s.rows)])
+		bank.lists[k] = recs
+		visited := s.nnz() - skipped
 		st.EntriesVisited += visited
-		// Only the x nonzeros stream on chip for a sparse vector.
-		sourceBytes := fr.nnz[k] * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
-		bank.outcomes[k] = e.accountStripe(s, scr, Step1Stats{Products: visited}, sourceBytes, true)
+		st.EntriesSkipped += skipped
+		books.add(&stripeBooks{
+			products: visited,
+			records:  uint64(len(recs)),
+			// Only the x nonzeros stream on chip for a sparse vector.
+			source:    fr.nnz[k] * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes),
+			vec:       e.vecBytes(recs),
+			matrix:    s.books.matrix,
+			compMat:   s.books.compMat,
+			uncompMat: s.books.uncompMat,
+		})
 	}
 	// The scatter segments are dead once the stripe loop finishes.
 	fr.release(e)
 
-	lists, err := e.commitOutcomes(stripes, bank, 0)
-	if err != nil {
-		return nil, st, err
-	}
+	e.noteStripeSkew(p)
+	e.book(&books, true)
 	y := vector.NewDense(int(a.Rows))
-	if err := e.runStep2Into(lists, a.Rows, nil, y, 0, nil); err != nil {
+	if err := e.runStep2Into(bank.lists, a.Rows, nil, y, 0, nil); err != nil {
 		return nil, st, err
 	}
 	e.snapshot("spmspv")
 	return y, st, nil
+}
+
+// multiplyFrontier is multiply for a frontier segment: products whose x
+// operand is zero are skipped, and a run with none left emits no record.
+// It appends to out (capacity for the run count) and returns the records
+// and the skipped count.
+func (s *runStripe) multiplyFrontier(xSeg []float64, out []types.Record) ([]types.Record, uint64) {
+	var skipped uint64
+	start := uint32(0)
+	for r, end := range s.ends {
+		var sum float64
+		hit := false
+		for i := start; i < end; i++ {
+			xv := xSeg[s.cols[i]]
+			if xv == 0 {
+				skipped++
+				continue
+			}
+			if prod := float64(s.vals[i] * xv); hit {
+				sum += prod
+			} else {
+				sum, hit = prod, true
+			}
+		}
+		if hit {
+			out = append(out, types.Record{Key: s.rows[r], Val: sum})
+		}
+		start = end
+	}
+	return out, skipped
 }

@@ -40,13 +40,17 @@ func (e *Engine) SpMVStripes(stripes []*matrix.Stripe, rows, cols uint64, x, yIn
 		return nil, fmt.Errorf("core: stripes cover %d of %d columns", covered, cols)
 	}
 
-	// The layout-streamed path is the k-wide driver at k=1 with only the
-	// plan cache bypassed, because the stripes arrived prebuilt: the same
-	// Workers fan-out, LPT dispatch, recycled stripe bank, recorder spans
-	// and skew statistics as SpMV.
+	// The layout-streamed path is runPlan at k=1 on a plan built from the
+	// prebuilt stripes for this call only: the same Workers fan-out, LPT
+	// dispatch, recycled stripe bank, recorder spans and skew statistics
+	// as SpMV.
+	p, err := e.planStripes(stripes, rows, cols)
+	if err != nil {
+		return nil, err
+	}
 	y := vector.NewDense(int(rows))
 	defer e.dropCols()
-	if err := e.runStripes(stripes, nil, rows, col(&e.one.x, x), col(&e.one.yIn, yIn), col(&e.one.y, y), nil); err != nil {
+	if err := e.runPlan(p, rows, col(&e.one.x, x), col(&e.one.yIn, yIn), col(&e.one.y, y), nil); err != nil {
 		return nil, err
 	}
 	e.snapshot("stripes")
