@@ -62,13 +62,20 @@ report:
 serve-smoke:
 	$(GO) run ./cmd/spmvd -smoke
 
-# Short fuzz pass over the parser/codec targets, the PRaP routing
-# (sentinel rejection and agreement with the bitonic pre-sorter), the
-# Merge Path kernel against both reference mergers, and the sparse vs
-# dense store-queue drains.
+# Short fuzz pass over the VLDI codec (round trip; the streaming sizer
+# equal to the encoder, which the plan's once-per-plan VLDI sizes rest
+# on; a bit reader that never panics on garbage), the three matrix file
+# readers spmvd loads from outside the program (Matrix Market, binary,
+# edge list), the PRaP routing (sentinel rejection and agreement with
+# the bitonic pre-sorter), the Merge Path kernel against both reference
+# mergers, and the sparse vs dense store-queue drains.
 fuzz:
 	$(GO) test -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/vldi/
+	$(GO) test -fuzz=FuzzSizeMatchesEncode -fuzztime=10s ./internal/vldi/
+	$(GO) test -fuzz=FuzzBitReaderNeverPanics -fuzztime=10s ./internal/vldi/
 	$(GO) test -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/matrix/
+	$(GO) test -fuzz=FuzzReadBinary -fuzztime=10s ./internal/matrix/
+	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/matrix/
 	$(GO) test -fuzz=FuzzRouteLists -fuzztime=10s ./internal/prap/
 	$(GO) test -fuzz=FuzzDrainModes -fuzztime=10s ./internal/prap/
 	$(GO) test -fuzz=FuzzMergeKernels -fuzztime=10s ./internal/merge/

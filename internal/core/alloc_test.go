@@ -7,6 +7,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"mwmerge/internal/graph"
@@ -49,27 +50,29 @@ func TestIterateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// Each entry point reports the products one call computed (a block
-	// call one per column, an iterative call one per iteration);
-	// PageRank's per-call normalization and re-partition are charged to
-	// its iterations.
+	// call one per column, an iterative call one per iteration). A row
+	// with maxBytes also holds a warmed call's allocated bytes below it:
+	// PageRank's normalized operand lives with the plan, so a warmed call
+	// must allocate less than one 8-byte value per nonzero.
 	entries := []struct {
-		name string
-		call func(*Engine) (int, error)
+		name     string
+		call     func(*Engine) (int, error)
+		maxBytes uint64
 	}{
-		{"SpMV", func(e *Engine) (int, error) {
+		{name: "SpMV", call: func(e *Engine) (int, error) {
 			_, err := e.SpMV(a, x, nil)
 			return 1, err
 		}},
-		{"SpMVBlock4", func(e *Engine) (int, error) {
+		{name: "SpMVBlock4", call: func(e *Engine) (int, error) {
 			_, err := e.SpMVBlock(a, xs, nil)
 			return k, err
 		}},
-		{"Iterate", iterate(false)},
-		{"IterateOverlap", iterate(true)},
-		{"PageRank", func(e *Engine) (int, error) {
+		{name: "Iterate", call: iterate(false)},
+		{name: "IterateOverlap", call: iterate(true)},
+		{name: "PageRank", call: func(e *Engine) (int, error) {
 			_, its, err := e.PageRank(a, 0.85, 0, 32, false)
 			return its, err
-		}},
+		}, maxBytes: uint64(a.NNZ()) * 8},
 	}
 	for _, kernel := range []prap.MergeKernel{prap.KernelLoserTree, prap.KernelMergePath} {
 		cfg := testConfig()
@@ -96,6 +99,24 @@ func TestIterateSteadyStateAllocs(t *testing.T) {
 			if perProduct > steadyAllocBudget {
 				t.Errorf("%s/%s: %.2f allocs per product exceeds budget %d",
 					kernel, en.name, perProduct, steadyAllocBudget)
+			}
+			if en.maxBytes == 0 {
+				continue
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := en.call(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perCallBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s/%s: %d bytes/call (ceiling %d)", kernel, en.name, perCallBytes, en.maxBytes)
+			if perCallBytes >= en.maxBytes {
+				t.Errorf("%s/%s: %d bytes per warmed call, want under %d",
+					kernel, en.name, perCallBytes, en.maxBytes)
 			}
 		}
 	}

@@ -276,8 +276,9 @@ func (c Config) checkCapacity(rows uint64) error {
 // spmvCompute is the k-wide Two-Step driver: ys[c] = A·xs[c] + yIns[c]
 // for every column c with one matrix pass, each ys[c] (length a.Rows)
 // fully overwritten. yIns may be nil or per-entry nil. Every dense entry
-// point funnels through it — SpMV and the non-overlap Iterate/PageRank as
-// its k=1 case — reusing the plan cache and a step-1 bank. It
+// point funnels through it — SpMV and the non-overlap Iterate as its k=1
+// case — reusing the plan cache and a step-1 bank; PageRank, whose
+// operand is the plan's normalized sibling, calls runPlan directly. It
 // re-validates the inputs so iterative callers surface exactly the
 // errors a standalone call would.
 func (e *Engine) spmvCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {

@@ -106,13 +106,17 @@ func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) 
 	base := (1 - damping) / float64(a.Rows)
 	xs := make([]vector.Dense, k)
 	if opt.Overlap {
+		p, err := e.planFor(a)
+		if err != nil {
+			return nil, 0, err
+		}
 		var hooks pipelineHooks
 		if damping != 0 {
 			hooks.update = func(int, vector.Dense) func(vector.Dense) {
 				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
 			}
 		}
-		x, _, saved, err := e.iteratePipelined(a, x0s[0], opt.Iterations, hooks)
+		x, _, saved, err := e.iteratePipelined(p, a.Rows, x0s[0], opt.Iterations, hooks)
 		xs[0] = x
 		return xs, saved, err
 	}
@@ -160,12 +164,15 @@ func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) 
 // PageRank runs damped power iteration until the L1 delta drops below tol
 // or maxIters is reached, returning the rank vector and iterations used.
 // It is the workload of the paper's iterative-SpMV optimization study.
+// damping must lie in [0, 1] and tol be a non-negative number.
 // Dangling (all-zero) columns get the standard damped-PageRank
 // correction: their rank mass is redistributed uniformly each iteration,
 // so the returned vector always sums to 1. Inter-iteration transitions
 // are accounted exactly as in Iterate, and overlap runs the ITS pipeline
 // with the teleport update applied streaming per published segment —
-// bit-identical to the sequential schedule.
+// bit-identical to the sequential schedule. The column-normalized
+// operand is derived once from the matrix's cached plan and kept with
+// it, so repeated calls, and SpMV calls in between, never plan again.
 func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, overlap bool) (vector.Dense, int, error) {
 	ranks, iters, err := e.pageRank(a, []vector.Dense{nil}, damping, tol, maxIters, overlap)
 	if err != nil {
@@ -182,11 +189,19 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float64, maxIters int, overlap bool) ([]vector.Dense, []int, error) {
 	k := len(x0s)
 	iters := make([]int, k)
+	// The negated comparisons reject NaN too: a NaN tol never converges
+	// and a damping outside [0, 1] diverges until the ranks overflow.
+	if !(damping >= 0 && damping <= 1) {
+		return nil, iters, fmt.Errorf("core: PageRank damping %g outside [0, 1]", damping)
+	}
+	if !(tol >= 0) {
+		return nil, iters, fmt.Errorf("core: PageRank tolerance %g is not a non-negative number", tol)
+	}
 	if a.Rows != a.Cols {
 		return nil, iters, fmt.Errorf("core: PageRank needs a square matrix")
 	}
-	// Capacity is checked before the O(nnz) normalization below: an
-	// over-capacity matrix must fail fast, not after a full clone.
+	// Capacity is checked before planning: an over-capacity matrix must
+	// fail fast, not after an O(nnz) partition.
 	if err := e.cfg.CheckIterativeCapacity(a.Rows, overlap); err != nil {
 		return nil, iters, err
 	}
@@ -196,7 +211,6 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 			return nil, iters, fmt.Errorf("core: column %d start vector has dimension %d, want %d", c, len(x0s[c]), n)
 		}
 	}
-	norm, dangling := pageRankSetup(a)
 
 	ranks := make([]vector.Dense, k)
 	// The live set: sources and original column indices of the columns
@@ -216,6 +230,12 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 	if maxIters < 1 {
 		return xs, iters, nil
 	}
+	p, err := e.planFor(a)
+	if err != nil {
+		return nil, iters, err
+	}
+	norm := p.pageRankPlan(n)
+	dangling := norm.dangling
 	if overlap {
 		hooks := pipelineHooks{
 			update: func(_ int, src vector.Dense) func(vector.Dense) {
@@ -226,8 +246,7 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 				return l1Delta(y, src) < tol
 			},
 		}
-		var err error
-		ranks[0], iters[0], _, err = e.iteratePipelined(norm, xs[0], maxIters, hooks)
+		ranks[0], iters[0], _, err = e.iteratePipelined(norm, n, xs[0], maxIters, hooks)
 		return ranks, iters, err
 	}
 
@@ -243,7 +262,7 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 		for i := range ys {
 			ys[i] = e.getDense(int(n))
 		}
-		if err := e.spmvCompute(norm, xs, nil, ys, nil); err != nil {
+		if err := e.runPlan(norm, n, xs, nil, ys, nil); err != nil {
 			for i := range ys {
 				e.putDense(ys[i])
 				iters[cols[i]] = it
@@ -276,37 +295,13 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 	return ranks, iters, nil
 }
 
-// pageRankSetup builds the PageRank operand from a: the column-normalized
-// clone (non-empty columns sum to 1) and the sorted dangling-column list.
-// Dangling columns (sinks) push no mass through A, so ‖A·x‖₁ < 1 and
-// rank mass would leak every iteration; each iteration redistributes
-// their mass uniformly via the teleport base, keeping ‖x‖₁ = 1 exactly
-// (up to rounding).
-func pageRankSetup(a *matrix.COO) (*matrix.COO, []uint64) {
-	n := a.Rows
-	colSum := make([]float64, n)
-	for _, ent := range a.Entries {
-		colSum[ent.Col] += ent.Val
-	}
-	norm := a.Clone()
-	for i, ent := range norm.Entries {
-		if colSum[ent.Col] != 0 {
-			norm.Entries[i].Val = ent.Val / colSum[ent.Col]
-		}
-	}
-	var dangling []uint64
-	for j, s := range colSum {
-		if s == 0 {
-			dangling = append(dangling, uint64(j))
-		}
-	}
-	return norm, dangling
-}
-
 // teleportBase evaluates the iteration-dependent part of the update
 // y = damping·A·x + base: teleport plus the dangling mass of the
 // iteration's source vector, summed in index order on every schedule —
 // the summation-order anchor of the scalar/block bit-identity contract.
+// Dangling columns (sinks) push no mass through A, so ‖A·x‖₁ < 1 and
+// rank mass would leak every iteration; redistributing their mass
+// uniformly here keeps ‖x‖₁ = 1 exactly (up to rounding).
 func teleportBase(x vector.Dense, dangling []uint64, damping float64, n uint64) float64 {
 	mass := 0.0
 	for _, j := range dangling {

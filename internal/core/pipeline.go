@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"sync"
 
-	"mwmerge/internal/matrix"
 	"mwmerge/internal/vector"
 )
 
@@ -151,9 +150,10 @@ type step1Result struct {
 	start, end uint64
 }
 
-// iteratePipelined runs up to maxIters SpMV applications of a with real
-// ITS overlap and returns the final vector, the iterations executed,
-// and the transition bytes kept on chip. Per iteration it commits the
+// iteratePipelined runs up to maxIters SpMV applications of the matrix
+// planned in p (rows rows) with real ITS overlap and returns the final
+// vector, the iterations executed, and the transition bytes kept on
+// chip. Per iteration it commits the
 // (already computed) step-1 lists, launches step 1 of the next
 // iteration against the y under construction, and drains step 2 with
 // segment publishing; the two phases meet only through the gate, so the
@@ -161,12 +161,7 @@ type step1Result struct {
 // exactly. When an iteration converges, the speculative next step 1 is
 // joined and discarded without committing — wasted wall-clock, as on
 // the real machine, but no ledger pollution.
-func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, h pipelineHooks) (vector.Dense, int, uint64, error) {
-	p, err := e.planFor(a)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rows := a.Rows
+func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, maxIters int, h pipelineHooks) (vector.Dense, int, uint64, error) {
 	width := e.cfg.SegmentWidth()
 
 	x := x0.Clone()
@@ -229,7 +224,7 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 		if e.rec != nil {
 			s2Start = e.rec.Now()
 		}
-		err = e.runStep2Into(lists, rows, nil, y, width, func(seg int) {
+		err := e.runStep2Into(lists, rows, nil, y, width, func(seg int) {
 			if update != nil {
 				lo := uint64(seg) * width
 				hi := lo + width

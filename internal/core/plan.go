@@ -6,7 +6,8 @@ package core
 // step 1 reads them — row runs — and, because for a dense x each
 // stripe's records, keys and byte counts are fixed by its key pattern,
 // the stripe's complete books. Step 1 then only multiplies; the books
-// are added, not recomputed, per call.
+// are added, not recomputed, per call. PageRank's column-normalized
+// operand is a values-only sibling of the plan (pageRankPlan).
 
 import (
 	"fmt"
@@ -39,6 +40,11 @@ type enginePlan struct {
 	// (longest processing time), ties toward the lower index, so a skewed
 	// stripe starts first instead of landing on a busy worker at the tail.
 	lpt []int
+	// pr is the PageRank sibling (pageRankPlan), built on the first
+	// PageRank call against the matrix and nil until then. dangling is
+	// set in a sibling only: the columns whose values sum to exactly 0.
+	pr       *enginePlan
+	dangling []uint64
 }
 
 // runStripe is one stripe A_k in the form step 1 reads: its nonzeros
@@ -162,6 +168,59 @@ func (e *Engine) planFor(a *matrix.COO) (*enginePlan, error) {
 	p.matrix = a
 	e.plan = p
 	return p, nil
+}
+
+// pageRankPlan returns the PageRank operand of the n×n matrix p plans: a
+// sibling plan whose values are column-normalized (every column whose
+// values do not sum to exactly 0 sums to 1; one that does keeps its
+// values), with those zero-sum columns — the dangling ones, which push
+// no rank mass through A — listed ascending. Normalizing changes only
+// values, so the sibling shares p's row runs, columns, books, detector
+// and LPT order and owns one new value slab. It is built on first use
+// and kept in p, so it lives exactly as long as the plain plan; the
+// engine's single-caller contract means no step-1 run reads p while it
+// is attached.
+func (p *enginePlan) pageRankPlan(n uint64) *enginePlan {
+	if p.pr != nil {
+		return p.pr
+	}
+	// A column lies in one stripe, whose entries keep the matrix's entry
+	// order, so walking the stripes in run order adds each column's values
+	// in entry order: the sums, and the quotients below, are those of a
+	// pass over the matrix's entries.
+	colSum := make([]float64, n)
+	for k := range p.stripes {
+		s := &p.stripes[k]
+		sums := colSum[s.colStart : s.colStart+s.width]
+		for i, c := range s.cols {
+			sums[c] += s.vals[i]
+		}
+	}
+	pr := *p
+	pr.matrix, pr.pr = nil, nil
+	pr.stripes = make([]runStripe, len(p.stripes))
+	vals := make([]float64, p.nnz)
+	for k, s := range p.stripes {
+		sums := colSum[s.colStart : s.colStart+s.width]
+		norm := vals[:len(s.vals):len(s.vals)]
+		vals = vals[len(s.vals):]
+		for i, c := range s.cols {
+			if sum := sums[c]; sum != 0 {
+				norm[i] = s.vals[i] / sum
+			} else {
+				norm[i] = s.vals[i]
+			}
+		}
+		s.vals = norm
+		pr.stripes[k] = s
+	}
+	for j, sum := range colSum {
+		if sum == 0 {
+			pr.dangling = append(pr.dangling, uint64(j))
+		}
+	}
+	p.pr = &pr
+	return p.pr
 }
 
 // planCOO partitions a into stripes of the engine's segment width

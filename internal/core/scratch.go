@@ -5,8 +5,9 @@ package core
 // warmup (DESIGN.md §9):
 //
 //   - enginePlan (plan.go) caches everything derivable from an immutable
-//     matrix: the stripes as row runs, the HDN detector, the LPT order
-//     and the stripes' books. The cache is keyed by matrix pointer
+//     matrix: the stripes as row runs, the HDN detector, the LPT order,
+//     the stripes' books and, once PageRank has run, the column-normalized
+//     values sibling. The cache is keyed by matrix pointer
 //     identity — a *matrix.COO handed to the engine is treated as
 //     immutable for as long as it is reused.
 //   - two stripeBanks hold step-1 state (the record arena and the list

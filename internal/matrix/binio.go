@@ -69,17 +69,22 @@ func ReadBinary(r io.Reader) (*COO, error) {
 	if nnz > maxNNZ {
 		return nil, fmt.Errorf("matrix: binary nnz %d exceeds sanity cap", nnz)
 	}
-	entries := make([]Entry, nnz)
-	for i := range entries {
-		if err := binary.Read(br, binary.LittleEndian, &entries[i].Row); err != nil {
+	// The header's count is not trusted for the allocation: a short file
+	// claiming 2^34 entries must fail at its end, not reserve 384 GiB
+	// first. Memory grows with the entries actually read.
+	entries := make([]Entry, 0, min(nnz, 1<<16))
+	for i := uint64(0); i < nnz; i++ {
+		var e Entry
+		if err := binary.Read(br, binary.LittleEndian, &e.Row); err != nil {
 			return nil, fmt.Errorf("matrix: entry %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &entries[i].Col); err != nil {
+		if err := binary.Read(br, binary.LittleEndian, &e.Col); err != nil {
 			return nil, fmt.Errorf("matrix: entry %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &entries[i].Val); err != nil {
+		if err := binary.Read(br, binary.LittleEndian, &e.Val); err != nil {
 			return nil, fmt.Errorf("matrix: entry %d: %w", i, err)
 		}
+		entries = append(entries, e)
 	}
 	return NewCOO(rows, cols, entries)
 }

@@ -319,6 +319,34 @@ func TestServerPageRankMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestServerPageRankRejectsBadParams pins the answer to PageRank
+// parameters the engine rejects: damping outside [0, 1] or a negative
+// tolerance is a 400 with an error body, and the rejected request leaves
+// the pool's ledger where it was.
+func TestServerPageRankRejectsBadParams(t *testing.T) {
+	a := testGraph(t, 300, 4, 16)
+	p := newTestPool(t, "g", a, 1, 1)
+	ts := newTestServer(t, Config{}, p)
+	before, _, _ := p.Ledger()
+	for name, body := range map[string]map[string]any{
+		"damping-above-one": {"matrix": "g", "damping": 1.5, "max_iters": 400},
+		"damping-negative":  {"matrix": "g", "damping": -0.5},
+		"tol-negative":      {"matrix": "g", "tol": -1},
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/pagerank", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", name, resp.StatusCode, raw)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(raw, &e); err != nil || !strings.HasPrefix(e.Error, "core: ") {
+			t.Fatalf("%s: body %s does not carry the engine's error", name, raw)
+		}
+		if after, _, _ := p.Ledger(); after != before {
+			t.Fatalf("%s: the rejected request moved the pool ledger:\n before %+v\n after  %+v", name, before, after)
+		}
+	}
+}
+
 func TestServerStatusCodes(t *testing.T) {
 	// 5000 rows: within the 8192 engine capacity (so the pool warms),
 	// above the 4096 ITS-overlap capacity (so overlap requests are
