@@ -52,7 +52,7 @@ experiments:
 report:
 	mkdir -p out
 	$(GO) run ./cmd/spmvrun -gen zipf -nodes 50000 -degree 8 -seed 1 \
-		-iters 5 -damping 0.85 -overlap -workers 4 -vldi 8 -hdn 500 \
+		-iters 5 -damping 0.85 -overlap -vldi 8 -hdn 500 \
 		-report out/pagerank.report.json -prom out/pagerank.prom \
 		-trace out/pagerank.gantt.txt
 

@@ -61,7 +61,6 @@ func BenchmarkAblationITS(b *testing.B)             { benchExperiment(b, "ablati
 func BenchmarkAblationVLDIMeasured(b *testing.B)    { benchExperiment(b, "ablation-vldi") }
 func BenchmarkOnChipSweep(b *testing.B)             { benchExperiment(b, "onchip-sweep") }
 func BenchmarkMCScaling(b *testing.B)               { benchExperiment(b, "mc-scaling") }
-func BenchmarkBeyondSpMV(b *testing.B)              { benchExperiment(b, "beyond-spmv") }
 func BenchmarkRowBuffer(b *testing.B)               { benchExperiment(b, "rowbuffer") }
 func BenchmarkInterfaceSweep(b *testing.B)          { benchExperiment(b, "interface-sweep") }
 func BenchmarkDesignSpace(b *testing.B)             { benchExperiment(b, "designspace") }

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -31,12 +30,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"mwmerge"
 	"mwmerge/internal/core"
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
@@ -77,7 +78,7 @@ func (l *matrixList) Set(v string) error {
 }
 
 // parseSpec materializes one matrix spec: generator:nodes[:degree[:seed]]
-// or a file path (format sniffed like spmvrun).
+// or a file path (format sniffed by matrix.ReadFile).
 func parseSpec(spec string) (*matrix.COO, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
 	switch kind {
@@ -86,33 +87,9 @@ func parseSpec(spec string) (*matrix.COO, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spec %q: %w", spec, err)
 		}
-		switch kind {
-		case "er":
-			return graph.ErdosRenyi(nodes, degree, seed)
-		case "zipf":
-			return graph.Zipf(nodes, degree, 1.8, seed)
-		default:
-			scale := uint(0)
-			for (uint64(1) << (scale + 1)) <= nodes {
-				scale++
-			}
-			return graph.RMAT(scale, degree, graph.Graph500Params(), seed)
-		}
+		return graph.Generate(kind, nodes, degree, seed)
 	}
-	f, err := os.Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	head, err := br.Peek(16)
-	if err == nil && len(head) >= 8 && string(head[:8]) == "MWMCOO1\n" {
-		return matrix.ReadBinary(br)
-	}
-	if err == nil && len(head) >= 2 && string(head[:2]) == "%%" {
-		return matrix.ReadMatrixMarket(br)
-	}
-	return matrix.ReadEdgeList(br, 0)
+	return matrix.ReadFile(spec)
 }
 
 func parseGenArgs(rest string) (nodes uint64, degree float64, seed int64, err error) {
@@ -150,8 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scratchKiB = fs.Uint64("scratch", 256, "scratchpad KiB for the vector segment")
 		ways       = fs.Int("ways", 1024, "merge core ways K")
 		radix      = fs.Uint("q", 4, "PRaP radix bits (2^q merge cores)")
-		workers    = fs.Int("workers", 1, "step-1 worker goroutines per engine")
-		mergeWork  = fs.Int("merge-workers", 1, "step-2 merge goroutines per engine")
 		maxBatch   = fs.Int("batch", 1, "max same-matrix /v1/spmv requests coalesced into one block flush (1 disables batching)")
 		batchWin   = fs.Duration("batch-window", 2*time.Millisecond, "how long the first queued request waits for same-matrix company before its batch flushes")
 		smoke      = fs.Bool("smoke", false, "self-check: serve a small graph, run PageRank over HTTP plus a coalesced SpMV batch, verify the /metrics scrape against a direct engine run, exit")
@@ -167,15 +142,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := core.Config{
-		ScratchpadBytes: *scratchKiB << 10,
-		ValueBytes:      8,
-		MetaBytes:       8,
-		Lanes:           8,
-		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork},
-		HBM:             mem.DefaultHBM(),
-		Workers:         *workers,
-	}
+	cfg := mwmerge.DefaultEngineConfig()
+	cfg.ScratchpadBytes = *scratchKiB << 10
+	cfg.Merge.Q = *radix
+	cfg.Merge.Ways = *ways
+	cfg.Workers = engineWorkers(*poolSize)
+	cfg.Merge.MergeWorkers = cfg.Workers
 
 	var pools []*serve.Pool
 	for _, m := range matrices {
@@ -229,6 +201,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
+
+// engineWorkers is each pooled engine's step-1 and merge goroutine count:
+// an equal share of GOMAXPROCS, at least one, so a full pool never
+// oversubscribes the host. Results and the ledger are bit-identical at
+// any count.
+func engineWorkers(pool int) int { return max(1, runtime.GOMAXPROCS(0)/max(pool, 1)) }
 
 // readHeaderTimeout is how long a connection may take to send its
 // request headers before the daemon drops it; without a bound an idle

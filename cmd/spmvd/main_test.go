@@ -7,48 +7,31 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
 )
 
+// TestParseSpecGenerators checks that generator:nodes[:degree[:seed]]
+// reaches graph.Generate, which is tested over every generator in its
+// own package.
 func TestParseSpecGenerators(t *testing.T) {
-	cases := []struct {
-		spec  string
-		nodes uint64
-	}{
-		{"er:1000", 1000},
-		{"er:1000:4:2", 1000},
-		{"zipf:500:3:1", 500},
-		{"rmat:1024:3:1", 1024},
+	a, err := parseSpec("rmat:1000:4:2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		a, err := parseSpec(tc.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.spec, err)
-		}
-		if a.Rows != tc.nodes {
-			t.Errorf("%s: %d rows, want %d", tc.spec, a.Rows, tc.nodes)
-		}
-		if a.NNZ() == 0 {
-			t.Errorf("%s: empty graph", tc.spec)
-		}
+	if a.Rows != 512 || a.NNZ() == 0 {
+		t.Errorf("rmat:1000:4:2: %d rows, %d nnz; want 512 rows", a.Rows, a.NNZ())
 	}
 }
 
-func TestParseSpecErrors(t *testing.T) {
-	for _, spec := range []string{"er:", "er:abc", "er:10:x", "er:10:3:y", "er:10:3:1:9", "/no/such/file"} {
-		if _, err := parseSpec(spec); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-}
-
+// TestParseSpecFile checks that a spec that is not a generator reaches
+// matrix.ReadFile, which is tested over every format in its own package.
 func TestParseSpecFile(t *testing.T) {
-	m, err := graph.ErdosRenyi(400, 3, 5)
+	m, err := parseSpec("er:400:3:5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +50,17 @@ func TestParseSpecFile(t *testing.T) {
 	}
 	if got.Rows != m.Rows || got.NNZ() != m.NNZ() {
 		t.Errorf("round trip %dx%d/%d, want %dx%d/%d", got.Rows, got.Cols, got.NNZ(), m.Rows, m.Cols, m.NNZ())
+	}
+}
+
+func TestParseSpecErrors(t *testing.T) {
+	for _, spec := range []string{
+		"er:", "er:abc", "er:10:x", "er:10:3:y", "er:10:3:1:9", "/no/such/file",
+		"er:1000:NaN", "zipf:1000:-3", "rmat:18446744073709551615",
+	} {
+		if _, err := parseSpec(spec); err == nil {
+			t.Errorf("spec %q accepted", spec)
+		}
 	}
 }
 
@@ -96,11 +90,11 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
-	// The store-queue drain and the merge kernel are picked by rule
-	// (prap.DrainAuto, prap.KernelMergePath); the daemon offers no
-	// override.
-	for _, flag := range []string{"-drain", "-merge-kernel"} {
-		if code := run([]string{flag, "x", "-matrix", "g=er:100:3:1"}, &out, &errOut); code != 2 {
+	// The store-queue drain, the merge kernel and both worker counts are
+	// picked by rule (prap.DrainAuto, prap.KernelMergePath,
+	// engineWorkers); the daemon offers no override.
+	for _, flag := range []string{"-drain", "-merge-kernel", "-workers", "-merge-workers"} {
+		if code := run([]string{flag, "1", "-matrix", "g=er:100:3:1"}, &out, &errOut); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (unknown flag)", flag, code)
 		}
 	}
@@ -110,16 +104,28 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-matrix", "g=er:"}, &out, &errOut); code != 1 {
 		t.Errorf("bad spec: exit %d, want 1", code)
 	}
-	for flag, want := range map[string]string{
-		"-workers":       "core: workers must be non-negative",
-		"-merge-workers": "prap: merge workers must be non-negative",
+	// A NaN degree is a generator error at startup, not a makeslice panic.
+	errOut.Reset()
+	if code := run([]string{"-matrix", "g=er:1000:NaN"}, &out, &errOut); code != 1 {
+		t.Errorf("NaN degree: exit %d, want 1", code)
+	}
+	if got := errOut.String(); !strings.HasPrefix(got, "spmvd: matrix g: graph: ") {
+		t.Errorf("NaN degree: stderr %q, want a graph: error", got)
+	}
+}
+
+// TestEngineWorkers holds the pool's core split: each engine gets
+// GOMAXPROCS/pool goroutines for step 1 and the merge, and at least one.
+func TestEngineWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ pool, want int }{
+		{1, 4},
+		{2, 2},
+		{3, 1},
+		{8, 1}, // more engines than cores: one each, never zero
 	} {
-		errOut.Reset()
-		if code := run([]string{"-matrix", "g=er:100:3:1", flag, "-3"}, &out, &errOut); code != 1 {
-			t.Errorf("%s -3: exit %d, want 1", flag, code)
-		}
-		if !strings.Contains(errOut.String(), want) {
-			t.Errorf("%s -3: stderr %q lacks %q", flag, errOut.String(), want)
+		if got := engineWorkers(tc.pool); got != tc.want {
+			t.Errorf("pool %d on 4 procs: %d workers per engine, want %d", tc.pool, got, tc.want)
 		}
 	}
 }

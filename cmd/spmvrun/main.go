@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -25,12 +24,12 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"mwmerge"
 	"mwmerge/internal/core"
 	"mwmerge/internal/graph"
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
-	"mwmerge/internal/prap"
 	"mwmerge/internal/report"
 	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
@@ -57,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		iters      = fs.Int("iters", 1, "SpMV iterations")
 		overlap    = fs.Bool("overlap", false, "iteration-overlapped Two-Step (ITS): pipeline each step 2 with the next iteration's step 1 over a bounded segment handoff (halved capacity, bit-identical result)")
 		damping    = fs.Float64("damping", 0, "PageRank damping applied after each iteration (0 = plain)")
-		workers    = fs.Int("workers", 1, "step-1 worker goroutines (host-side parallelism)")
-		mergeWork  = fs.Int("merge-workers", 0, "step-2 merge goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		reportPath = fs.String("report", "", `write the JSON run report to FILE ("-" = stdout)`)
 		tracePath  = fs.String("trace", "", `write the span-lane Gantt chart to FILE ("-" = stdout)`)
 		promPath   = fs.String("prom", "", `write Prometheus text-exposition metrics to FILE ("-" = stdout)`)
@@ -95,16 +92,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *reportPath != "" || *tracePath != "" || *promPath != "" {
 		rec = report.NewRecorder()
 	}
-	cfg := core.Config{
-		ScratchpadBytes: *scratchKiB << 10,
-		ValueBytes:      8,
-		MetaBytes:       8,
-		Lanes:           8,
-		Merge:           prap.Config{Q: *radix, Ways: *ways, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16, MergeWorkers: *mergeWork},
-		HBM:             mem.DefaultHBM(),
-		Workers:         *workers,
-		Recorder:        rec,
-	}
+	// The library's host config with the flags' overrides. Results and
+	// the ledger are bit-identical at any worker count, so step 1 takes
+	// every core and the merge its default (MergeWorkers 0 = GOMAXPROCS).
+	cfg := mwmerge.DefaultEngineConfig()
+	cfg.ScratchpadBytes = *scratchKiB << 10
+	cfg.Merge.Q = *radix
+	cfg.Merge.Ways = *ways
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	cfg.Recorder = rec
 	if *vldiBits > 0 {
 		codec, err := vldi.NewCodec(*vldiBits)
 		if err != nil {
@@ -195,8 +191,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Rows:         m.Rows,
 			Cols:         m.Cols,
 			NNZ:          uint64(m.NNZ()),
-			Workers:      *workers,
-			MergeWorkers: *mergeWork,
+			Workers:      cfg.Workers,
+			MergeWorkers: cfg.Merge.MergeWorkers,
 			MergeCores:   cfg.Merge.Cores(),
 			Overlap:      *overlap,
 		})
@@ -252,35 +248,13 @@ func writeTo(path string, stdout io.Writer, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
+// loadMatrix reads the -m file or builds the -gen graph.
 func loadMatrix(path, gen string, nodes uint64, degree float64, seed int64) (*matrix.COO, error) {
 	switch {
 	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		head, err := br.Peek(16)
-		if err == nil && len(head) >= 8 && string(head[:8]) == "MWMCOO1\n" {
-			return matrix.ReadBinary(br)
-		}
-		if err == nil && len(head) >= 2 && string(head[:2]) == "%%" {
-			return matrix.ReadMatrixMarket(br)
-		}
-		// Fall back to a SNAP-style edge list.
-		return matrix.ReadEdgeList(br, 0)
-	case gen == "er":
-		return graph.ErdosRenyi(nodes, degree, seed)
-	case gen == "rmat":
-		scale := uint(0)
-		for (uint64(1) << (scale + 1)) <= nodes {
-			scale++
-		}
-		return graph.RMAT(scale, degree, graph.Graph500Params(), seed)
-	case gen == "zipf":
-		return graph.Zipf(nodes, degree, 1.8, seed)
-	default:
-		return nil, fmt.Errorf("provide -m FILE or -gen {er,rmat,zipf}")
+		return matrix.ReadFile(path)
+	case gen != "":
+		return graph.Generate(gen, nodes, degree, seed)
 	}
+	return nil, fmt.Errorf("provide -m FILE or -gen {er,rmat,zipf}")
 }

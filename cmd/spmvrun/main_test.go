@@ -2,74 +2,62 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
 )
 
+// TestLoadMatrixGenerators checks that -gen reaches graph.Generate,
+// which is tested over every generator in its own package, and that
+// naming no source is an error.
 func TestLoadMatrixGenerators(t *testing.T) {
-	for _, gen := range []string{"er", "rmat", "zipf"} {
-		m, err := loadMatrix("", gen, 1000, 3, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", gen, err)
-		}
-		if m.NNZ() == 0 {
-			t.Errorf("%s: empty graph", gen)
-		}
+	m, err := loadMatrix("", "rmat", 1000, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rows != 512 || m.NNZ() == 0 {
+		t.Errorf("rmat:1000: %d rows, %d nnz; want 512 rows", m.Rows, m.NNZ())
 	}
 	if _, err := loadMatrix("", "", 10, 3, 1); err == nil {
 		t.Error("no source specified but accepted")
 	}
 }
 
+// TestLoadMatrixSniffsFormats checks that -m reaches matrix.ReadFile
+// for each of the three formats it sniffs.
 func TestLoadMatrixSniffsFormats(t *testing.T) {
+	m, err := loadMatrix("", "er", 500, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	m, err := graph.ErdosRenyi(500, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mmPath := filepath.Join(dir, "g.mtx")
-	fm, err := os.Create(mmPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := matrix.WriteMatrixMarket(fm, m); err != nil {
-		t.Fatal(err)
-	}
-	fm.Close()
-
-	elPath := filepath.Join(dir, "g.el")
-	fe, err := os.Create(elPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := matrix.WriteEdgeList(fe, m); err != nil {
-		t.Fatal(err)
-	}
-	fe.Close()
-
-	binPath := filepath.Join(dir, "g.bin")
-	fb, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := matrix.WriteBinary(fb, m); err != nil {
-		t.Fatal(err)
-	}
-	fb.Close()
-
-	for _, p := range []string{mmPath, binPath, elPath} {
-		got, err := loadMatrix(p, "", 0, 0, 0)
+	for _, tc := range []struct {
+		name  string
+		write func(io.Writer, *matrix.COO) error
+	}{
+		{"g.mtx", matrix.WriteMatrixMarket},
+		{"g.bin", matrix.WriteBinary},
+		{"g.el", matrix.WriteEdgeList},
+	} {
+		path := filepath.Join(dir, tc.name)
+		f, err := os.Create(path)
 		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+			t.Fatal(err)
+		}
+		if err := tc.write(f, m); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		got, err := loadMatrix(path, "", 0, 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got.NNZ() != m.NNZ() {
-			t.Errorf("%s: nnz %d != %d", p, got.NNZ(), m.NNZ())
+			t.Errorf("%s: nnz %d != %d", tc.name, got.NNZ(), m.NNZ())
 		}
 	}
 	if _, err := loadMatrix(filepath.Join(dir, "missing"), "", 0, 0, 0); err == nil {
@@ -90,7 +78,7 @@ func TestRunWithObservability(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{
 		"-gen", "er", "-nodes", "2000", "-degree", "3", "-seed", "9",
-		"-iters", "3", "-damping", "0.85", "-overlap", "-workers", "2",
+		"-iters", "3", "-damping", "0.85", "-overlap",
 		"-report", jsonPath, "-trace", "-", "-prom", promPath,
 		"-cpuprofile", cpuPath, "-memprofile", memPath,
 	}, &out, &errOut)
@@ -167,23 +155,20 @@ func TestRunPlainStillWorks(t *testing.T) {
 	if !strings.Contains(out.String(), "Off-chip traffic") {
 		t.Errorf("missing traffic summary:\n%s", out.String())
 	}
-	// The store-queue drain and the merge kernel are picked by rule
-	// (prap.DrainAuto, prap.KernelMergePath); the CLI offers no override.
-	for _, flag := range []string{"-drain", "-merge-kernel"} {
-		if code := run([]string{"-gen", "er", "-nodes", "1000", flag, "x"}, &out, &errOut); code != 2 {
+	// The store-queue drain, the merge kernel and both worker counts are
+	// picked by rule (prap.DrainAuto, prap.KernelMergePath, GOMAXPROCS);
+	// the CLI offers no override.
+	for _, flag := range []string{"-drain", "-merge-kernel", "-workers", "-merge-workers"} {
+		if code := run([]string{"-gen", "er", "-nodes", "1000", flag, "1"}, &out, &errOut); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (unknown flag)", flag, code)
 		}
 	}
-	for flag, want := range map[string]string{
-		"-workers":       "spmvrun: core: workers must be non-negative",
-		"-merge-workers": "spmvrun: prap: merge workers must be non-negative",
-	} {
-		errOut.Reset()
-		if code := run([]string{"-gen", "er", "-nodes", "1000", flag, "-3"}, &out, &errOut); code != 1 {
-			t.Errorf("%s -3: exit %d, want 1", flag, code)
-		}
-		if got := strings.TrimSpace(errOut.String()); got != want {
-			t.Errorf("%s -3: stderr %q, want %q", flag, got, want)
-		}
+	// A bad degree is a generator error, not a makeslice panic.
+	errOut.Reset()
+	if code := run([]string{"-gen", "zipf", "-degree", "-3"}, &out, &errOut); code != 1 {
+		t.Errorf("-degree -3: exit %d, want 1", code)
+	}
+	if got := errOut.String(); !strings.HasPrefix(got, "spmvrun: graph: ") {
+		t.Errorf("-degree -3: stderr %q, want a graph: error", got)
 	}
 }

@@ -104,14 +104,3 @@ func ExampleCG() {
 	fmt.Printf("converged=%v x=[%.4f %.4f]\n", res.Converged, res.X[0], res.X[1])
 	// Output: converged=true x=[0.0909 0.6364]
 }
-
-// ExampleSpGEMM multiplies two tiny sparse matrices on the merge
-// machinery.
-func ExampleSpGEMM() {
-	a, _ := mwmerge.NewMatrix(2, 2, []mwmerge.Entry{
-		{Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 0, Val: 3},
-	})
-	c, st, _ := mwmerge.SpGEMM(a, a) // A^2 swaps back to the diagonal
-	fmt.Printf("nnz=%d diag=[%g %g] flops=%d\n", c.NNZ(), c.Entries[0].Val, c.Entries[1].Val, st.FLOPs)
-	// Output: nnz=2 diag=[6 6] flops=4
-}

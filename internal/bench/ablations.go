@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 
 	"mwmerge/internal/graph"
@@ -41,7 +42,7 @@ func RunAblationMergeWays(w io.Writer, opt Options) error {
 	const recordsPerList = 512
 	for _, ways := range []int{4, 8, 16, 32, 64, 128} {
 		lists := make([][]types.Record, ways)
-		rng := newRNG(opt.Seed)
+		rng := rand.New(rand.NewSource(opt.Seed))
 		for i := range lists {
 			keys := make([]uint64, recordsPerList)
 			for j := range keys {

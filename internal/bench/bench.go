@@ -66,7 +66,6 @@ func Registry() []Experiment {
 		{ID: "mc-scaling", Title: "§2.2/§4.2: merge cores needed to saturate HBM generations", Run: RunMCScaling},
 		{ID: "onchip-sweep", Title: "§6 scaling: vector buffer vs max dimension; FIFO SRAM packing", Run: RunOnChipSweep},
 		{ID: "rowbuffer", Title: "§2.1: row-buffer hit rates, Two-Step streams vs latency-bound gathers", Run: RunRowBuffer},
-		{ID: "beyond-spmv", Title: "Conclusion: SpGEMM on the merge network (beyond SpMV)", Run: RunBeyondSpMV},
 		{ID: "interface-sweep", Title: "§4.2.1: shared DRAM interface width vs merge-network throughput", Run: RunInterfaceSweep},
 		{ID: "capacity-beyond", Title: "Beyond capacity: multi-pass merge degradation past 4.3B nodes", Run: RunCapacityBeyond},
 		{ID: "stack-scaling", Title: "§3: GTEPS vs HBM stack count (multi-stack scalability)", Run: RunStackScaling},

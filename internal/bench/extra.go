@@ -6,6 +6,7 @@ import (
 
 	"mwmerge/internal/core"
 	"mwmerge/internal/graph"
+	"mwmerge/internal/mem"
 	"mwmerge/internal/merge"
 	"mwmerge/internal/perfmodel"
 	"mwmerge/internal/prap"
@@ -102,7 +103,7 @@ func RunAblationVLDIMeasured(w io.Writer, opt Options) error {
 		cfg := core.Config{
 			ScratchpadBytes: 8 << 10, ValueBytes: 8, MetaBytes: 8, Lanes: 8,
 			Merge:       prap.Config{Q: 2, Ways: 128, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16},
-			HBM:         defaultHBM(),
+			HBM:         mem.DefaultHBM(),
 			VectorCodec: codec,
 			MatrixCodec: codec,
 			Recorder:    opt.Recorder,

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"mwmerge/internal/graph"
-	"mwmerge/internal/matrix"
 	"mwmerge/internal/perfmodel"
-	"mwmerge/internal/spgemm"
 )
 
 // RunFig2 reproduces the fabricated-ASIC specification table of the
@@ -33,62 +30,3 @@ func RunFig2(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "FIFO SRAM dominates logic thanks to the activated-path sorter sharing (Fig. 6).")
 	return nil
 }
-
-// RunBeyondSpMV exercises the conclusion's claim that the merge machinery
-// generalizes beyond SpMV: sparse matrix-matrix multiplication executed
-// row-by-row on the cycle-modeled merge cores, with merge-side statistics.
-func RunBeyondSpMV(w io.Writer, opt Options) error {
-	dim := opt.Scale
-	if dim > 2048 {
-		dim = 2048
-	}
-	t := newTable("Workload", "nnz(A)", "nnz(B)", "nnz(C)", "FLOPs", "Merge compression", "Max ways", "Cycles/record")
-	cases := []struct {
-		name string
-		degA float64
-		kind string
-	}{
-		{"ER x ER", 4, "er"},
-		{"Zipf x ER", 10, "zipf"},
-	}
-	for _, c := range cases {
-		var a *graphCOO
-		var err error
-		if c.kind == "zipf" {
-			a, err = graph.Zipf(dim, c.degA, 1.8, opt.Seed)
-		} else {
-			a, err = graph.ErdosRenyi(dim, c.degA, opt.Seed)
-		}
-		if err != nil {
-			return err
-		}
-		b, err := graph.ErdosRenyi(dim, 4, opt.Seed+1)
-		if err != nil {
-			return err
-		}
-		cMat, st, err := spgemm.Multiply(a, b)
-		if err != nil {
-			return err
-		}
-		_, coreStats, err := spgemm.MultiplyOnCores(a, b, 16)
-		if err != nil {
-			return err
-		}
-		t.add(c.name,
-			fmt.Sprintf("%d", a.NNZ()),
-			fmt.Sprintf("%d", b.NNZ()),
-			fmt.Sprintf("%d", cMat.NNZ()),
-			fmt.Sprintf("%d", st.FLOPs),
-			fmt.Sprintf("%.2fx", st.CompressionRatio),
-			fmt.Sprintf("%d", st.MaxWays),
-			fmt.Sprintf("%.2f", coreStats.CyclesPerRecord()))
-	}
-	if err := t.write(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "\nRow-wise Gustavson SpGEMM = per-row multi-way merge-accumulate: the step-2 network, reused.")
-	return nil
-}
-
-// graphCOO aliases the matrix type for the helper above.
-type graphCOO = matrix.COO

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"mwmerge/internal/baseline"
-	"mwmerge/internal/energy"
 	"mwmerge/internal/graph"
 	"mwmerge/internal/perfmodel"
 )
@@ -202,7 +201,3 @@ func RunFig22(w io.Writer, opt Options) error {
 	return runGTEPSEnergyFigure(w, graph.Table6, points,
 		[]perfmodel.CPUModelConfig{perfmodel.XeonE5(), perfmodel.XeonPhi5110()})
 }
-
-// njFromPower is kept for figures that report platform-power-derived
-// energy.
-var _ = energy.NJPerEdgeFromPower

@@ -6,6 +6,7 @@ import (
 
 	"mwmerge/internal/core"
 	"mwmerge/internal/graph"
+	"mwmerge/internal/mem"
 	"mwmerge/internal/prap"
 	"mwmerge/internal/vldi"
 )
@@ -30,7 +31,7 @@ func RunFunctional(w io.Writer, opt Options) error {
 			MetaBytes:       8,
 			Lanes:           8,
 			Merge:           prap.Config{Q: 3, Ways: 256, FIFODepth: 4, DPage: 1 << 10, RecordBytes: 16},
-			HBM:             defaultHBM(),
+			HBM:             mem.DefaultHBM(),
 			Recorder:        opt.Recorder,
 		}
 		if withVLDI {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/mem"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
@@ -38,12 +37,6 @@ func collectStripeDeltas(m *matrix.COO, segWidth uint64) ([]uint64, error) {
 	}
 	return all, nil
 }
-
-// defaultHBM returns the shared memory model for functional engines.
-func defaultHBM() mem.HBMConfig { return mem.DefaultHBM() }
-
-// newRNG returns a seeded RNG.
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // stripeLists converts a matrix into per-stripe sorted record lists, the
 // intermediate-vector shape step 2 consumes (values are the raw entry

@@ -8,7 +8,7 @@ import (
 )
 
 // SpMVStripes computes y = A·x + yIn directly from a prebuilt stripe
-// layout (e.g. the output of internal/layout's streaming builder),
+// layout (e.g. matrix.Partition1D at the engine's segment width),
 // skipping the in-memory COO partition. The stripes must be exactly the
 // engine's segment width (except the last), contiguous from column 0 —
 // the layout the accelerator keeps resident in DRAM.

@@ -102,13 +102,3 @@ func (m Model) NJPerEdge(t mem.Traffic, seconds float64, edges uint64) (float64,
 	}
 	return m.Energy(t, seconds) * 1e9 / float64(edges), nil
 }
-
-// NJPerEdgeFromPower computes nJ/edge directly from sustained GTEPS and
-// platform power: P / (GTEPS·1e9) · 1e9 = P/GTEPS nJ. Used for platforms
-// where only throughput and power are known.
-func NJPerEdgeFromPower(powerW, gteps float64) float64 {
-	if gteps <= 0 {
-		return 0
-	}
-	return powerW / gteps
-}

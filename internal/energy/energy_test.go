@@ -49,16 +49,6 @@ func TestNJPerEdge(t *testing.T) {
 	}
 }
 
-func TestNJPerEdgeFromPower(t *testing.T) {
-	// 300 W at 0.3 GTEPS = 1000 nJ/edge.
-	if got := NJPerEdgeFromPower(300, 0.3); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("got %g", got)
-	}
-	if NJPerEdgeFromPower(300, 0) != 0 {
-		t.Error("zero GTEPS should yield 0")
-	}
-}
-
 func TestPlatformOrdering(t *testing.T) {
 	// The efficiency story of Figs. 19-22 requires the platform power
 	// ordering ASIC < FPGA < CPU-class < GPU cluster.

@@ -138,11 +138,7 @@ func (d Dataset) Instantiate(maxNodes uint64, seed int64) (*matrix.COO, error) {
 	case KindRoad:
 		return RoadNetwork(n, d.AvgDegree, seed)
 	case KindRMAT:
-		scale := uint(0)
-		for (uint64(1) << (scale + 1)) <= n {
-			scale++
-		}
-		return RMAT(scale, d.AvgDegree, Graph500Params(), seed)
+		return RMAT(rmatScale(n), d.AvgDegree, Graph500Params(), seed)
 	default:
 		return ErdosRenyi(n, d.AvgDegree, seed)
 	}

@@ -9,10 +9,39 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"mwmerge/internal/matrix"
 )
+
+// Generate builds a graph with the named generator: "er" and "zipf"
+// (exponent 1.8) on nodes nodes, "rmat" (Graph500 parameters) on the
+// largest power of two not above nodes.
+func Generate(kind string, nodes uint64, degree float64, seed int64) (*matrix.COO, error) {
+	switch kind {
+	case "er":
+		return ErdosRenyi(nodes, degree, seed)
+	case "rmat":
+		return RMAT(rmatScale(nodes), degree, Graph500Params(), seed)
+	case "zipf":
+		return Zipf(nodes, degree, 1.8, seed)
+	}
+	return nil, fmt.Errorf("graph: unknown generator %q (want er, rmat or zipf)", kind)
+}
+
+// rmatScale is floor(log2(nodes)), or 0 (which RMAT rejects) for no
+// nodes.
+func rmatScale(nodes uint64) uint { return uint(max(bits.Len64(nodes), 1) - 1) }
+
+// checkDegree bounds a generator's average degree: positive (NaN fails
+// too) and at most 2^40 edges over n nodes.
+func checkDegree(n uint64, deg float64) error {
+	if !(deg > 0) || float64(n)*deg > 1<<40 {
+		return fmt.Errorf("graph: average degree %g out of range", deg)
+	}
+	return nil
+}
 
 // ErdosRenyi generates an n x n matrix with approximately avgDegree
 // nonzeros per row placed uniformly at random (G(n, p) with p = deg/n).
@@ -23,8 +52,8 @@ func ErdosRenyi(n uint64, avgDegree float64, seed int64) (*matrix.COO, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("graph: dimension must be positive")
 	}
-	if avgDegree <= 0 || float64(n)*avgDegree > 1<<40 {
-		return nil, fmt.Errorf("graph: average degree %g out of range", avgDegree)
+	if err := checkDegree(n, avgDegree); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	target := uint64(math.Round(float64(n) * avgDegree))
@@ -60,11 +89,14 @@ func RMAT(scale uint, edgeFactor float64, p RMATParams, seed int64) (*matrix.COO
 	if scale == 0 || scale > 40 {
 		return nil, fmt.Errorf("graph: rmat scale %d out of range", scale)
 	}
+	n := uint64(1) << scale
+	if err := checkDegree(n, edgeFactor); err != nil {
+		return nil, err
+	}
 	sum := p.A + p.B + p.C + p.D
 	if math.Abs(sum-1) > 1e-9 {
 		return nil, fmt.Errorf("graph: rmat probabilities sum to %g, want 1", sum)
 	}
-	n := uint64(1) << scale
 	m := uint64(math.Round(float64(n) * edgeFactor))
 	rng := rand.New(rand.NewSource(seed))
 	entries := make([]matrix.Entry, 0, m)
@@ -99,6 +131,9 @@ func Zipf(n uint64, avgDegree, exponent float64, seed int64) (*matrix.COO, error
 	}
 	if exponent <= 1 {
 		return nil, fmt.Errorf("graph: zipf exponent must exceed 1, got %g", exponent)
+	}
+	if err := checkDegree(n, avgDegree); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	target := uint64(math.Round(float64(n) * avgDegree))

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -213,6 +214,58 @@ func TestInstantiateKinds(t *testing.T) {
 		}
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", id, err)
+		}
+	}
+}
+
+// TestGeneratorsRejectBadDegree holds every generator to one degree
+// rule: NaN, zero, negative, or more than 2^40 edges is an error, never
+// a makeslice panic.
+func TestGeneratorsRejectBadDegree(t *testing.T) {
+	gens := map[string]func(deg float64) error{
+		"er":   func(deg float64) error { _, err := ErdosRenyi(1000, deg, 1); return err },
+		"rmat": func(deg float64) error { _, err := RMAT(10, deg, Graph500Params(), 1); return err },
+		"zipf": func(deg float64) error { _, err := Zipf(1000, deg, 1.8, 1); return err },
+	}
+	for name, gen := range gens {
+		for _, deg := range []float64{math.NaN(), 0, -3, math.Inf(-1), math.Inf(1), 1 << 31} {
+			if err := gen(deg); err == nil || !strings.HasPrefix(err.Error(), "graph: ") {
+				t.Errorf("%s degree %g: err %v, want a graph: error", name, deg, err)
+			}
+		}
+	}
+}
+
+func TestGenerate(t *testing.T) {
+	for _, tc := range []struct {
+		kind        string
+		nodes, want uint64
+	}{
+		{"er", 1000, 1000},
+		{"zipf", 500, 500},
+		{"rmat", 1024, 1024},
+		{"rmat", 1500, 1024}, // the largest power of two not above nodes
+	} {
+		m, err := Generate(tc.kind, tc.nodes, 3, 1)
+		if err != nil {
+			t.Fatalf("%s:%d: %v", tc.kind, tc.nodes, err)
+		}
+		if m.Rows != tc.want || m.NNZ() == 0 {
+			t.Errorf("%s:%d: %d rows, %d nnz; want %d rows", tc.kind, tc.nodes, m.Rows, m.NNZ(), tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		kind  string
+		nodes uint64
+	}{
+		{"", 1000},
+		{"kronecker", 1000},
+		{"rmat", 0},
+		{"rmat", 1},
+		{"rmat", math.MaxUint64}, // scale 63: rejected, not an endless scale search
+	} {
+		if _, err := Generate(tc.kind, tc.nodes, 3, 1); err == nil {
+			t.Errorf("%q:%d accepted", tc.kind, tc.nodes)
 		}
 	}
 }

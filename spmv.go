@@ -40,7 +40,6 @@ import (
 	"mwmerge/internal/report"
 	"mwmerge/internal/serve"
 	"mwmerge/internal/solver"
-	"mwmerge/internal/spgemm"
 	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
 )
@@ -215,10 +214,6 @@ var (
 	// SPDLaplacian builds an SPD graph-Laplacian test system.
 	SPDLaplacian = solver.SPDLaplacian
 )
-
-// SpGEMM computes C = A·B by row-wise Gustavson on the merge machinery —
-// the conclusion's "beyond SpMV" application.
-var SpGEMM = spgemm.Multiply
 
 // ReadMatrixMarket parses a MatrixMarket coordinate stream.
 func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return matrix.ReadMatrixMarket(r) }
