@@ -62,13 +62,16 @@ report:
 serve-smoke:
 	$(GO) run ./cmd/spmvd -smoke
 
-# Short fuzz pass over the VLDI codec (round trip; the streaming sizer
-# equal to the encoder, which the plan's once-per-plan VLDI sizes rest
-# on; a bit reader that never panics on garbage), the three matrix file
-# readers spmvd loads from outside the program (Matrix Market, binary,
-# edge list), the PRaP routing (sentinel rejection and agreement with
-# the bitonic pre-sorter), the Merge Path kernel against both reference
-# mergers, and the sparse vs dense store-queue drains.
+# Short fuzz pass (CI's fuzz job) over the VLDI codec (round trip; the
+# streaming sizer equal to the encoder, which the plan's once-per-plan
+# VLDI sizes rest on; a bit reader that never panics on garbage), the
+# three matrix file readers spmvd loads from outside the program (Matrix
+# Market, binary, edge list), the PRaP routing (sentinel rejection and
+# agreement with the bitonic pre-sorter), the Merge Path kernel against
+# both reference mergers, the sparse vs dense store-queue drains, and the
+# engine's step 2 (the ordered segment accumulator) against the PRaP
+# network it replaces on the host, bit for bit and statistic for
+# statistic.
 fuzz:
 	$(GO) test -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/vldi/
 	$(GO) test -fuzz=FuzzSizeMatchesEncode -fuzztime=10s ./internal/vldi/
@@ -79,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRouteLists -fuzztime=10s ./internal/prap/
 	$(GO) test -fuzz=FuzzDrainModes -fuzztime=10s ./internal/prap/
 	$(GO) test -fuzz=FuzzMergeKernels -fuzztime=10s ./internal/merge/
+	$(GO) test -fuzz=FuzzStep2MatchesMergeInto -fuzztime=10s ./internal/core/
 
 clean:
 	rm -rf out test_output.txt bench_output.txt

@@ -1,6 +1,7 @@
 // Package core implements the Two-Step SpMV engine (paper §2-§5): 1D
 // column-blocked step-1 partial SpMV with P parallel multiply/accumulate
-// lanes, step-2 PRaP multi-way merge into the dense result, optional VLDI
+// lanes, the step-2 PRaP multi-way merge's result computed into the
+// dense output by an ordered segment accumulator, optional VLDI
 // meta-data compression, optional Bloom-filter HDN routing, and
 // iteration-overlapped execution (ITS). The engine is functional —
 // it computes real results validated against a dense reference — while
@@ -33,7 +34,12 @@ type Config struct {
 	// Lanes is P, the number of parallel multiplier + adder-chain lanes
 	// in step 1.
 	Lanes int
-	// Merge configures the step-2 PRaP network.
+	// Merge configures step 2: the PRaP network's shape (Q, Ways, page
+	// and record sizes) behind the capacity bound, the ledger and the
+	// merge statistics, and MergeWorkers, the host step 2's worker
+	// count. The host computes the network's result with an ordered
+	// segment accumulator (step2.go), so Kernel and Drain, which pick
+	// how prap.Network merges, do not reach the engine.
 	Merge prap.Config
 	// HBM is the main-memory model used for traffic/time accounting.
 	HBM mem.HBMConfig
@@ -50,12 +56,13 @@ type Config struct {
 	// stripes in parallel (the host-side analogue of the hardware's
 	// parallel fabric). 0 or 1 runs sequentially; results and traffic
 	// accounting are identical either way. Step-2 parallelism is the
-	// separate Merge.MergeWorkers knob, which spreads the PRaP merge
-	// cores across goroutines with bit-identical results.
+	// separate Merge.MergeWorkers knob, which splits the output keys
+	// into contiguous block ranges, one per goroutine, with
+	// bit-identical results.
 	Workers int
 	// Recorder, when non-nil, collects the observability run report:
-	// wall-clock spans for step-1 stripe workers, the PRaP pre-sort and
-	// merge cores, and ITS overlap windows, plus per-iteration
+	// wall-clock spans for step-1 stripe workers, the step-2 key-range
+	// workers, and ITS overlap windows, plus per-iteration
 	// ledger-counter snapshots (see internal/report and DESIGN.md §8).
 	// Recording never changes results or the ledger; nil (the default)
 	// disables every instrumentation hook.

@@ -19,10 +19,9 @@ import (
 // mem.Ledger.Charge; its counters are unexported, so no other write
 // compiles.
 type Engine struct {
-	cfg     Config
-	network *prap.Network
-	ledger  mem.Ledger
-	stats   RunStats
+	cfg    Config
+	ledger mem.Ledger
+	stats  RunStats
 
 	// Observability state, live only when rec is non-nil. lastSnap is
 	// the cumulative counter state at the previous iteration boundary
@@ -44,6 +43,7 @@ type Engine struct {
 	gate         *segmentGate
 	nextCh       chan step1Result
 	frontier     frontierScratch
+	step2        step2Scratch
 
 	// one backs the one-element xs/yIns/ys column sets the scalar entry
 	// points hand to the k-wide driver (see col), so being its k=1 case
@@ -111,14 +111,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n, err := prap.New(cfg.Merge)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Recorder != nil {
-		n.SetObserver(cfg.Recorder)
-	}
-	return &Engine{cfg: cfg, network: n, rec: cfg.Recorder}, nil
+	return &Engine{cfg: cfg, rec: cfg.Recorder}, nil
 }
 
 // Config returns the engine configuration.
@@ -291,12 +284,13 @@ func (e *Engine) spmvCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas 
 	if err != nil {
 		return err
 	}
-	return e.runPlan(p, a.Rows, xs, yIns, ys, deltas)
+	e.runPlan(p, a.Rows, xs, yIns, ys, deltas)
+	return nil
 }
 
 // runPlan is spmvCompute past the plan: one step-1 run fans every
 // stripe across the k source vectors, then each column commits the
-// plan's books and merges its lists into its own output. Matrix-side
+// plan's books and accumulates its lists into its own output. Matrix-side
 // traffic (stripe values and meta-data, the HDN filter build) is charged
 // once per batch and vector-side traffic once per column, so a k-wide
 // run books exactly k sequential runs minus (k−1)× the matrix share
@@ -304,7 +298,7 @@ func (e *Engine) spmvCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas 
 // movement per column: deltas[c] is the cumulative-counter delta across
 // column c's commit + merge, with the once-per-batch charges folded into
 // deltas[0].
-func (e *Engine) runPlan(p *enginePlan, rows uint64, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
+func (e *Engine) runPlan(p *enginePlan, rows uint64, xs, yIns, ys []vector.Dense, deltas []report.Counters) {
 	var prev report.Counters
 	if deltas != nil {
 		prev = e.Counters()
@@ -313,16 +307,13 @@ func (e *Engine) runPlan(p *enginePlan, rows uint64, xs, yIns, ys []vector.Dense
 	bank := e.nextBank()
 	e.step1Compute(p, xs, nil, bank)
 	for c := range xs {
-		if err := e.runStep2Into(e.commit(p, bank, c), rows, blockYIn(yIns, c), ys[c], 0, nil); err != nil {
-			return err
-		}
+		e.runStep2Into(e.commit(p, bank, c), &p.cover, rows, blockYIn(yIns, c), ys[c], nil)
 		if deltas != nil {
 			cur := e.Counters()
 			deltas[c] = cur.Sub(prev)
 			prev = cur
 		}
 	}
-	return nil
 }
 
 // blockYIn indexes an optional y-in set: nil when absent.
@@ -356,8 +347,8 @@ func (e *Engine) chargeDetector(p *enginePlan) {
 // header in slot c·n + s, so parallel runs stay race-free and
 // deterministic. With a non-nil gate, stripe s first waits until
 // segment s of x has been published and releases its handoff slot when
-// done; a failed wait means step 2 failed, and iteratePipelined
-// discards the bank without committing it.
+// done; a failed wait (segmentGate.fail) skips the stripe, and the
+// bank must then be discarded uncommitted.
 func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense, gate *segmentGate, bank *stripeBank) {
 	n := len(p.stripes)
 	bank.sized(n*len(xs), p.runs*len(xs))
@@ -449,28 +440,4 @@ func (e *Engine) noteStripeSkew(p *enginePlan) {
 	e.stats.Step1Runs++
 	e.stats.StripeNNZ += p.nnz
 	e.stats.StripeNNZMax += p.maxNNZ
-}
-
-// runStep2Into merges the intermediate lists through the PRaP network
-// into the caller-provided y and accounts the result traffic; the
-// lists' DRAM round trips were booked with their writes
-// (chargeRoundTrip). A positive segWidth plus a non-nil publish forwards
-// the PRaP store queue's segment-completion stream (ascending, exactly
-// once per segment) to the caller — the producer side of the ITS
-// pipeline's bounded segment handoff.
-func (e *Engine) runStep2Into(lists [][]types.Record, dim uint64, yIn, y vector.Dense, segWidth uint64, publish func(seg int)) error {
-	if e.rec != nil {
-		defer e.rec.StartSpan("phase", "s2").End()
-	}
-	st, err := e.network.MergeInto(lists, dim, yIn, y, segWidth, publish)
-	if err != nil {
-		return err
-	}
-	e.stats.MergeStats.Accumulate(st)
-	yBytes := dim * uint64(e.cfg.ValueBytes)
-	e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y streamed out
-	if yIn != nil {
-		e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y-in streamed in
-	}
-	return nil
 }

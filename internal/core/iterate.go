@@ -116,9 +116,9 @@ func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) 
 				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
 			}
 		}
-		x, _, saved, err := e.iteratePipelined(p, a.Rows, x0s[0], opt.Iterations, hooks)
+		x, _, saved := e.iteratePipelined(p, a.Rows, x0s[0], opt.Iterations, hooks)
 		xs[0] = x
-		return xs, saved, err
+		return xs, saved, nil
 	}
 
 	e.reserveDense(k)
@@ -246,8 +246,8 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 				return l1Delta(y, src) < tol
 			},
 		}
-		ranks[0], iters[0], _, err = e.iteratePipelined(norm, n, xs[0], maxIters, hooks)
-		return ranks, iters, err
+		ranks[0], iters[0], _ = e.iteratePipelined(norm, n, xs[0], maxIters, hooks)
+		return ranks, iters, nil
 	}
 
 	e.reserveDense(k)
@@ -262,13 +262,7 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 		for i := range ys {
 			ys[i] = e.getDense(int(n))
 		}
-		if err := e.runPlan(norm, n, xs, nil, ys, nil); err != nil {
-			for i := range ys {
-				e.putDense(ys[i])
-				iters[cols[i]] = it
-			}
-			return nil, iters, err
-		}
+		e.runPlan(norm, n, xs, nil, ys, nil)
 		// Damp, test convergence, and retire or advance each live column.
 		w := 0
 		for i := 0; i < live; i++ {

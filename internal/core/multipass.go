@@ -13,7 +13,7 @@ import (
 // (§1). Intermediate vectors are merged in batches of K: each batch
 // collapses to one combined sorted vector that makes an extra DRAM round
 // trip, and passes repeat until at most K lists remain for the final
-// PRaP merge. Functionally identical to SpMV; the price is the extra
+// step 2. Functionally identical to SpMV; the price is the extra
 // round-trip traffic, which the ledger records.
 func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, int, error) {
 	// No capacity bound here: slicing exists precisely to exceed it.
@@ -51,9 +51,7 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 		lists = next
 	}
 	y := vector.NewDense(int(a.Rows))
-	if err := e.runStep2Into(lists, a.Rows, yIn, y, 0, nil); err != nil {
-		return nil, passes, err
-	}
+	e.runStep2Into(lists, e.listCover(lists, a.Rows), a.Rows, yIn, y, nil)
 	e.snapshot("sliced")
 	return y, passes, nil
 }

@@ -110,17 +110,17 @@ func TestRecorderLanes(t *testing.T) {
 	// task, so only the prefixes and the id bounds are deterministic.
 	hasPrefix := map[string]bool{}
 	for lane := range lanes {
-		for _, p := range []string{"step1/w", "presort/g", "merge/g"} {
+		for _, p := range []string{"step1/w", "merge/g"} {
 			if n, ok := strings.CutPrefix(lane, p); ok {
 				hasPrefix[p] = true
-				bound := map[string]string{"step1/w": "4", "presort/g": "2", "merge/g": "2"}[p]
+				bound := map[string]string{"step1/w": "4", "merge/g": "2"}[p]
 				if len(n) != 1 || n >= bound {
 					t.Errorf("lane %q: worker id out of range [0,%s)", lane, bound)
 				}
 			}
 		}
 	}
-	for _, p := range []string{"step1/w", "presort/g", "merge/g"} {
+	for _, p := range []string{"step1/w", "merge/g"} {
 		if !hasPrefix[p] {
 			t.Errorf("no %s* lane recorded; have %v", p, rep.Lanes)
 		}

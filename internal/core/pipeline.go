@@ -2,11 +2,11 @@ package core
 
 // The software ITS pipeline (paper Fig. 15). Iterate/PageRank with
 // Overlap run step 2 of iteration i concurrently with step 1 of
-// iteration i+1: the PRaP store queue publishes the merged dense result
-// segment by segment in ascending key order (prap.MergeInto), the
-// damping/teleport update is applied to each segment as it is
-// published, and the next iteration's stripe workers block per stripe
-// until the x-segment they read is final. The handoff is bounded at two
+// iteration i+1: step 2 publishes the dense result segment by segment
+// in ascending key order (runStep2Into), the damping/teleport update is
+// applied to each segment as it is published, and the next iteration's
+// stripe workers block per stripe until the x-segment they read is
+// final. The handoff is bounded at two
 // segments — the software analogue of the paper's halved-capacity
 // constraint, under which the transition vector never round-trips
 // through DRAM. Because every element still receives exactly the same
@@ -15,7 +15,6 @@ package core
 // setting.
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -92,7 +91,8 @@ func (g *segmentGate) consume() {
 }
 
 // fail aborts the pipeline: pending and future waits return err and
-// publishes stop blocking. The first error wins.
+// publishes stop blocking. The first error wins. The engine's step 2
+// cannot fail, so no engine path calls it today.
 func (g *segmentGate) fail(err error) {
 	g.mu.Lock()
 	if g.err == nil {
@@ -155,13 +155,13 @@ type step1Result struct {
 // vector, the iterations executed, and the transition bytes kept on
 // chip. Per iteration it commits the
 // (already computed) step-1 lists, launches step 1 of the next
-// iteration against the y under construction, and drains step 2 with
+// iteration against the y under construction, and runs step 2 with
 // segment publishing; the two phases meet only through the gate, so the
 // ledger, statistics and numerics match the sequential schedule
 // exactly. When an iteration converges, the speculative next step 1 is
 // joined and discarded without committing — wasted wall-clock, as on
 // the real machine, but no ledger pollution.
-func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, maxIters int, h pipelineHooks) (vector.Dense, int, uint64, error) {
+func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, maxIters int, h pipelineHooks) (vector.Dense, int, uint64) {
 	width := e.cfg.SegmentWidth()
 
 	x := x0.Clone()
@@ -189,15 +189,13 @@ func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, m
 
 		if it == maxIters-1 {
 			// Final iteration: nothing left to overlap with.
-			if err := e.runStep2Into(lists, rows, nil, y, 0, nil); err != nil {
-				return nil, it, saved, fmt.Errorf("core: iteration %d: %w", it, err)
-			}
+			e.runStep2Into(lists, &p.cover, rows, nil, y, nil)
 			if update != nil {
 				update(y)
 			}
 			e.recordIteration(it, iterStart)
 			e.putDense(x)
-			return y, it + 1, saved, nil
+			return y, it + 1, saved
 		}
 
 		// Launch step 1 of iteration it+1 against the y being merged
@@ -224,7 +222,7 @@ func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, m
 		if e.rec != nil {
 			s2Start = e.rec.Now()
 		}
-		err := e.runStep2Into(lists, rows, nil, y, width, func(seg int) {
+		e.runStep2Into(lists, &p.cover, rows, nil, y, func(seg int) {
 			if update != nil {
 				lo := uint64(seg) * width
 				hi := lo + width
@@ -235,13 +233,6 @@ func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, m
 			}
 			gate.publish()
 		})
-		if err != nil {
-			// Unblock the consumer's un-published stripe waits, then
-			// join it before surfacing the error.
-			gate.fail(err)
-			<-next
-			return nil, it, saved, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
 		var s2End uint64
 		if e.rec != nil {
 			s2End = e.rec.Now()
@@ -264,7 +255,7 @@ func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, m
 		if stop {
 			e.recordIteration(it, iterStart)
 			e.putDense(x)
-			return y, it + 1, saved, nil
+			return y, it + 1, saved
 		}
 		// Another iteration follows and its source vector stayed on
 		// chip in the second segment buffer: book the round trip saved.

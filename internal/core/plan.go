@@ -36,6 +36,10 @@ type enginePlan struct {
 	// books is the stripes' books summed: what one dense step 1 of one
 	// column adds to the ledger and the statistics.
 	books stripeBooks
+	// cover is step 2's view of the stripes' lists (step2.go): for a
+	// dense x their keys are the run rows, so the merge statistics and
+	// the keys some list holds are plan constants.
+	cover keyCover
 	// lpt is the ungated dispatch order: stripe indices heaviest first
 	// (longest processing time), ties toward the lower index, so a skewed
 	// stripe starts first instead of landing on a busy worker at the tail.
@@ -175,8 +179,8 @@ func (e *Engine) planFor(a *matrix.COO) (*enginePlan, error) {
 // values do not sum to exactly 0 sums to 1; one that does keeps its
 // values), with those zero-sum columns — the dangling ones, which push
 // no rank mass through A — listed ascending. Normalizing changes only
-// values, so the sibling shares p's row runs, columns, books, detector
-// and LPT order and owns one new value slab. It is built on first use
+// values, so the sibling shares p's row runs, columns, books, step-2
+// cover, detector and LPT order and owns one new value slab. It is built on first use
 // and kept in p, so it lives exactly as long as the plain plan; the
 // engine's single-caller contract means no step-1 run reads p while it
 // is attached.
@@ -454,6 +458,7 @@ func (e *Engine) finishPlan(b *runAssembler, det *hdn.Detector) (*enginePlan, er
 		p.books.add(&s.books)
 	}
 	p.lpt = lptOrder(p.stripes)
+	e.planCover(p, b.rows)
 	return p, nil
 }
 

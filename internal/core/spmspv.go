@@ -106,9 +106,7 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 	e.noteStripeSkew(p)
 	e.book(&books, true)
 	y := vector.NewDense(int(a.Rows))
-	if err := e.runStep2Into(bank.lists, a.Rows, nil, y, 0, nil); err != nil {
-		return nil, st, err
-	}
+	e.runStep2Into(bank.lists, e.listCover(bank.lists, a.Rows), a.Rows, nil, y, nil)
 	e.snapshot("spmspv")
 	return y, st, nil
 }

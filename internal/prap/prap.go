@@ -87,20 +87,24 @@ type Config struct {
 	DPage uint64
 	// RecordBytes is the record width for buffer accounting.
 	RecordBytes int
-	// MergeWorkers bounds the goroutines Network.Merge runs: the radix
-	// routing shards over input lists and the p merge cores run one
-	// goroutine per residue class, both capped at this bound (the
+	// MergeWorkers bounds the goroutines step 2 runs. In core's host
+	// step 2 (the ordered segment accumulator, DESIGN.md §12) that many
+	// workers take contiguous ranges of key blocks; in Network.Merge the
+	// radix routing shards over input lists and the p merge cores run
+	// one goroutine per residue class, both capped at this bound (the
 	// host-side analogue of the MC-level independence of §4.2). 0
 	// defaults to runtime.GOMAXPROCS; 1 runs fully sequentially. Every
-	// output key is owned by exactly one core, so the result is
+	// output key is owned by exactly one worker, so the result is
 	// bit-identical at any setting — no float reassociation occurs.
 	MergeWorkers int
-	// Kernel selects the intra-core merge-accumulate implementation.
-	// Empty defaults to KernelMergePath, the faster kernel on every
-	// benchmark workload; results are bit-identical either way.
+	// Kernel selects the intra-core merge-accumulate implementation of
+	// Network.Merge — the hardware model and the oracle step 2 is tested
+	// against; core's host step 2 merges nothing and ignores it. Empty
+	// defaults to KernelMergePath; results are bit-identical either way.
 	Kernel MergeKernel
-	// Drain selects the store-queue drain strategy. Empty defaults to
-	// DrainAuto; results are bit-identical at any setting.
+	// Drain selects Network.Merge's store-queue drain strategy (the
+	// hardware model and oracle; core's host step 2 ignores it). Empty
+	// defaults to DrainAuto; results are bit-identical at any setting.
 	Drain DrainMode
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -148,10 +149,37 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers status with body. It encodes after the header has
+// gone out, so it suits only bodies JSON always carries: the error and
+// health bodies hold strings and integers alone. Results go through
+// writeResult.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
+}
+
+// writeResult answers a computed response 200 and counts it served. The
+// body is encoded before the header goes out: a result JSON cannot
+// carry — a y holding ±Inf or NaN — is answered 422 naming its first
+// non-finite element, and is not counted. The bytes equal writeJSON's.
+func (s *Server) writeResult(w http.ResponseWriter, resp *response) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		msg := "serve: result is not representable in JSON: " + err.Error()
+		for i, v := range resp.Y {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				msg = fmt.Sprintf("serve: result y[%d] is %v, which JSON cannot represent", i, v)
+				break
+			}
+		}
+		httpError(w, http.StatusUnprocessableEntity, msg)
+		return
+	}
+	s.bump(&s.served)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '\n')) // json.Encoder ends every value with a newline
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {
@@ -261,8 +289,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, common requestCommo
 		// resident matrix.
 		httpError(w, http.StatusBadRequest, err.Error())
 	default:
-		s.bump(&s.served)
-		writeJSON(w, http.StatusOK, resp)
+		s.writeResult(w, resp)
 	}
 }
 
@@ -354,8 +381,7 @@ func (s *Server) handleSpMVBatched(w http.ResponseWriter, r *http.Request, p *Po
 				MergeCores:   p.cfg.Merge.Cores(),
 			}, delta)
 		}
-		s.bump(&s.served)
-		writeJSON(w, http.StatusOK, resp)
+		s.writeResult(w, resp)
 	}
 }
 

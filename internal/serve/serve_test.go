@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -634,5 +635,70 @@ func TestNewPoolRejectsRecorder(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "recorder") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+}
+
+// TestServerNonFiniteResult checks that a result JSON cannot carry is
+// answered 422 naming its first non-finite element, not 200 with an
+// empty body, and is not counted as served; and that a finite result's
+// body is exactly what json.Encoder writes for it.
+func TestServerNonFiniteResult(t *testing.T) {
+	a := testGraph(t, 700, 4, 4)
+	s, err := NewServer(Config{}, newTestPool(t, "g", a, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	served := func() uint64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.served
+	}
+
+	huge := make(vector.Dense, a.Cols)
+	huge.Fill(math.MaxFloat64)
+	for _, req := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/spmv", map[string]any{"matrix": "g", "x": huge}},
+		{"/v1/iterate", map[string]any{"matrix": "g", "x0": testX(a.Cols, 5), "iterations": 2, "damping": 1e300}},
+	} {
+		resp, body := postJSON(t, ts.URL+req.path, req.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, body %q; want 422", req.path, resp.StatusCode, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: %v in %q", req.path, err, body)
+		}
+		if !strings.HasPrefix(e.Error, "serve: result y[") {
+			t.Errorf("%s: error %q does not name the non-finite element", req.path, e.Error)
+		}
+		if n := served(); n != 0 {
+			t.Errorf("%s: served = %d after a 422", req.path, n)
+		}
+	}
+
+	x := testX(a.Cols, 6)
+	eng, err := core.New(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := eng.SpMV(a, x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(&response{Y: y}); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/spmv", map[string]any{"matrix": "g", "x": x})
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("status %d, body differs from the encoder's (%d vs %d bytes)", resp.StatusCode, len(body), want.Len())
+	}
+	if n := served(); n != 1 {
+		t.Errorf("served = %d after one 200", n)
 	}
 }

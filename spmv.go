@@ -157,10 +157,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return core.New(cfg) }
 
 // DefaultEngineConfig returns the TS_ASIC-shaped configuration scaled for
 // functional (in-memory) execution: 256 KiB segments, 1024-way PRaP merge
-// with 16 cores, handling matrices up to ~33M rows. The step-2 merge
-// parallelizes across goroutines by default (Merge.MergeWorkers = 0 maps
-// the 16 merge cores onto up to GOMAXPROCS goroutines with bit-identical
-// results); set EngineConfig.Workers to parallelize step 1 as well.
+// with 16 cores, handling matrices up to ~33M rows. Step 2 parallelizes
+// across goroutines by default (Merge.MergeWorkers = 0 splits the output
+// keys into contiguous block ranges for up to GOMAXPROCS goroutines, with
+// bit-identical results); set EngineConfig.Workers to parallelize step 1
+// as well.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{
 		ScratchpadBytes: 256 << 10,
