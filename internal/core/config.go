@@ -58,7 +58,9 @@ type Config struct {
 	// accounting are identical either way. Step-2 parallelism is the
 	// separate Merge.MergeWorkers knob, which splits the output keys
 	// into contiguous block ranges, one per goroutine, with
-	// bit-identical results.
+	// bit-identical results. Workers does not bound the plan build,
+	// which runs once per matrix on runtime.GOMAXPROCS goroutines
+	// (DESIGN.md §9).
 	Workers int
 	// Recorder, when non-nil, collects the observability run report:
 	// wall-clock spans for step-1 stripe workers, the step-2 key-range

@@ -12,7 +12,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
@@ -158,20 +162,50 @@ func (e *Engine) planFor(a *matrix.COO) (*enginePlan, error) {
 			return nil, fmt.Errorf("core: %d stripes exceed %d merge ways", n, e.cfg.Merge.Ways)
 		}
 	}
-	var det *hdn.Detector
-	if e.cfg.HDN != nil {
-		var err error
-		if det, err = hdn.Build(a, *e.cfg.HDN); err != nil {
-			return nil, err
-		}
-	}
-	p, err := e.planCOO(a, det)
+	p, err := e.buildPlan(a, planWorkers(len(a.Entries)))
 	if err != nil {
 		return nil, err
 	}
 	p.matrix = a
 	e.plan = p
 	return p, nil
+}
+
+// minPlanShare is the fewest entries a plan-building goroutine is given:
+// below it, starting the goroutine costs more than its share saves.
+const minPlanShare = 4096
+
+// planWorkers is the goroutine count a plan of n entries is built on:
+// every core the runtime may use, at least minPlanShare entries each.
+// It is not Config.Workers. spmvd sets Workers to split the cores among
+// pool members that serve at the same time, but serve.NewPool builds
+// the members' plans one after another, and a plan is built once per
+// matrix, before the calls it serves.
+func planWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minPlanShare))
+}
+
+// buildPlan plans a on w goroutines with the engine's HDN detector, when
+// configured, counted from the plan's runs. The detector comes after
+// the partition, so an entry outside the matrix is the partition's
+// error, the same with or without HDN.
+func (e *Engine) buildPlan(a *matrix.COO, w int) (*enginePlan, error) {
+	if e.cfg.HDN != nil {
+		if err := e.cfg.HDN.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	b, err := e.assemble(a, w)
+	if err != nil {
+		return nil, err
+	}
+	var det *hdn.Detector
+	if e.cfg.HDN != nil {
+		if det, err = hdn.FromDegrees(b.rowDegrees(w), *e.cfg.HDN); err != nil {
+			return nil, err
+		}
+	}
+	return e.finishPlan(b, det, w)
 }
 
 // pageRankPlan returns the PageRank operand of the n×n matrix p plans: a
@@ -227,37 +261,51 @@ func (p *enginePlan) pageRankPlan(n uint64) *enginePlan {
 	return p.pr
 }
 
-// planCOO partitions a into stripes of the engine's segment width
-// (paper Fig. 3) and books them.
+// planCOO plans a with the given detector (nil for none), past the
+// engine's cache.
 func (e *Engine) planCOO(a *matrix.COO, det *hdn.Detector) (*enginePlan, error) {
-	width := e.cfg.SegmentWidth()
-	b, err := newRunAssembler(a.Rows, a.Cols, width)
+	w := planWorkers(len(a.Entries))
+	b, err := e.assemble(a, w)
 	if err != nil {
 		return nil, err
 	}
-	for _, ent := range a.Entries {
-		if ent.Col >= a.Cols {
-			return nil, fmt.Errorf("core: entry (%d, %d) outside %d columns", ent.Row, ent.Col, a.Cols)
+	return e.finishPlan(b, det, w)
+}
+
+// assemble partitions a into stripes of the engine's segment width
+// (paper Fig. 3) on w goroutines, each counting and then filling one
+// contiguous range of the entries (DESIGN.md §9).
+func (e *Engine) assemble(a *matrix.COO, w int) (*runAssembler, error) {
+	b, err := newRunAssembler(a.Rows, a.Cols, e.cfg.SegmentWidth(), w)
+	if err != nil {
+		return nil, err
+	}
+	var bad atomic.Bool
+	fanOut(w, func(g int) {
+		if ents := b.part(a.Entries, g); b.countRange(g, ents) < len(ents) {
+			bad.Store(true)
 		}
-		k := ent.Col / width
-		if !b.count(int(k), ent.Row, ent.Col-k*width) {
-			return nil, b.countErr(int(k), ent.Row, ent.Col-k*width)
+	})
+	if bad.Load() || !b.stitch() {
+		// A check failed. Counted again as one range, the stream stops
+		// at its first bad entry, which the error names.
+		b.split(1)
+		if i := b.countRange(0, a.Entries); i < len(a.Entries) {
+			return nil, b.entryErr(a.Entries[i])
 		}
 	}
 	if err := b.alloc(); err != nil {
 		return nil, err
 	}
-	for _, ent := range a.Entries {
-		k := ent.Col / width
-		b.add(int(k), ent.Row, ent.Col-k*width, ent.Val)
-	}
-	return e.finishPlan(b, det)
+	fanOut(b.ranges, func(g int) { b.fill(g, b.part(a.Entries, g)) })
+	b.close()
+	return b, nil
 }
 
 // planStripes converts prebuilt stripes, already checked against the
 // engine's segment layout, and books them.
 func (e *Engine) planStripes(stripes []*matrix.Stripe, rows, cols uint64) (*enginePlan, error) {
-	b, err := newRunAssembler(rows, cols, e.cfg.SegmentWidth())
+	b, err := newRunAssembler(rows, cols, e.cfg.SegmentWidth(), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -275,58 +323,78 @@ func (e *Engine) planStripes(stripes []*matrix.Stripe, rows, cols uint64) (*engi
 		for _, ent := range s.Entries {
 			b.add(k, ent.Row, ent.Col, ent.Val)
 		}
+		b.flush(k)
 	}
-	return e.finishPlan(b, nil)
+	b.close()
+	return e.finishPlan(b, nil, 1)
 }
 
 // runAssembler assembles a plan's stripes from a row-major entry stream in
 // two passes: count sizes every stripe's arrays exactly, add fills them
 // into one slab per array, each stripe's arrays a contiguous part.
 //
-// add stages entries per stripe and writes them to the slabs a batch at
+// The stream may be cut into ranges, counted and filled one goroutine
+// each. A range's part of a stripe — its entries of the stripe — has a
+// cursor of its own, and the parts of a stripe take its slots in stream
+// order: stitch sums their counts, and alloc gives each part its first
+// entry and run slot.
+//
+// add stages entries per part and writes them to the slabs a batch at
 // a time (software write-combining, as in radix partitioning): scattering
 // each entry straight into its stripe's four arrays keeps four write
 // streams per stripe open, which on a 2-core Xeon filled a 1M-row,
 // 3M-nonzero Erdős–Rényi matrix's 31 stripes about 2× slower.
 type runAssembler struct {
-	rows    uint64
-	stripes []runStripe
-	cur     []runCursor
+	rows, cols, width uint64
+	stripes           []runStripe
+	// ranges is the number of ranges the stream is cut into; part
+	// (g, k), range g's part of stripe k, has cursor cur[g·len(stripes)+k].
+	ranges int
+	cur    []runCursor
 	// The slabs add fills: per run its row and end, per entry its
 	// stripe-local column and value.
 	runRows []uint64
 	runEnds []uint32
-	cols    []uint32
+	colIdx  []uint32
 	vals    []float64
-	// stage holds stripe k's pending entries at [k*stageLen, (k+1)*stageLen).
-	stage []stagedEntry
+	// stage holds part i's pending entries at [i*partStage, (i+1)*partStage).
+	stage     []stagedEntry
+	partStage int
 }
 
 // stageLen is the entries a stripe stages between flushes (6 KB): on the
-// Xeon above, 256 filled 31 and 245 stripes fastest of 16 to 1024.
-const stageLen = 256
+// Xeon above, 256 filled 31 and 245 stripes fastest of 16 to 1024. The
+// ranges split it, down to minPartStage each, so up to eight ranges cost
+// no more stage memory than one; on the same Xeon, two ranges of 128
+// filled no slower, within the noise, than two of 256.
+const (
+	stageLen     = 256
+	minPartStage = 32
+)
 
 type stagedEntry struct {
 	row, col uint64
 	val      float64
 }
 
-// runCursor is one stripe's assembler state. While counting, nnz and runs
-// are the entries and runs seen; while filling, the next free entry and
-// run slot in the slabs, first the stripe's first entry slot and staged
-// its pending entries. last is the row of the stripe's latest entry,
-// width the stripe's.
+// runCursor is one part's assembler state. While counting, nnz and runs
+// are the entries and runs seen, head the row of the first; while
+// filling, the next free entry and run slot in the slabs, first the
+// stripe's first entry slot and staged the part's pending entries. last
+// is the row of the latest entry — while filling, the stripe's latest
+// in stream order, which for a part's first entry is the previous
+// part's last. width is the stripe's.
 type runCursor struct {
 	nnz, runs, first, staged int
-	last, width              uint64
+	head, last, width        uint64
 }
 
-func newRunAssembler(rows, cols, width uint64) (*runAssembler, error) {
+func newRunAssembler(rows, cols, width uint64, ranges int) (*runAssembler, error) {
 	if width == 0 {
 		return nil, fmt.Errorf("core: stripe width must be positive")
 	}
 	n := int((cols + width - 1) / width)
-	b := &runAssembler{rows: rows, stripes: make([]runStripe, n), cur: make([]runCursor, n)}
+	b := &runAssembler{rows: rows, cols: cols, width: width, stripes: make([]runStripe, n)}
 	for k := range b.stripes {
 		s := &b.stripes[k]
 		s.colStart = uint64(k) * width
@@ -334,19 +402,68 @@ func newRunAssembler(rows, cols, width uint64) (*runAssembler, error) {
 		if s.width > 1<<32 {
 			return nil, fmt.Errorf("core: stripe width %d exceeds the 2^32 columns a stripe index addresses", s.width)
 		}
-		b.cur[k].width = s.width
 	}
+	b.split(ranges)
 	return b, nil
 }
 
-// count registers one entry of stripe k (col stripe-local). It reports
+// split cuts the stream into the given number of ranges, with every
+// cursor reset.
+func (b *runAssembler) split(ranges int) {
+	n := len(b.stripes)
+	b.ranges = ranges
+	b.partStage = max(stageLen/ranges, minPartStage)
+	b.cur = make([]runCursor, ranges*n)
+	for i := range b.cur {
+		b.cur[i].width = b.stripes[i%n].width
+	}
+}
+
+// part returns range g of ents, one of b.ranges about equal ranges.
+func (b *runAssembler) part(ents []matrix.Entry, g int) []matrix.Entry {
+	lo, hi := share(uint64(len(ents)), g, b.ranges)
+	return ents[lo:hi]
+}
+
+// share returns part g of [0, n) cut into w contiguous parts, the last
+// taking the remainder.
+func share(n uint64, g, w int) (lo, hi uint64) {
+	q := n / uint64(w)
+	lo, hi = q*uint64(g), q*uint64(g+1)
+	if g == w-1 {
+		hi = n
+	}
+	return lo, hi
+}
+
+// countRange counts ents, range g of the stream. It returns how many
+// entries it counted: all, or those before the first that fails a
+// check (entryErr says which).
+func (b *runAssembler) countRange(g int, ents []matrix.Entry) int {
+	base, cols, width := g*len(b.stripes), b.cols, b.width
+	for i, ent := range ents {
+		if ent.Col >= cols {
+			return i
+		}
+		k := ent.Col / width
+		if !b.count(base+int(k), ent.Row, ent.Col-k*width) {
+			return i
+		}
+	}
+	return len(ents)
+}
+
+// count registers one entry of part i (col stripe-local). It reports
 // false, counting nothing, for an entry out of bounds or a stream that
 // is not row-major within the stripe — a run per distinct row needs each
 // row's entries adjacent; countErr then says which.
-func (b *runAssembler) count(k int, row, col uint64) bool {
-	c := &b.cur[k]
+func (b *runAssembler) count(i int, row, col uint64) bool {
+	c := &b.cur[i]
 	if row >= b.rows || col >= c.width || row < c.last {
 		return false
+	}
+	if c.nnz == 0 {
+		c.head = row
 	}
 	if c.nnz == 0 || row != c.last {
 		c.runs++
@@ -356,6 +473,15 @@ func (b *runAssembler) count(k int, row, col uint64) bool {
 	return true
 }
 
+// entryErr is the error for ent, the entry a one-range count stopped at.
+func (b *runAssembler) entryErr(ent matrix.Entry) error {
+	if ent.Col >= b.cols {
+		return fmt.Errorf("core: entry (%d, %d) outside %d columns", ent.Row, ent.Col, b.cols)
+	}
+	k := ent.Col / b.width
+	return b.countErr(int(k), ent.Row, ent.Col-k*b.width)
+}
+
 func (b *runAssembler) countErr(k int, row, col uint64) error {
 	if row >= b.rows || col >= b.stripes[k].width {
 		return fmt.Errorf("core: stripe %d: entry (%d, %d) outside %d rows x %d columns", k, row, col, b.rows, b.stripes[k].width)
@@ -363,52 +489,106 @@ func (b *runAssembler) countErr(k int, row, col uint64) error {
 	return fmt.Errorf("core: stripe %d: row %d after row %d, entries not row-major", k, row, b.cur[k].last)
 }
 
-// alloc carves every stripe's arrays, exactly the counted size, out of
-// the slabs, and points the cursors at each stripe's first slots.
-func (b *runAssembler) alloc() error {
-	var nnz, runs int
-	for k, c := range b.cur {
-		if c.nnz > math.MaxUint32 {
-			return fmt.Errorf("core: stripe %d holds %d nonzeros, more than a uint32 run end addresses", k, c.nnz)
+// stitch joins the ranges' counts of each stripe in stream order. It
+// reports false when a part's first row lies below the previous
+// non-empty part's last — the stream is not row-major across the
+// boundary. A part whose first row equals that last row continues the
+// run the previous part opened, so the run is counted once, there.
+func (b *runAssembler) stitch() bool {
+	n := len(b.stripes)
+	for k := range n {
+		var prev *runCursor
+		for g := range b.ranges {
+			c := &b.cur[g*n+k]
+			if c.nnz == 0 {
+				continue
+			}
+			if prev != nil && c.head < prev.last {
+				return false
+			}
+			if prev != nil && c.head == prev.last {
+				c.runs--
+			}
+			prev = c
 		}
-		nnz += c.nnz
-		runs += c.runs
+	}
+	return true
+}
+
+// alloc carves every stripe's arrays, exactly the counted size, out of
+// the slabs, and points each part's cursor at its first slots: the
+// stripe's parts take its slots in stream order.
+func (b *runAssembler) alloc() error {
+	n := len(b.stripes)
+	var nnz, runs int
+	for k := range n {
+		var sk int
+		for g := range b.ranges {
+			c := &b.cur[g*n+k]
+			sk += c.nnz
+			runs += c.runs
+		}
+		if sk > math.MaxUint32 {
+			return fmt.Errorf("core: stripe %d holds %d nonzeros, more than a uint32 run end addresses", k, sk)
+		}
+		nnz += sk
 	}
 	b.runRows, b.runEnds = make([]uint64, runs), make([]uint32, runs)
-	b.cols, b.vals = make([]uint32, nnz), make([]float64, nnz)
-	b.stage = make([]stagedEntry, len(b.stripes)*stageLen)
+	b.colIdx, b.vals = make([]uint32, nnz), make([]float64, nnz)
+	b.stage = make([]stagedEntry, len(b.cur)*b.partStage)
 	var r, i int
 	for k := range b.stripes {
-		s, c := &b.stripes[k], &b.cur[k]
-		nr, ni := c.runs, c.nnz
-		s.recOff = r
-		s.rows, s.ends = b.runRows[r:r+nr:r+nr], b.runEnds[r:r+nr:r+nr]
-		s.cols, s.vals = b.cols[i:i+ni:i+ni], b.vals[i:i+ni:i+ni]
-		*c = runCursor{nnz: i, runs: r, first: i, width: s.width}
-		r, i = r+nr, i+ni
+		s := &b.stripes[k]
+		first, r0 := i, r
+		var last uint64
+		for g := range b.ranges {
+			c := &b.cur[g*n+k]
+			nr, ni, end := c.runs, c.nnz, c.last
+			*c = runCursor{nnz: i, runs: r, first: first, last: last, width: s.width}
+			if ni > 0 {
+				last = end
+			}
+			r, i = r+nr, i+ni
+		}
+		s.recOff = r0
+		s.rows, s.ends = b.runRows[r0:r:r], b.runEnds[r0:r:r]
+		s.cols, s.vals = b.colIdx[first:i:i], b.vals[first:i:i]
 	}
 	return nil
 }
 
-// add stages the next counted entry of stripe k.
-func (b *runAssembler) add(k int, row, col uint64, val float64) {
-	c := &b.cur[k]
-	b.stage[k*stageLen+c.staged] = stagedEntry{row, col, val}
-	if c.staged++; c.staged == stageLen {
-		b.flush(k)
+// fill adds ents, range g of the stream, and flushes the range's parts.
+func (b *runAssembler) fill(g int, ents []matrix.Entry) {
+	base, width := g*len(b.stripes), b.width
+	for _, ent := range ents {
+		k := ent.Col / width
+		b.add(base+int(k), ent.Row, ent.Col-k*width, ent.Val)
+	}
+	for i := base; i < base+len(b.stripes); i++ {
+		b.flush(i)
 	}
 }
 
-// flush writes stripe k's staged entries to the slabs. A run's end is
-// written when the next run of its stripe opens; close writes the last
-// ones.
-func (b *runAssembler) flush(k int) {
-	c := &b.cur[k]
+// add stages the next counted entry of part i.
+func (b *runAssembler) add(i int, row, col uint64, val float64) {
+	c := &b.cur[i]
+	b.stage[i*b.partStage+c.staged] = stagedEntry{row, col, val}
+	if c.staged++; c.staged == b.partStage {
+		b.flush(i)
+	}
+}
+
+// flush writes part i's staged entries to the slabs. A run's end is
+// written when the next run of its stripe opens — by whichever part
+// opens it — and close writes each stripe's last, so every end has one
+// writer.
+func (b *runAssembler) flush(i int) {
+	c := &b.cur[i]
 	// Locals, not fields, in the loop: every slab store could alias b or
 	// c, which would reload them per entry.
-	runRows, runEnds, cols, vals := b.runRows, b.runEnds, b.cols, b.vals
+	runRows, runEnds, cols, vals := b.runRows, b.runEnds, b.colIdx, b.vals
 	nnz, runs, first, last := c.nnz, c.runs, c.first, c.last
-	for _, ent := range b.stage[k*stageLen : k*stageLen+c.staged] {
+	for _, ent := range b.stage[i*b.partStage : i*b.partStage+c.staged] {
 		if nnz == first || ent.row != last {
 			if nnz != first {
 				runEnds[runs-1] = uint32(nnz - first)
@@ -423,35 +603,84 @@ func (b *runAssembler) flush(k int) {
 	c.nnz, c.runs, c.last, c.staged = nnz, runs, last, 0
 }
 
-// close flushes every stripe and ends its last run.
+// close ends every stripe's last run, once all parts are flushed.
 func (b *runAssembler) close() {
 	for k := range b.stripes {
-		b.flush(k)
 		if s := &b.stripes[k]; len(s.ends) > 0 {
 			s.ends[len(s.ends)-1] = uint32(len(s.vals))
 		}
 	}
 }
 
-// finishPlan books the built stripes and derives the plan's totals and
-// dispatch order.
-func (e *Engine) finishPlan(b *runAssembler, det *hdn.Detector) (*enginePlan, error) {
-	b.close()
+// rowDegrees counts each row's nonzeros from the runs: the HDN
+// detector's input without another read of the entries. Goroutine g of
+// w sums the g-th share of the rows, entering each stripe's runs with
+// one binary search, so each writes only its own rows.
+func (b *runAssembler) rowDegrees(w int) []uint64 {
+	deg := make([]uint64, b.rows)
+	fanOut(w, func(g int) {
+		lo, hi := share(b.rows, g, w)
+		for k := range b.stripes {
+			s := &b.stripes[k]
+			r, _ := slices.BinarySearch(s.rows, lo)
+			start := uint32(0)
+			if r > 0 {
+				start = s.ends[r-1]
+			}
+			for ; r < len(s.rows) && s.rows[r] < hi; r++ {
+				deg[s.rows[r]] += uint64(s.ends[r] - start)
+				start = s.ends[r]
+			}
+		}
+	})
+	return deg
+}
+
+// fanOut runs fn(0), …, fn(w-1) and returns when all have: fn(0) on the
+// calling goroutine, the rest on goroutines of their own.
+func fanOut(w int, fn func(g int)) {
+	if w <= 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for g := 1; g < w; g++ {
+		go func() {
+			defer wg.Done()
+			fn(g)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// finishPlan books the built stripes on w goroutines, each claiming the
+// next unbooked stripe, and derives the plan's totals, in stripe order,
+// and its dispatch order.
+func (e *Engine) finishPlan(b *runAssembler, det *hdn.Detector, w int) (*enginePlan, error) {
 	p := &enginePlan{stripes: b.stripes, det: det}
-	var keys []types.Record
-	var bw vldi.BitWriter
+	n := len(p.stripes)
+	most := 0
 	if e.cfg.VectorCodec != nil {
-		most := 0
 		for k := range p.stripes {
 			most = max(most, len(p.stripes[k].rows))
 		}
-		keys = make([]types.Record, most)
 	}
-	for k := range p.stripes {
-		s := &p.stripes[k]
-		if err := e.bookStripe(s, b.rows, det, keys, &bw); err != nil {
-			return nil, err
+	errs := make([]error, n)
+	var next atomic.Int64
+	fanOut(min(w, n), func(int) {
+		keys := make([]types.Record, most)
+		var bw vldi.BitWriter
+		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
+			errs[k] = e.bookStripe(&p.stripes[k], b.rows, det, keys, &bw)
 		}
+	})
+	for k := range p.stripes {
+		if errs[k] != nil {
+			return nil, errs[k]
+		}
+		s := &p.stripes[k]
 		p.runs += len(s.rows)
 		p.nnz += s.nnz()
 		p.maxNNZ = max(p.maxNNZ, s.nnz())

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"runtime"
 	"strconv"
-	"sync"
 
 	"mwmerge/internal/mem"
 	"mwmerge/internal/prap"
@@ -189,20 +188,7 @@ func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64
 			}
 		}
 	}
-	if w == 1 {
-		run(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for g := 1; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			run(g)
-		}()
-	}
-	run(0)
-	wg.Wait()
+	fanOut(w, run)
 }
 
 // accumulateBlock computes one block, keys [lo, lo+len(blk)), into blk.

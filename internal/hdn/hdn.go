@@ -57,19 +57,45 @@ type Detector struct {
 	Exact map[uint64]struct{}
 }
 
-// Build scans m's row degrees once (the paper's single meta-data streaming
-// pass) and populates the filter.
-func Build(m *matrix.COO, cfg Config) (*Detector, error) {
+// Validate checks the configuration.
+func (cfg Config) Validate() error {
 	if cfg.Threshold == 0 {
-		return nil, fmt.Errorf("hdn: threshold must be positive")
+		return fmt.Errorf("hdn: threshold must be positive")
 	}
 	if cfg.LoadFactor <= 0 || cfg.LoadFactor >= 1 {
-		return nil, fmt.Errorf("hdn: load factor %g out of (0,1)", cfg.LoadFactor)
+		return fmt.Errorf("hdn: load factor %g out of (0,1)", cfg.LoadFactor)
 	}
 	if cfg.Hashes < 1 {
-		return nil, fmt.Errorf("hdn: hash count must be positive")
+		return fmt.Errorf("hdn: hash count must be positive")
 	}
-	deg := m.RowDegrees()
+	return nil
+}
+
+// Build scans m's row degrees once (the paper's single meta-data streaming
+// pass) and populates the filter. An entry whose row lies outside m is an
+// error.
+func Build(m *matrix.COO, cfg Config) (*Detector, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	deg := make([]uint64, m.Rows)
+	for _, e := range m.Entries {
+		if e.Row >= m.Rows {
+			return nil, fmt.Errorf("hdn: entry (%d, %d) outside %d rows", e.Row, e.Col, m.Rows)
+		}
+		deg[e.Row]++
+	}
+	return FromDegrees(deg, cfg)
+}
+
+// FromDegrees populates the filter from row degrees counted elsewhere:
+// deg[r] is row r's nonzero count. It is Build without the scan, for a
+// caller that has already streamed the matrix (the engine counts the
+// degrees from its plan's row runs).
+func FromDegrees(deg []uint64, cfg Config) (*Detector, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	exact := make(map[uint64]struct{})
 	for r, d := range deg {
 		if d > cfg.Threshold {

@@ -1,9 +1,11 @@
 package hdn
 
 import (
+	"reflect"
 	"testing"
 
 	"mwmerge/internal/graph"
+	"mwmerge/internal/matrix"
 )
 
 func TestBuildDetectsHDNs(t *testing.T) {
@@ -143,5 +145,37 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 		if _, err := Build(m, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestBuildRejectsRowOutsideMatrix: Build counts degrees itself, so a
+// row past the matrix is its error to report, not an index panic.
+func TestBuildRejectsRowOutsideMatrix(t *testing.T) {
+	m := &matrix.COO{Rows: 4, Cols: 4, Entries: []matrix.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 9, Col: 1, Val: 1}}}
+	const want = "hdn: entry (9, 1) outside 4 rows"
+	if _, err := Build(m, DefaultConfig()); err == nil || err.Error() != want {
+		t.Fatalf("Build error %v, want %q", err, want)
+	}
+}
+
+// TestFromDegreesMatchesBuild: the degree-taking constructor gives the
+// detector Build does from the same matrix.
+func TestFromDegreesMatchesBuild(t *testing.T) {
+	m, err := graph.Zipf(4000, 12, 1.8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Threshold = 100
+	want, err := Build(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromDegrees(m.RowDegrees(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("FromDegrees built another detector than Build")
 	}
 }

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -96,15 +97,7 @@ func (h *Histogram) String() string {
 // (BitWidth(0) == 1, matching a delta of zero distance still occupying one
 // bit in a delta-index stream).
 func BitWidth(v uint64) int {
-	if v == 0 {
-		return 1
-	}
-	w := 0
-	for v > 0 {
-		w++
-		v >>= 1
-	}
-	return w
+	return max(bits.Len64(v), 1)
 }
 
 // GeometricGapWidthDist returns the probability distribution of the

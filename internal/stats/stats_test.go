@@ -51,12 +51,16 @@ func TestHistogramMean(t *testing.T) {
 }
 
 func TestBitWidth(t *testing.T) {
-	cases := []struct {
+	type widthCase struct {
 		v    uint64
 		want int
-	}{
-		{0, 1}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {255, 8}, {256, 9},
-		{1 << 16, 17}, {(1 << 17) - 1, 17}, {math.MaxUint64, 64},
+	}
+	cases := []widthCase{{0, 1}, {1, 1}, {255, 8}, {256, 9}, {math.MaxUint64, 64}}
+	// 2^i needs i+1 bits and 2^i - 1 needs i, except that 2^0 - 1 = 0
+	// still takes one; 2^i + 1 needs i+1, except that 2^0 + 1 = 2 takes two.
+	for i := 0; i < 64; i++ {
+		p := uint64(1) << i
+		cases = append(cases, widthCase{p - 1, max(i, 1)}, widthCase{p, i + 1}, widthCase{p + 1, max(i+1, 2)})
 	}
 	for _, c := range cases {
 		if got := BitWidth(c.v); got != c.want {

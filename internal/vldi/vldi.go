@@ -41,19 +41,20 @@ type BitWriter struct {
 	nbit uint64
 }
 
-// WriteBits appends the low width bits of v, most significant first.
+// WriteBits appends the low width bits of v, most significant first. It
+// fills the current byte's free bits at once, so a w-bit field takes at
+// most w/8 + 2 steps.
 func (w *BitWriter) WriteBits(v uint64, width int) {
-	for i := width - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		byteIdx := w.nbit >> 3
-		if int(byteIdx) == len(w.buf) {
+	for width > 0 {
+		used := int(w.nbit & 7)
+		if used == 0 {
 			// Grow-once bit buffer; Reset keeps capacity, so steady-state round trips reuse it.
 			w.buf = append(w.buf, 0)
 		}
-		if bit == 1 {
-			w.buf[byteIdx] |= 1 << (7 - w.nbit&7)
-		}
-		w.nbit++
+		n := min(8-used, width)
+		width -= n
+		w.buf[len(w.buf)-1] |= byte(v>>uint(width)) & (1<<n - 1) << (8 - used - n)
+		w.nbit += uint64(n)
 	}
 }
 
@@ -92,11 +93,12 @@ func (r *BitReader) ReadBits(width int) (uint64, error) {
 		return 0, ErrTruncated
 	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		byteIdx := r.nbit >> 3
-		bit := (r.buf[byteIdx] >> (7 - r.nbit&7)) & 1
-		v = v<<1 | uint64(bit)
-		r.nbit++
+	for width > 0 {
+		used := int(r.nbit & 7)
+		n := min(8-used, width)
+		width -= n
+		v = v<<n | uint64(r.buf[r.nbit>>3]>>(8-used-n)&(1<<n-1))
+		r.nbit += uint64(n)
 	}
 	return v, nil
 }

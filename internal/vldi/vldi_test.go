@@ -1,6 +1,7 @@
 package vldi
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,52 @@ func TestBitRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBitsMatchBitAtATime holds the byte-filling writer and reader to
+// the one-bit-per-step packing they replaced: the same bytes for fields
+// of every width 0–64 at every bit offset (high bits above the width
+// set, which the writer must ignore), and the same fields read back.
+func TestBitsMatchBitAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type field struct {
+		v     uint64
+		width int
+	}
+	var fields []field
+	for i := 0; i < 2000; i++ {
+		fields = append(fields, field{rng.Uint64(), rng.Intn(65)})
+	}
+	var w BitWriter
+	var want []byte
+	var nbit uint64
+	for _, f := range fields {
+		w.WriteBits(f.v, f.width)
+		for i := f.width - 1; i >= 0; i-- {
+			if nbit%8 == 0 {
+				want = append(want, 0)
+			}
+			want[nbit/8] |= byte(f.v>>uint(i)&1) << (7 - nbit%8)
+			nbit++
+		}
+	}
+	if w.Bits() != nbit || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("wrote %d bits, want %d; bytes equal: %v", w.Bits(), nbit, bytes.Equal(w.Bytes(), want))
+	}
+	r := NewBitReader(want, nbit)
+	for i, f := range fields {
+		got, err := r.ReadBits(f.width)
+		mask := uint64(1)<<uint(f.width) - 1
+		if f.width == 64 {
+			mask = ^uint64(0)
+		}
+		if err != nil || got != f.v&mask {
+			t.Fatalf("field %d (width %d): read %#x, %v; want %#x", i, f.width, got, err, f.v&mask)
+		}
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bits left unread", r.Remaining())
 	}
 }
 
