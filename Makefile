@@ -71,8 +71,10 @@ serve-smoke:
 # both reference mergers, the sparse vs dense store-queue drains, and the
 # engine's step 2 (the ordered segment accumulator) against the PRaP
 # network it replaces on the host, bit for bit and statistic for
-# statistic, and the engine's plan built from several ranges of the
-# entries against the one-range build, plan for plan and error for error.
+# statistic, the engine's plan built from several ranges of the entries
+# against the one-range build, plan for plan and error for error, and
+# the ITS schedule of Iterate and PageRank against the sequential one,
+# bit for bit and ledger for ledger less the transitions kept on chip.
 fuzz:
 	$(GO) test -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/vldi/
 	$(GO) test -fuzz=FuzzSizeMatchesEncode -fuzztime=10s ./internal/vldi/
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMergeKernels -fuzztime=10s ./internal/merge/
 	$(GO) test -fuzz=FuzzStep2MatchesMergeInto -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzPlanBuild -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzIterateSchedulesAgree -fuzztime=10s ./internal/core/
 
 clean:
 	rm -rf out test_output.txt bench_output.txt

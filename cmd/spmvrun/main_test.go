@@ -172,3 +172,19 @@ func TestRunPlainStillWorks(t *testing.T) {
 		t.Errorf("-degree -3: stderr %q, want a graph: error", got)
 	}
 }
+
+// TestRunRejectsBadIterateInput holds the iterative mode's input errors
+// to a one-line engine error and exit 1, not a reference check that
+// compares an all-NaN result with an all-NaN reference and reports 0.
+func TestRunRejectsBadIterateInput(t *testing.T) {
+	for _, damping := range []string{"NaN", "Inf", "-Inf"} {
+		var out, errOut strings.Builder
+		args := []string{"-gen", "er", "-nodes", "2000", "-degree", "3", "-iters", "3", "-damping", damping}
+		if code := run(args, &out, &errOut); code != 1 {
+			t.Errorf("-damping %s: exit %d, want 1\n%s", damping, code, out.String())
+		}
+		if got := errOut.String(); !strings.HasPrefix(got, "spmvrun: core: ") {
+			t.Errorf("-damping %s: stderr %q, want a core: error", damping, got)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mwmerge/internal/graph"
@@ -10,6 +11,7 @@ import (
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
 	"mwmerge/internal/prap"
+	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
@@ -271,7 +273,7 @@ func testPlan(t *testing.T, a *matrix.COO, width uint64) *enginePlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.planCOO(a, nil)
+	p, err := e.buildPlan(a, planWorkers(len(a.Entries)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,6 +429,54 @@ func TestIterateRejectsBadArgs(t *testing.T) {
 	rect, _ := matrix.NewCOO(4, 5, []matrix.Entry{{Row: 0, Col: 0, Val: 1}})
 	if _, err := e.Iterate(rect, vector.NewDense(5), IterateOptions{Iterations: 1}); err == nil {
 		t.Error("rectangular iterate accepted")
+	}
+}
+
+// TestIterateRejectsNonFiniteDamping holds Iterate, on both schedules,
+// and IterateBlock to rejecting a NaN or infinite damping with a core
+// error before any work — nothing planned, nothing booked — while any
+// finite damping runs.
+func TestIterateRejectsNonFiniteDamping(t *testing.T) {
+	a, err := graph.ErdosRenyi(300, 3, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randomX(a.Rows, 97)
+	entries := map[string]func(e *Engine, damping float64) error{
+		"Iterate": func(e *Engine, damping float64) error {
+			_, err := e.Iterate(a, x, IterateOptions{Iterations: 3, Damping: damping})
+			return err
+		},
+		"Iterate overlap": func(e *Engine, damping float64) error {
+			_, err := e.Iterate(a, x, IterateOptions{Iterations: 3, Damping: damping, Overlap: true})
+			return err
+		},
+		"IterateBlock": func(e *Engine, damping float64) error {
+			_, err := e.IterateBlock(a, []vector.Dense{x, x}, IterateOptions{Iterations: 3, Damping: damping})
+			return err
+		},
+	}
+	for entry, call := range entries {
+		for _, damping := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 0.85, -2} {
+			e, err := New(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = call(e, damping)
+			if !math.IsNaN(damping) && !math.IsInf(damping, 0) {
+				if err != nil {
+					t.Errorf("%s/%g: rejected: %v", entry, damping, err)
+				}
+				continue
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+				t.Errorf("%s/%g: error %v, want a core: rejection", entry, damping, err)
+				continue
+			}
+			if e.plan != nil || e.Counters() != (report.Counters{}) {
+				t.Errorf("%s/%g: rejected only after planning or booking work", entry, damping)
+			}
+		}
 	}
 }
 

@@ -239,26 +239,18 @@ func (e *Engine) dropCols() { e.one = oneCols{} }
 // call. SpMSpV passes its sparse x's logical dimension, so the dense and
 // frontier paths reject bad inputs with identical errors.
 func (c Config) CheckOperands(a *matrix.COO, xDim uint64, yIn vector.Dense) error {
-	if err := checkVectors(a.Rows, a.Cols, xDim, yIn); err != nil {
-		return err
-	}
-	return c.checkCapacity(a.Rows)
+	return c.checkOperands(a.Rows, a.Cols, xDim, yIn)
 }
 
-// checkVectors is the vector half of CheckOperands. SpMVSliced applies it
-// alone: slicing exists precisely to exceed the capacity bound.
-func checkVectors(rows, cols, xDim uint64, yIn vector.Dense) error {
+// checkOperands is CheckOperands for a rows×cols matrix given by its
+// dimensions alone, as SpMVStripes has it.
+func (c Config) checkOperands(rows, cols, xDim uint64, yIn vector.Dense) error {
 	if xDim != cols {
 		return fmt.Errorf("core: x dimension %d != %d columns", xDim, cols)
 	}
 	if yIn != nil && uint64(len(yIn)) != rows {
 		return fmt.Errorf("core: y dimension %d != %d rows", len(yIn), rows)
 	}
-	return nil
-}
-
-// checkCapacity is the capacity half of CheckOperands.
-func (c Config) checkCapacity(rows uint64) error {
 	if rows > c.MaxDimension() {
 		return fmt.Errorf("core: dimension %d exceeds engine capacity %d (ways %d x segment %d)",
 			rows, c.MaxDimension(), c.Merge.Ways, c.SegmentWidth())
@@ -268,18 +260,10 @@ func (c Config) checkCapacity(rows uint64) error {
 
 // spmvCompute is the k-wide Two-Step driver: ys[c] = A·xs[c] + yIns[c]
 // for every column c with one matrix pass, each ys[c] (length a.Rows)
-// fully overwritten. yIns may be nil or per-entry nil. Every dense entry
-// point funnels through it — SpMV and the non-overlap Iterate as its k=1
-// case — reusing the plan cache and a step-1 bank; PageRank, whose
-// operand is the plan's normalized sibling, calls runPlan directly. It
-// re-validates the inputs so iterative callers surface exactly the
-// errors a standalone call would.
+// fully overwritten. yIns may be nil or per-entry nil. SpMV (its k=1
+// case) and SpMVBlock, which have checked the operands, call it on the
+// cached plan; the iterative entry points plan once and run loop.
 func (e *Engine) spmvCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
-	for c := range xs {
-		if err := e.cfg.CheckOperands(a, uint64(len(xs[c])), blockYIn(yIns, c)); err != nil {
-			return err
-		}
-	}
 	p, err := e.planFor(a)
 	if err != nil {
 		return err
@@ -347,18 +331,14 @@ func (e *Engine) chargeDetector(p *enginePlan) {
 // header in slot c·n + s, so parallel runs stay race-free and
 // deterministic. With a non-nil gate, stripe s first waits until
 // segment s of x has been published and releases its handoff slot when
-// done; a failed wait (segmentGate.fail) skips the stripe, and the
-// bank must then be discarded uncommitted.
+// done.
 func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense, gate *segmentGate, bank *stripeBank) {
 	n := len(p.stripes)
 	bank.sized(n*len(xs), p.runs*len(xs))
 	run := func(w, s int) {
 		if gate != nil {
-			err := gate.wait(s)
+			gate.wait(s)
 			defer gate.consume()
-			if err != nil {
-				return
-			}
 		}
 		if e.rec != nil {
 			defer e.rec.StartSpan("step1/w"+strconv.Itoa(w), "s"+strconv.Itoa(s)).End()

@@ -192,7 +192,7 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 		return y
 	}
 	// HDN routing is a property of the planned COO paths: the adapters
-	// that bypass the plan (prebuilt stripes, slicing) or the dense
+	// that bypass the plan (prebuilt stripes) or the dense
 	// multiply (the frontier) book no detector pass, by contract.
 	planned := cfg.HDN == nil
 
@@ -240,16 +240,8 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 	ok(err)
 	sameBits("SpMVStripes", y, want)
 
-	sliced := fresh()
-	y, passes, err := sliced.SpMVSliced(a, x, yIn)
-	ok(err)
-	sameBits("SpMVSliced", y, want)
-	if passes != 0 {
-		t.Errorf("SpMVSliced: %d pre-merge passes on a matrix that fits", passes)
-	}
 	if planned {
 		sameBooks("SpMVStripes vs SpMV", pre, spmv)
-		sameBooks("SpMVSliced vs SpMV", sliced, spmv)
 	}
 
 	// SpMSpV on a zero-free full frontier multiplies every nonzero, so it
@@ -446,7 +438,7 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 }
 
 // TestOperandErrorsMatchSpMV pins the shared operand check: the stripe
-// and sliced adapters and every iterative entry point reject a
+// adapter and every iterative entry point reject a
 // bad-dimension vector with exactly SpMV's error, and SpMVStripes names
 // the capacity the way SpMV does.
 func TestOperandErrorsMatchSpMV(t *testing.T) {
@@ -469,8 +461,6 @@ func TestOperandErrorsMatchSpMV(t *testing.T) {
 	_, wantX := e.SpMV(a, short, nil)
 	_, gotErr := e.SpMVStripes(stripes, 300, 300, short, nil)
 	same("SpMVStripes x", gotErr, wantX)
-	_, _, gotErr = e.SpMVSliced(a, short, nil)
-	same("SpMVSliced x", gotErr, wantX)
 	for _, overlap := range []bool{false, true} {
 		_, gotErr = e.Iterate(a, short, IterateOptions{Iterations: 2, Overlap: overlap})
 		same("Iterate x0", gotErr, wantX)
@@ -481,8 +471,6 @@ func TestOperandErrorsMatchSpMV(t *testing.T) {
 	_, wantY := e.SpMV(a, good, short)
 	_, gotErr = e.SpMVStripes(stripes, 300, 300, good, short)
 	same("SpMVStripes yIn", gotErr, wantY)
-	_, _, gotErr = e.SpMVSliced(a, good, short)
-	same("SpMVSliced yIn", gotErr, wantY)
 
 	over := graph.Diagonal(10000, 1)
 	overStripes, _ := matrix.Partition1D(over, cfg.SegmentWidth())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"mwmerge/internal/matrix"
@@ -23,7 +24,8 @@ type IterateOptions struct {
 	// schedule.
 	Overlap bool
 	// Damping, when non-zero, applies the PageRank update
-	// x' = Damping·A·x + (1-Damping)/N after each multiplication.
+	// x' = Damping·A·x + (1-Damping)/N after each multiplication. A NaN
+	// or infinite Damping is rejected.
 	Damping float64
 }
 
@@ -41,14 +43,15 @@ type IterateResult struct {
 // so only the x re-read is charged here — charging both would count the
 // y-out bytes twice per transition. With ITS overlap the segment stays
 // on chip in the second buffer and the bytes are recorded as saved
-// instead. Returns the transition byte count either way.
+// instead. Returns the bytes saved: the transition under overlap, 0
+// when it is charged.
 func (e *Engine) accountTransition(rows uint64, overlap bool) uint64 {
 	transition := rows * uint64(e.cfg.ValueBytes) // y re-read as the next x
-	if overlap {
-		e.stats.TransitionBytesSaved += transition
-	} else {
+	if !overlap {
 		e.ledger.Charge(mem.Traffic{ResultBytes: transition})
+		return 0
 	}
+	e.stats.TransitionBytesSaved += transition
 	return transition
 }
 
@@ -81,14 +84,18 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 }
 
 // iterate is the iterative-SpMV driver behind Iterate (its k=1 case) and
-// IterateBlock: k damped chains advanced in lock step, one k-wide
-// spmvCompute per iteration. It returns the final vectors and the
-// transition bytes ITS kept on chip. Overlap selects the ITS pipeline
-// instead, whose bounded segment handoff joins exactly one producer and
-// one consumer vector — only Iterate passes it, with its single column.
+// IterateBlock: k damped chains advanced in lock step by loop. It
+// returns the final vectors and the transition bytes ITS kept on chip.
+// Overlap selects the ITS schedule, whose bounded segment handoff joins
+// exactly one producer and one consumer vector — only Iterate passes it,
+// with its single column.
 func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) ([]vector.Dense, uint64, error) {
 	if opt.Iterations < 1 {
 		return nil, 0, fmt.Errorf("core: iteration count must be positive")
+	}
+	damping := opt.Damping
+	if math.IsNaN(damping) || math.IsInf(damping, 0) {
+		return nil, 0, fmt.Errorf("core: damping %g is not a finite number", damping)
 	}
 	if a.Rows != a.Cols {
 		return nil, 0, fmt.Errorf("core: iterative SpMV needs a square matrix, got %dx%d", a.Rows, a.Cols)
@@ -101,64 +108,22 @@ func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) 
 			return nil, 0, err
 		}
 	}
-	k := len(x0s)
-	damping := opt.Damping
-	base := (1 - damping) / float64(a.Rows)
-	xs := make([]vector.Dense, k)
-	if opt.Overlap {
-		p, err := e.planFor(a)
-		if err != nil {
-			return nil, 0, err
-		}
-		var hooks pipelineHooks
-		if damping != 0 {
-			hooks.update = func(int, vector.Dense) func(vector.Dense) {
-				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
-			}
-		}
-		x, _, saved := e.iteratePipelined(p, a.Rows, x0s[0], opt.Iterations, hooks)
-		xs[0] = x
-		return xs, saved, nil
+	p, err := e.planFor(a)
+	if err != nil {
+		return nil, 0, err
 	}
-
-	e.reserveDense(k)
-	ys := make([]vector.Dense, k)
-	for c := range x0s {
-		xs[c] = x0s[c].Clone()
+	var h loopHooks
+	if damping != 0 {
+		base := (1 - damping) / float64(a.Rows)
+		damp := func(seg vector.Dense) { dampSegment(seg, damping, base) }
+		h.update = func(vector.Dense) func(vector.Dense) { return damp }
 	}
-	for it := 0; it < opt.Iterations; it++ {
-		var iterStart uint64
-		if e.rec != nil {
-			iterStart = e.rec.Now()
-		}
-		// k-wide ping-pong through the engine's dense free list: every
-		// source buffer becomes a future result buffer. The final xs are
-		// returned and therefore never recycled.
-		for c := range ys {
-			ys[c] = e.getDense(int(a.Rows))
-		}
-		if err := e.spmvCompute(a, xs, nil, ys, nil); err != nil {
-			for c := range ys {
-				e.putDense(ys[c])
-			}
-			return nil, 0, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
-		for c := range ys {
-			if damping != 0 {
-				dampSegment(ys[c], damping, base)
-			}
-			e.putDense(xs[c])
-			xs[c] = ys[c]
-		}
-		if it < opt.Iterations-1 {
-			// One y-as-next-x round trip per column.
-			for range xs {
-				e.accountTransition(a.Rows, false)
-			}
-		}
-		e.recordIteration(it, iterStart)
+	xs := make([]vector.Dense, len(x0s))
+	for c, x0 := range x0s {
+		xs[c] = x0.Clone()
 	}
-	return xs, 0, nil
+	xs, _, saved := e.loop(p, a.Rows, xs, opt.Iterations, opt.Overlap, h)
+	return xs, saved, nil
 }
 
 // PageRank runs damped power iteration until the L1 delta drops below tol
@@ -212,11 +177,7 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 		}
 	}
 
-	ranks := make([]vector.Dense, k)
-	// The live set: sources and original column indices of the columns
-	// still iterating, compacted in place as columns retire.
 	xs := make([]vector.Dense, k)
-	cols := make([]int, k)
 	for c := range x0s {
 		x := vector.NewDense(int(n))
 		if x0s[c] == nil {
@@ -225,7 +186,6 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 			copy(x, x0s[c])
 		}
 		xs[c] = x
-		cols[c] = c
 	}
 	if maxIters < 1 {
 		return xs, iters, nil
@@ -235,57 +195,16 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 		return nil, iters, err
 	}
 	norm := p.pageRankPlan(n)
-	dangling := norm.dangling
-	if overlap {
-		hooks := pipelineHooks{
-			update: func(_ int, src vector.Dense) func(vector.Dense) {
-				base := teleportBase(src, dangling, damping, n)
-				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
-			},
-			converged: func(_ int, y, src vector.Dense) bool {
-				return l1Delta(y, src) < tol
-			},
-		}
-		ranks[0], iters[0], _ = e.iteratePipelined(norm, n, xs[0], maxIters, hooks)
-		return ranks, iters, nil
+	var base float64
+	damp := func(seg vector.Dense) { dampSegment(seg, damping, base) }
+	h := loopHooks{
+		update: func(x vector.Dense) func(vector.Dense) {
+			base = teleportBase(x, norm.dangling, damping, n)
+			return damp
+		},
+		converged: func(y, x vector.Dense) bool { return l1Delta(y, x) < tol },
 	}
-
-	e.reserveDense(k)
-	ys := make([]vector.Dense, k)
-	for it := 1; len(xs) > 0; it++ {
-		var iterStart uint64
-		if e.rec != nil {
-			iterStart = e.rec.Now()
-		}
-		live := len(xs)
-		ys = ys[:live]
-		for i := range ys {
-			ys[i] = e.getDense(int(n))
-		}
-		e.runPlan(norm, n, xs, nil, ys, nil)
-		// Damp, test convergence, and retire or advance each live column.
-		w := 0
-		for i := 0; i < live; i++ {
-			dampSegment(ys[i], damping, teleportBase(xs[i], dangling, damping, n))
-			delta := l1Delta(ys[i], xs[i])
-			e.putDense(xs[i])
-			if delta < tol || it == maxIters {
-				ranks[cols[i]] = ys[i]
-				iters[cols[i]] = it
-				continue
-			}
-			xs[w] = ys[i]
-			cols[w] = cols[i]
-			w++
-		}
-		xs = xs[:w]
-		cols = cols[:w]
-		// Columns that continue book their y-as-next-x round trip.
-		for range xs {
-			e.accountTransition(n, false)
-		}
-		e.recordIteration(it-1, iterStart)
-	}
+	ranks, iters, _ := e.loop(norm, n, xs, maxIters, overlap, h)
 	return ranks, iters, nil
 }
 

@@ -101,17 +101,11 @@ func TestPageRankPlanMatchesNormalizedClone(t *testing.T) {
 				t.Fatal(err)
 			}
 			pr := p.pageRankPlan(a.Rows)
-			var det *hdn.Detector
-			if cfg.HDN != nil {
-				if det, err = hdn.Build(norm, *cfg.HDN); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := e.planCOO(norm, det)
+			want, err := e.buildPlan(norm, planWorkers(len(norm.Entries)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := e.planCOO(a, nil)
+			plain, err := e.buildPlan(a, planWorkers(len(a.Entries)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,23 +1,25 @@
 package core
 
-// The software ITS pipeline (paper Fig. 15). Iterate/PageRank with
-// Overlap run step 2 of iteration i concurrently with step 1 of
-// iteration i+1: step 2 publishes the dense result segment by segment
-// in ascending key order (runStep2Into), the damping/teleport update is
-// applied to each segment as it is published, and the next iteration's
-// stripe workers block per stripe until the x-segment they read is
-// final. The handoff is bounded at two
-// segments — the software analogue of the paper's halved-capacity
-// constraint, under which the transition vector never round-trips
-// through DRAM. Because every element still receives exactly the same
-// float64 operations in the same order as the sequential schedule, the
-// pipelined result is bit-identical at any Workers/MergeWorkers
+// The iteration loop behind Iterate, IterateBlock, PageRank and
+// PageRankBlock, and its ITS schedule (paper Fig. 15). Sequentially,
+// step 1 of iteration i+1 runs after step 2 of iteration i. Under ITS
+// it runs alongside it: step 2 publishes the dense result segment by
+// segment in ascending key order (runStep2Into), the update is applied
+// to each segment as it is published, and the next iteration's stripe
+// workers block per stripe until the x-segment they read is final. The
+// handoff is bounded at two segments — the software analogue of the
+// paper's halved-capacity constraint, under which the transition vector
+// never round-trips through DRAM. Both schedules share every commit,
+// step 2, update, retirement, transition charge and snapshot, and every
+// element receives the same float64 operations in the same order, so
+// the two agree bit for bit and book for book at any Workers/MergeWorkers
 // setting.
 
 import (
 	"strconv"
 	"sync"
 
+	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
@@ -33,7 +35,6 @@ type segmentGate struct {
 	ahead     int
 	published int
 	consumed  int
-	err       error
 }
 
 func newSegmentGate(ahead int) *segmentGate {
@@ -42,15 +43,14 @@ func newSegmentGate(ahead int) *segmentGate {
 	return g
 }
 
-// reset rewinds a quiescent gate for reuse by the next pipelined
-// iteration. Callers must have joined both sides first (the driver joins
-// the consumer goroutine before every reset).
+// reset rewinds a quiescent gate for reuse by the next overlapped
+// iteration. Callers must have joined both sides first (overlapStep2
+// joins the consumer goroutine before returning).
 func (g *segmentGate) reset(ahead int) {
 	g.mu.Lock()
 	g.ahead = ahead
 	g.published = 0
 	g.consumed = 0
-	g.err = nil
 	g.mu.Unlock()
 }
 
@@ -62,27 +62,24 @@ func (g *segmentGate) reset(ahead int) {
 func (g *segmentGate) publish() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.err == nil && g.published-g.consumed >= g.ahead {
+	for g.published-g.consumed >= g.ahead {
 		g.cond.Wait()
 	}
 	g.published++
 	g.cond.Broadcast()
 }
 
-// wait blocks until segment seg has been published, returning the
-// pipeline error if it failed instead.
-func (g *segmentGate) wait(seg int) error {
+// wait blocks until segment seg has been published.
+func (g *segmentGate) wait(seg int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.err == nil && g.published <= seg {
+	for g.published <= seg {
 		g.cond.Wait()
 	}
-	return g.err
 }
 
 // consume releases one handoff slot. Callers invoke it exactly once per
-// stripe whether or not the stripe succeeded; skipping it on failure
-// would starve the producer.
+// stripe; skipping it would starve the producer.
 func (g *segmentGate) consume() {
 	g.mu.Lock()
 	g.consumed++
@@ -90,23 +87,11 @@ func (g *segmentGate) consume() {
 	g.mu.Unlock()
 }
 
-// fail aborts the pipeline: pending and future waits return err and
-// publishes stop blocking. The first error wins. The engine's step 2
-// cannot fail, so no engine path calls it today.
-func (g *segmentGate) fail(err error) {
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
 // dampSegment applies the damped update y := damping·y + base to one
-// segment. Both the sequential and the pipelined schedules funnel the
-// update through this helper — the same two per-element statements, in
-// element order — so applying it streaming per published segment is
-// bit-identical to applying it to the whole vector after the merge.
+// segment. Both schedules funnel the update through this helper — the
+// same two per-element statements, in element order — so applying it
+// streaming per published segment is bit-identical to applying it to
+// the whole vector after step 2.
 func dampSegment(seg vector.Dense, damping, base float64) {
 	for i := range seg {
 		seg[i] *= damping
@@ -128,19 +113,19 @@ func l1Delta(y, x vector.Dense) float64 {
 	return delta
 }
 
-// pipelineHooks parameterizes the shared ITS driver for its two
-// workloads (plain damped iteration; PageRank with convergence).
-type pipelineHooks struct {
-	// update, when non-nil, returns the element-wise post-merge update
-	// for iteration it given that iteration's source vector — applied
-	// to each y-segment as it is published (and to the whole vector on
-	// the final, unoverlapped iteration). A nil inner func means no
-	// update this iteration.
-	update func(it int, x vector.Dense) func(seg vector.Dense)
-	// converged, when non-nil, inspects iteration it's output y and its
-	// source x and reports whether the loop stops early. The step 1
+// loopHooks parameterizes loop for its two workloads (damped iteration;
+// PageRank with convergence).
+type loopHooks struct {
+	// update, when non-nil, returns the element-wise post-step-2 update
+	// of a column given its source vector x: applied to the whole y
+	// sequentially and to each published segment under ITS. loop is
+	// done with the returned func before it calls update again, so the
+	// func may be reused.
+	update func(x vector.Dense) func(seg vector.Dense)
+	// converged, when non-nil, reports whether a column retires before
+	// maxIters given its output y and its source x. Under ITS the step 1
 	// speculatively running against y is then discarded uncommitted.
-	converged func(it int, y, x vector.Dense) bool
+	converged func(y, x vector.Dense) bool
 }
 
 // step1Result carries a speculative step-1 run's recorder timestamps
@@ -150,122 +135,136 @@ type step1Result struct {
 	start, end uint64
 }
 
-// iteratePipelined runs up to maxIters SpMV applications of the matrix
-// planned in p (rows rows) with real ITS overlap and returns the final
-// vector, the iterations executed, and the transition bytes kept on
-// chip. Per iteration it commits the
-// (already computed) step-1 lists, launches step 1 of the next
-// iteration against the y under construction, and runs step 2 with
-// segment publishing; the two phases meet only through the gate, so the
-// ledger, statistics and numerics match the sequential schedule
-// exactly. When an iteration converges, the speculative next step 1 is
-// joined and discarded without committing — wasted wall-clock, as on
+// loop runs up to maxIters SpMV applications of the matrix planned in p
+// (rows rows) on every column of xs, which it owns and recycles, and
+// returns each column's final vector and iteration count and the
+// transition bytes kept on chip. A column retires when h.converged says
+// so or at maxIters; the survivors keep iterating in lock step, one
+// k-wide step 1 per iteration. With overlap and a single column, the
+// ITS schedule runs step 1 of each next iteration alongside step 2
+// (overlapStep2). When a column converges there, the speculative step 1
+// is joined and discarded without committing — wasted wall-clock, as on
 // the real machine, but no ledger pollution.
-func (e *Engine) iteratePipelined(p *enginePlan, rows uint64, x0 vector.Dense, maxIters int, h pipelineHooks) (vector.Dense, int, uint64) {
-	width := e.cfg.SegmentWidth()
+func (e *Engine) loop(p *enginePlan, rows uint64, xs []vector.Dense, maxIters int, overlap bool, h loopHooks) ([]vector.Dense, []int, uint64) {
+	k := len(xs)
+	outs := make([]vector.Dense, k)
+	iters := make([]int, k)
+	// The live set: xs and the original column index of each live slot,
+	// compacted in place as columns retire.
+	cols := make([]int, k)
+	for c := range cols {
+		cols[c] = c
+	}
+	ys := make([]vector.Dense, k)
+	its := overlap && k == 1
+	e.reserveDense(k)
 
-	x := x0.Clone()
-	var saved uint64
-	var iterStart uint64
+	var saved, iterStart uint64
 	if e.rec != nil {
 		iterStart = e.rec.Now()
 	}
-	// Step 1 of iteration 0 has no producing step 2 to overlap with. src
-	// is the running step 1's one-column source set: x here, then each
-	// y under construction.
-	bank := e.nextBank()
-	src := col(&e.one.x, x)
-	defer e.dropCols()
-	e.step1Compute(p, src, nil, bank)
-	for it := 0; ; it++ {
+	// overlapped is set when the iteration's step 2 runs the next
+	// iteration's step 1 alongside it (ITS), into a fresh bank; otherwise
+	// each iteration starts with its own step 1.
+	var bank *stripeBank
+	overlapped := false
+	for it := 0; len(xs) > 0; it++ {
+		if !overlapped {
+			bank = e.nextBank()
+			e.step1Compute(p, xs, nil, bank)
+		}
 		e.chargeDetector(p)
-		lists := e.commit(p, bank, 0)
-
-		var update func(vector.Dense)
-		if h.update != nil {
-			update = h.update(it, x)
-		}
-		y := e.getDense(int(rows))
-
-		if it == maxIters-1 {
-			// Final iteration: nothing left to overlap with.
-			e.runStep2Into(lists, &p.cover, rows, nil, y, nil)
-			if update != nil {
-				update(y)
+		overlapped = its && it < maxIters-1
+		var nextStart, lo, hi uint64
+		for i, x := range xs {
+			lists := e.commit(p, bank, i)
+			var update func(vector.Dense)
+			if h.update != nil {
+				update = h.update(x)
 			}
-			e.recordIteration(it, iterStart)
+			ys[i] = e.getDense(int(rows))
+			if overlapped {
+				bank = e.nextBank()
+				nextStart, lo, hi = e.overlapStep2(p, lists, rows, ys, update, bank)
+				continue
+			}
+			e.runStep2Into(lists, &p.cover, rows, nil, ys[i], nil)
+			if update != nil {
+				update(ys[i])
+			}
+		}
+
+		// Retire or advance each live column. Every x is dead: its step 1
+		// was committed above, and a speculative step 1 read y, not x.
+		w := 0
+		for i, x := range xs {
+			y := ys[i]
+			stop := it == maxIters-1 || h.converged != nil && h.converged(y, x)
 			e.putDense(x)
-			return y, it + 1, saved
+			if stop {
+				outs[cols[i]], iters[cols[i]] = y, it+1
+				continue
+			}
+			xs[w], cols[w] = y, cols[i]
+			w++
 		}
-
-		// Launch step 1 of iteration it+1 against the y being merged
-		// into the other bank; its stripes gate on the segment publishes
-		// below. Exactly one step-1 run is ever in flight, so the
-		// recycled gate and handoff channel are quiescent here.
-		gate := e.pipeGate(2)
-		next := e.pipeNext()
-		nextBank := e.nextBank()
-		src[0] = y
-		go func() {
-			var r step1Result
-			if e.rec != nil {
-				r.start = e.rec.Now()
-			}
-			e.step1Compute(p, src, gate, nextBank)
-			if e.rec != nil {
-				r.end = e.rec.Now()
-			}
-			next <- r
-		}()
-
-		var s2Start uint64
-		if e.rec != nil {
-			s2Start = e.rec.Now()
-		}
-		e.runStep2Into(lists, &p.cover, rows, nil, y, func(seg int) {
-			if update != nil {
-				lo := uint64(seg) * width
-				hi := lo + width
-				if hi > rows {
-					hi = rows
-				}
-				update(y[lo:hi])
-			}
-			gate.publish()
-		})
-		var s2End uint64
-		if e.rec != nil {
-			s2End = e.rec.Now()
-		}
-		nr := <-next
-
-		stop := h.converged != nil && h.converged(it, y, x)
-		if e.rec != nil && !stop {
-			// The measured overlap window: the intersection of this
-			// step 2 with the next iteration's step 1 (Fig. 15).
-			lo, hi := s2Start, s2End
-			if nr.start > lo {
-				lo = nr.start
-			}
-			if nr.end < hi {
-				hi = nr.end
-			}
+		xs, cols = xs[:w], cols[:w]
+		if overlapped && w > 0 && e.rec != nil {
 			e.rec.AddSpan("its", "o"+strconv.Itoa(it+1), lo, hi)
 		}
-		if stop {
-			e.recordIteration(it, iterStart)
-			e.putDense(x)
-			return y, it + 1, saved
+		// Columns that continue book their y-as-next-x transition.
+		for range xs {
+			saved += e.accountTransition(rows, its)
 		}
-		// Another iteration follows and its source vector stayed on
-		// chip in the second segment buffer: book the round trip saved.
-		saved += e.accountTransition(rows, true)
 		e.recordIteration(it, iterStart)
-		// x is dead: iteration it's step 1 consumed it before the loop
-		// and the joined speculative step 1 read y, not x. Recycle it.
-		e.putDense(x)
-		x = y
-		bank = nextBank
-		iterStart = nr.start
+		if overlapped {
+			iterStart = nextStart
+		} else if e.rec != nil {
+			iterStart = e.rec.Now()
+		}
 	}
+	return outs, iters, saved
+}
+
+// overlapStep2 is step 2 of one ITS iteration: it launches step 1 of the
+// next iteration against ys[0], the y under construction, into bank —
+// its stripes gate on the segment publishes — and runs step 2 into
+// ys[0], applying update (when non-nil) to each segment before
+// publishing it. It returns once both have finished, with the time the
+// next step 1 started and the measured overlap window [lo, hi): the
+// intersection of this step 2 with that step 1. Exactly one step-1 run
+// is ever in flight, so the recycled gate and handoff channel are
+// quiescent on entry.
+func (e *Engine) overlapStep2(p *enginePlan, lists [][]types.Record, rows uint64, ys []vector.Dense, update func(vector.Dense), bank *stripeBank) (nextStart, lo, hi uint64) {
+	gate := e.pipeGate(2)
+	ch := e.pipeNext()
+	go func() {
+		var r step1Result
+		if e.rec != nil {
+			r.start = e.rec.Now()
+		}
+		e.step1Compute(p, ys, gate, bank)
+		if e.rec != nil {
+			r.end = e.rec.Now()
+		}
+		ch <- r
+	}()
+
+	width := e.cfg.SegmentWidth()
+	y := ys[0]
+	if e.rec != nil {
+		lo = e.rec.Now()
+	}
+	e.runStep2Into(lists, &p.cover, rows, nil, y, func(seg int) {
+		if update != nil {
+			off := uint64(seg) * width
+			update(y[off:min(off+width, rows)])
+		}
+		gate.publish()
+	})
+	if e.rec != nil {
+		hi = e.rec.Now()
+	}
+	next := <-ch
+	return next.start, max(lo, next.start), min(hi, next.end)
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -197,29 +197,90 @@ func TestSegmentGateBound(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("publish still blocked after a consume")
 	}
-	if err := g.wait(2); err != nil {
-		t.Fatalf("wait(2): %v", err)
-	}
+	g.wait(2)
 }
 
-// TestSegmentGateFail verifies fail wakes blocked waiters with the
-// pipeline error and un-blocks publishes.
-func TestSegmentGateFail(t *testing.T) {
-	g := newSegmentGate(1)
-	boom := errors.New("boom")
-	errc := make(chan error, 1)
-	go func() { errc <- g.wait(0) }()
-	g.fail(boom)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, boom) {
-			t.Fatalf("wait returned %v, want boom", err)
+// FuzzIterateSchedulesAgree fuzzes small hostile square matrices — 1×1,
+// empty rows and columns, explicit zeros, dimensions off the segment
+// width, a single iteration — with the damping and the tolerance, and
+// holds both ITS entry points to the sequential schedule: Iterate and
+// PageRank with overlap return the same bits (or the same error) and
+// iteration counts, and book the sequential ledger and statistics less
+// the transitions ITS kept on chip. The first two bytes pick the
+// dimension; each further three bytes are one entry (row, column,
+// value).
+func FuzzIterateSchedulesAgree(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 3}, 0.85, 1e-9, uint8(0))                          // 1×1, one iteration
+	f.Add([]byte{1, 44, 3, 7, 16, 9, 200, 250, 40, 40, 0}, 0.5, 1e-3, uint8(4)) // 301: partial segment, empty rows
+	f.Add([]byte{0, 127, 1, 2, 3, 4, 5, 6}, 0.0, 0.0, uint8(7))                 // 128: one full segment
+	f.Add([]byte{2, 88, 255, 0, 128, 0, 255, 1}, 1.0, 1e-12, uint8(2))          // 601: sign flips, sinks
+	f.Fuzz(func(t *testing.T, data []byte, damping, tol float64, iters uint8) {
+		if len(data) < 2 {
+			return
 		}
-	case <-time.After(time.Second):
-		t.Fatal("wait still blocked after fail")
-	}
-	g.publish() // must not block once the gate has failed
-	g.publish()
+		dim := (uint64(data[0])<<8|uint64(data[1]))%700 + 1
+		var entries []matrix.Entry
+		for data = data[2:]; len(data) >= 3; data = data[3:] {
+			entries = append(entries, matrix.Entry{
+				Row: uint64(data[0]) * 7 % dim,
+				Col: uint64(data[1]) * 5 % dim,
+				Val: float64(int8(data[2])) / 16,
+			})
+		}
+		a, err := matrix.NewCOO(dim, dim, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int(iters)%8 + 1
+		x0 := randomX(dim, int64(len(entries)))
+		transition := dim * 8
+
+		// agree runs one entry point on a fresh sequential and a fresh
+		// overlapped engine and compares results, errors and books.
+		agree := func(name string, run func(e *Engine, overlap bool) (vector.Dense, int, error)) {
+			seq, err := New(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ovl, err := New(pipelineConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ys, its, errS := run(seq, false)
+			yo, ito, errO := run(ovl, true)
+			if (errS == nil) != (errO == nil) || errS != nil && errS.Error() != errO.Error() {
+				t.Fatalf("%s: errors differ: sequential %v, overlap %v", name, errS, errO)
+			}
+			if errS != nil {
+				return
+			}
+			if its != ito || !sameFloatBits(ys, yo) {
+				t.Fatalf("%s: overlap (%d iterations) differs from sequential (%d) in its bits", name, ito, its)
+			}
+			saved := uint64(its-1) * transition
+			wantStats := seq.Stats()
+			wantStats.TransitionBytesSaved += saved
+			if got := ovl.Stats(); !reflect.DeepEqual(got, wantStats) {
+				t.Fatalf("%s: overlap statistics %+v, want %+v", name, got, wantStats)
+			}
+			want := seq.Counters()
+			want.Traffic.ResultBytes -= saved
+			want.TransitionBytesSaved += saved
+			if got := ovl.Counters(); got != want {
+				t.Fatalf("%s: overlap counters %+v, want the sequential ones less %d saved bytes: %+v", name, got, saved, want)
+			}
+		}
+		agree("Iterate", func(e *Engine, overlap bool) (vector.Dense, int, error) {
+			r, err := e.Iterate(a, x0, IterateOptions{Iterations: n, Overlap: overlap, Damping: damping})
+			if err == nil && r.TransitionBytesSaved != e.Stats().TransitionBytesSaved {
+				t.Fatalf("Iterate reports %d saved bytes, the engine %d", r.TransitionBytesSaved, e.Stats().TransitionBytesSaved)
+			}
+			return r.X, r.Iterations, err
+		})
+		agree("PageRank", func(e *Engine, overlap bool) (vector.Dense, int, error) {
+			return e.PageRank(a, damping, tol, n, overlap)
+		})
+	})
 }
 
 func benchmarkIterate(b *testing.B, overlap bool) {

@@ -138,9 +138,8 @@ func (e *Engine) book(b *stripeBooks, matrixShare bool) {
 }
 
 // chargeRoundTrip books one intermediate list's DRAM round trip. Every
-// list — a stripe's step-1 output or a slicing pass's combined list — is
-// read back exactly once, by the merge that consumes it, so its read is
-// booked together with its write.
+// list is read back exactly once, by the step 2 that consumes it, so its
+// read is booked together with its write.
 func (e *Engine) chargeRoundTrip(v vecBooks) {
 	e.ledger.Charge(mem.Traffic{IntermediateWrite: v.footprint, IntermediateRead: v.footprint})
 	e.stats.CompressedVecBytes += 2 * v.compressed
@@ -259,17 +258,6 @@ func (p *enginePlan) pageRankPlan(n uint64) *enginePlan {
 	}
 	p.pr = &pr
 	return p.pr
-}
-
-// planCOO plans a with the given detector (nil for none), past the
-// engine's cache.
-func (e *Engine) planCOO(a *matrix.COO, det *hdn.Detector) (*enginePlan, error) {
-	w := planWorkers(len(a.Entries))
-	b, err := e.assemble(a, w)
-	if err != nil {
-		return nil, err
-	}
-	return e.finishPlan(b, det, w)
 }
 
 // assemble partitions a into stripes of the engine's segment width

@@ -22,8 +22,8 @@ package core
 //
 // The engine is a single-caller object (one goroutine drives its public
 // methods); the arenas inherit that contract and need no locking. The
-// pipelined driver's second goroutine only ever touches the bank it was
-// handed, and is joined before the bank rotates back.
+// ITS schedule's second goroutine (overlapStep2) only ever touches the
+// bank it was handed, and is joined before the bank rotates back.
 
 import (
 	"mwmerge/internal/types"
@@ -150,7 +150,7 @@ func (f *frontierScratch) release(e *Engine) {
 }
 
 // pipeGate returns the engine's reusable segment gate, reset to the
-// given handoff bound. The previous pipelined run joined its consumer
+// given handoff bound. The previous overlapped step 2 joined its consumer
 // goroutine before returning, so the gate is quiescent here.
 func (e *Engine) pipeGate(ahead int) *segmentGate {
 	if e.gate == nil {
@@ -162,7 +162,7 @@ func (e *Engine) pipeGate(ahead int) *segmentGate {
 }
 
 // pipeNext returns the engine's reusable step-1 handoff channel; every
-// pipelined iteration drains it before the next send, so a one-slot
+// overlapped step 2 drains it before the next send, so a one-slot
 // buffer never carries stale results across iterations.
 func (e *Engine) pipeNext() chan step1Result {
 	if e.nextCh == nil {

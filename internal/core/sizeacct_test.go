@@ -39,7 +39,7 @@ func TestStripeMetaBitsMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.planCOO(a, nil)
+	p, err := e.buildPlan(a, planWorkers(len(a.Entries)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCompressedStripeMetaMemoized(t *testing.T) {
 	if again, err := e.planFor(a); err != nil || again != plan {
 		t.Fatalf("planFor rebuilt the plan of an unchanged matrix (%v)", err)
 	}
-	fresh, err := e.planCOO(a, nil)
+	fresh, err := e.buildPlan(a, planWorkers(len(a.Entries)))
 	if err != nil {
 		t.Fatal(err)
 	}

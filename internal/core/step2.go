@@ -27,8 +27,8 @@ import (
 // keyCover is what one step 2 needs to know about its lists' keys
 // besides the records themselves: the prap.Stats the network would
 // report, and which keys some list holds. For a dense x both are plan
-// constants (the plan's cover); SpMSpV and SpMVSliced, whose lists are
-// per call, fill the engine's scratch cover in one pass (listCover).
+// constants (the plan's cover); SpMSpV, whose lists are per call, fills
+// the engine's scratch cover in one pass (listCover).
 type keyCover struct {
 	stats prap.Stats
 	// touched has bit k set when some list holds key k.

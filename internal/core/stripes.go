@@ -13,10 +13,7 @@ import (
 // engine's segment width (except the last), contiguous from column 0 —
 // the layout the accelerator keeps resident in DRAM.
 func (e *Engine) SpMVStripes(stripes []*matrix.Stripe, rows, cols uint64, x, yIn vector.Dense) (vector.Dense, error) {
-	if err := checkVectors(rows, cols, uint64(len(x)), yIn); err != nil {
-		return nil, err
-	}
-	if err := e.cfg.checkCapacity(rows); err != nil {
+	if err := e.cfg.checkOperands(rows, cols, uint64(len(x)), yIn); err != nil {
 		return nil, err
 	}
 	if len(stripes) > e.cfg.Merge.Ways {

@@ -49,3 +49,35 @@ func TestEvaluateSlicedRejectsEmpty(t *testing.T) {
 		t.Error("empty graph accepted")
 	}
 }
+
+// TestSlicedPassCountsAgree pins the model's pass count on a small
+// geometry — 4 ways, 64-element segments (a 512-byte vector buffer at
+// 8-byte values) — to the counts the functional engine's batch-merge
+// route measured on ErdosRenyi(n, 3) graphs before that route was
+// retired: the count is a pure function of the stripe count and the
+// ways, ceil(n/64) lists merged K at a time until at most K remain.
+func TestSlicedPassCountsAgree(t *testing.T) {
+	d := ASICDesign(TS)
+	d.Ways = 4
+	d.ValueBytes = 8
+	d.VectorBufBytes = 512
+	if w := d.SegmentWidth(); w != 64 {
+		t.Fatalf("segment width %d, want 64", w)
+	}
+	for _, c := range []struct {
+		nodes  uint64
+		passes int
+	}{
+		{200, 0},  // 4 stripes fit 4 ways
+		{800, 1},  // 13 → 4
+		{3000, 2}, // 47 → 12 → 3
+	} {
+		r, err := d.EvaluateSliced(GraphStats{Nodes: c.nodes, Edges: 3 * c.nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Passes != c.passes {
+			t.Errorf("n=%d: model predicts %d passes, the engine measured %d", c.nodes, r.Passes, c.passes)
+		}
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -179,15 +178,13 @@ func (c Config) workers(n int) int {
 	return w
 }
 
-// forEach runs fn(worker, i) for every i in [0, n) across at most w
-// goroutines; w <= 1 runs inline as worker 0. Callers guarantee fn
-// touches only i-indexed state, so the parallel schedule cannot perturb
-// results. The worker index exists solely for observability: span
-// instrumentation groups tasks by the goroutine that executed them.
-func forEach(w, n int, fn func(worker, i int)) {
+// forEach runs fn(i) for every i in [0, n) across at most w goroutines;
+// w <= 1 runs inline. Callers guarantee fn touches only i-indexed
+// state, so the parallel schedule cannot perturb results.
+func forEach(w, n int, fn func(i int)) {
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -195,12 +192,12 @@ func forEach(w, n int, fn func(worker, i int)) {
 	work := make(chan int)
 	for g := 0; g < w; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := range work {
-				fn(g, i)
+				fn(i)
 			}
-		}(g)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		work <- i
@@ -256,43 +253,10 @@ func addCounts(dst, src []uint64) []uint64 {
 	return dst
 }
 
-// SpanObserver receives begin/end callbacks for the network's internal
-// parallel phases, letting an observability layer (internal/report)
-// attribute wall-clock time to individual routed lists and merge
-// cores without this package depending on it. Begin opens a span on the
-// given lane and returns the closure that ends it. Implementations must
-// be safe for concurrent use: spans arrive from MergeWorkers goroutines
-// at once.
-type SpanObserver interface {
-	Begin(lane, name string) (end func())
-}
-
 // Network is a PRaP step-2 merge network instance.
 type Network struct {
 	cfg     Config
-	obs     SpanObserver
 	scratch mergeScratch
-}
-
-// SetObserver attaches a span observer to the network's parallel phases
-// (nil detaches). Observation never changes results: spans wrap the
-// per-list routing and per-core merge tasks, whose outputs stay
-// bit-identical at any worker count.
-func (n *Network) SetObserver(o SpanObserver) { n.obs = o }
-
-// instrumented wraps a per-index task so each execution emits a span on
-// lane "<phase>/g<worker>" named "<task><i>"; with no observer the task
-// runs bare. The worker-indexed lanes expose per-goroutine utilization,
-// the host-side analogue of the paper's per-MC load balance (Fig. 11).
-func (n *Network) instrumented(phase, task string, fn func(worker, i int)) func(worker, i int) {
-	if n.obs == nil {
-		return fn
-	}
-	return func(worker, i int) {
-		end := n.obs.Begin(phase+"/g"+strconv.Itoa(worker), task+strconv.Itoa(i))
-		fn(worker, i)
-		end()
-	}
 }
 
 // New builds a PRaP network.
@@ -354,9 +318,9 @@ func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratc
 	mask := uint64(p - 1)
 	w := n.cfg.workers(len(lists))
 	outcomes := scr.outcomesFor(len(lists), p)
-	forEach(w, len(lists), n.instrumented("presort", "h", func(_, li int) {
+	forEach(w, len(lists), func(li int) {
 		countList(li, lists[li], mask, &outcomes[li])
-	}))
+	})
 	for li, out := range outcomes {
 		if out.err != nil {
 			return nil, out.err
@@ -381,9 +345,9 @@ func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratc
 			off = end
 		}
 	}
-	forEach(w, len(lists), n.instrumented("presort", "l", func(_, li int) {
+	forEach(w, len(lists), func(li int) {
 		scatterList(lists[li], mask, cores, outcomes[li].cursor)
-	}))
+	})
 	return slots, nil
 }
 
@@ -495,7 +459,7 @@ func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 	injected, emitted := scr.countersFor(p)
 	cores := scr.coresFor(p)
 	kernel := n.cfg.kernel()
-	forEach(n.cfg.workers(p), p, n.instrumented("merge", "mc", func(_, r int) {
+	forEach(n.cfg.workers(p), p, func(r int) {
 		cs := &cores[r]
 		// Kernel dispatch cannot perturb results: both kernels emit the
 		// same (key, source index) sequence, so float accumulation order
@@ -553,7 +517,7 @@ func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 		if plan != nil {
 			plan.creditRest(&done)
 		}
-	}))
+	})
 	for r := 0; r < p; r++ {
 		st.Injected += injected[r]
 		st.Emitted += emitted[r]

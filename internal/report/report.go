@@ -1,6 +1,6 @@
 // Package report is the engine's observability layer: a concurrency-safe
 // run recorder that collects wall-clock phase spans (step-1 stripe
-// workers, PRaP merge cores, ITS overlap windows) into a trace.Timeline
+// workers, step-2 block workers, ITS overlap windows) into a trace.Timeline
 // and ledger-derived counter snapshots per iteration, then renders the
 // whole run as a structured report — JSON, Prometheus text-exposition
 // format, or the text Gantt chart. A nil *Recorder disables every hook:
@@ -169,19 +169,6 @@ func (r *Recorder) AddSpan(lane, name string, start, end uint64) {
 	}
 	// end > start always holds here, so Add cannot fail.
 	_ = r.tl.Add(lane, name, start, end)
-}
-
-var noopEnd = func() {}
-
-// Begin opens a span and returns its closer; it implements
-// prap.SpanObserver so the merge network can emit per-core spans
-// without importing this package's concrete types.
-func (r *Recorder) Begin(lane, name string) func() {
-	if r == nil {
-		return noopEnd
-	}
-	s := r.StartSpan(lane, name)
-	return s.End
 }
 
 // RecordIteration books one iteration boundary: the counter delta this

@@ -25,7 +25,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	sp := r.StartSpan("lane", "x")
 	sp.End() // must not panic
 	r.AddSpan("lane", "x", 0, 5)
-	r.Begin("lane", "x")()
+	r.StartSpan("lane", "x").End()
 	r.RecordIteration("it", Counters{Products: 1})
 	if got := len(r.Timeline().Spans()); got != 0 {
 		t.Errorf("nil recorder recorded %d spans", got)
@@ -202,8 +202,7 @@ func TestConcurrentRecorder(t *testing.T) {
 			defer wg.Done()
 			lane := fmt.Sprintf("w%d", g)
 			for i := 0; i < perG; i++ {
-				end := r.Begin(lane, "t")
-				end()
+				r.StartSpan(lane, "t").End()
 				r.RecordIteration("it", Counters{Products: 1})
 			}
 		}(g)

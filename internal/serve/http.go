@@ -237,21 +237,11 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, common requestCommo
 		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown matrix %q", common.Matrix))
 		return
 	}
-	if common.DeadlineMS < 0 {
-		httpError(w, http.StatusBadRequest, "serve: negative deadline_ms")
+	ctx, cancel, ok := s.admit(w, r, p, common.DeadlineMS, overlap)
+	if !ok {
 		return
 	}
-	if err := p.CheckCapacity(overlap); err != nil {
-		s.bump(&s.rejCapacity)
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	ctx := r.Context()
-	if d := s.deadlineFor(common.DeadlineMS); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
+	defer cancel()
 	var resp *response
 	err := p.Do(ctx, func(eng *core.Engine) error {
 		var before report.Counters
@@ -264,19 +254,40 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, common requestCommo
 			return err
 		}
 		if common.Report {
-			resp.Report = report.NewReport(report.Meta{
-				Workload:     "serve:" + op + " matrix=" + p.name,
-				Rows:         p.a.Rows,
-				Cols:         p.a.Cols,
-				NNZ:          uint64(p.a.NNZ()),
-				Workers:      p.cfg.Workers,
-				MergeWorkers: p.cfg.Merge.MergeWorkers,
-				MergeCores:   p.cfg.Merge.Cores(),
-				Overlap:      overlap,
-			}, eng.Counters().Sub(before))
+			resp.Report = report.NewReport(p.meta(op, overlap), eng.Counters().Sub(before))
 		}
 		return nil
 	})
+	s.reply(w, resp, err)
+}
+
+// admit applies the checks every request on p passes before it may
+// queue: a non-negative deadline and the pool's capacity for the
+// schedule. It returns the request's context, bounded by its deadline
+// budget, and the func releasing it; false means the rejection has been
+// written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, p *Pool, deadlineMS int64, overlap bool) (context.Context, context.CancelFunc, bool) {
+	if deadlineMS < 0 {
+		httpError(w, http.StatusBadRequest, "serve: negative deadline_ms")
+		return nil, nil, false
+	}
+	if err := p.CheckCapacity(overlap); err != nil {
+		s.bump(&s.rejCapacity)
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		return nil, nil, false
+	}
+	if d := s.deadlineFor(deadlineMS); d > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		return ctx, cancel, true
+	}
+	return r.Context(), func() {}, true
+}
+
+// reply writes a served request's outcome: 429 for a full queue, 503
+// for a deadline that expired before work started, 400 for an engine
+// error — the request's data did not fit the resident matrix — and the
+// result otherwise.
+func (s *Server) reply(w http.ResponseWriter, resp *response, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.bump(&s.rejQueue)
@@ -285,11 +296,23 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, common requestCommo
 		s.bump(&s.rejDeadline)
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		// Engine validation errors: the request's data did not fit the
-		// resident matrix.
 		httpError(w, http.StatusBadRequest, err.Error())
 	default:
 		s.writeResult(w, resp)
+	}
+}
+
+// meta describes one op on p's matrix for a request's report.
+func (p *Pool) meta(op string, overlap bool) report.Meta {
+	return report.Meta{
+		Workload:     "serve:" + op + " matrix=" + p.name,
+		Rows:         p.a.Rows,
+		Cols:         p.a.Cols,
+		NNZ:          uint64(p.a.NNZ()),
+		Workers:      p.cfg.Workers,
+		MergeWorkers: p.cfg.Merge.MergeWorkers,
+		MergeCores:   p.cfg.Merge.Cores(),
+		Overlap:      overlap,
 	}
 }
 
@@ -335,54 +358,28 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 // mid-window gets 503 while the rest of its batch completes normally.
 // Responses are bit-identical to the unbatched path.
 func (s *Server) handleSpMVBatched(w http.ResponseWriter, r *http.Request, p *Pool, req *spmvRequest) {
-	if req.DeadlineMS < 0 {
-		httpError(w, http.StatusBadRequest, "serve: negative deadline_ms")
+	ctx, cancel, ok := s.admit(w, r, p, req.DeadlineMS, false)
+	if !ok {
 		return
 	}
-	if err := p.CheckCapacity(false); err != nil {
-		s.bump(&s.rejCapacity)
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
+	defer cancel()
 	if err := p.cfg.CheckOperands(p.a, uint64(len(req.X)), req.YIn); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx := r.Context()
-	if d := s.deadlineFor(req.DeadlineMS); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	y, delta, err := p.batch.submit(ctx, req.X, req.YIn)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.bump(&s.rejQueue)
-		httpError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrDeadline):
-		s.bump(&s.rejDeadline)
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
-	default:
-		resp := &response{Y: y}
+	var resp *response
+	if err == nil {
+		resp = &response{Y: y}
 		if req.Report {
 			// The request's split of the batch delta: the column that
 			// streamed the matrix carries the whole batch's matrix+VLDI
 			// share (BlockResult.Deltas), so the reports of one flush sum
 			// to the flush's total ledger movement.
-			resp.Report = report.NewReport(report.Meta{
-				Workload:     "serve:spmv matrix=" + p.name,
-				Rows:         p.a.Rows,
-				Cols:         p.a.Cols,
-				NNZ:          uint64(p.a.NNZ()),
-				Workers:      p.cfg.Workers,
-				MergeWorkers: p.cfg.Merge.MergeWorkers,
-				MergeCores:   p.cfg.Merge.Cores(),
-			}, delta)
+			resp.Report = report.NewReport(p.meta("spmv", false), delta)
 		}
-		s.writeResult(w, resp)
 	}
+	s.reply(w, resp, err)
 }
 
 func (s *Server) handleSpMSpV(w http.ResponseWriter, r *http.Request) {

@@ -77,7 +77,9 @@ func (d Dense) NNZ() int {
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between d
-// and o, for test comparisons of competing SpMV implementations.
+// and o, for test comparisons of competing SpMV implementations. Equal
+// elements, equal infinities and a NaN in both differ by 0; a NaN in one
+// only differs by +Inf, so a NaN result never passes for a match.
 func (d Dense) MaxAbsDiff(o Dense) float64 {
 	n := len(d)
 	if len(o) > n {
@@ -92,7 +94,14 @@ func (d Dense) MaxAbsDiff(o Dense) float64 {
 		if i < len(o) {
 			b = o[i]
 		}
-		if diff := math.Abs(a - b); diff > m {
+		diff := math.Abs(a - b)
+		switch {
+		case a == b || math.IsNaN(a) && math.IsNaN(b):
+			diff = 0
+		case math.IsNaN(diff):
+			diff = math.Inf(1)
+		}
+		if diff > m {
 			m = diff
 		}
 	}

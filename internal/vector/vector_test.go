@@ -56,6 +56,36 @@ func TestDenseCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiffNonFinite pins MaxAbsDiff on NaN and infinities: a NaN
+// on one side only is an infinite difference, while equal values (equal
+// infinities included) and a NaN on both sides differ by nothing.
+func TestMaxAbsDiffNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		a, b Dense
+		want float64
+	}{
+		{"NaN vs 1", Dense{nan}, Dense{1}, inf},
+		{"1 vs NaN", Dense{1}, Dense{nan}, inf},
+		{"NaN vs NaN", Dense{nan}, Dense{nan}, 0},
+		{"NaN vs Inf", Dense{nan}, Dense{inf}, inf},
+		{"Inf vs Inf", Dense{inf}, Dense{inf}, 0},
+		{"-Inf vs -Inf", Dense{-inf}, Dense{-inf}, 0},
+		{"Inf vs -Inf", Dense{inf}, Dense{-inf}, inf},
+		{"Inf vs 1", Dense{inf}, Dense{1}, inf},
+		{"NaN beside a finite gap", Dense{nan, 1}, Dense{2, 4}, inf},
+		{"NaN in both beside a finite gap", Dense{nan, 1}, Dense{nan, 4}, 3},
+		{"NaN vs a missing element", Dense{1, nan}, Dense{1}, inf},
+		{"-0 vs +0", Dense{math.Copysign(0, -1)}, Dense{0}, 0},
+	}
+	for _, c := range cases {
+		if got := c.a.MaxAbsDiff(c.b); got != c.want {
+			t.Errorf("%s: MaxAbsDiff = %g, want %g", c.name, got, c.want)
+		}
+	}
+}
+
 func TestMaxAbsDiffMismatchedLengths(t *testing.T) {
 	a := Dense{1, 2, 3}
 	b := Dense{1, 2}
