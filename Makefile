@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-selftest cover bench experiments report serve-smoke fuzz clean
+.PHONY: all build vet fmt test race bench-selftest cover bench experiments golden report serve-smoke fuzz clean
 
-all: build vet fmt test race bench-selftest
+all: build vet fmt test race bench-selftest golden
 
 build:
 	$(GO) build ./...
@@ -42,9 +42,21 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Regenerate every table and figure into out/.
+# Regenerate every table and figure into out/, at the scale the
+# checked-in out/ was made at (golden compares against it).
+GOLDEN_SCALE = 65536
+
 experiments:
-	$(GO) run ./cmd/spmvbench -exp all -o out
+	$(GO) run ./cmd/spmvbench -exp all -scale $(GOLDEN_SCALE) -o out
+
+# Regenerate every table and figure into a temporary directory and fail
+# on any difference from the checked-in out/. host-baseline.txt is
+# wall-clock and differs run to run; the run-report artifacts (make
+# report, spmvbench -report) are not experiment output.
+golden:
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/spmvbench -exp all -scale $(GOLDEN_SCALE) -o "$$tmp" >/dev/null && \
+	diff -r -x host-baseline.txt -x '*.report.json' -x '*.gantt.txt' -x '*.prom' out "$$tmp"
 
 # Regenerate the documented example run report (EXPERIMENTS.md §run
 # reports): a PageRank-style overlapped iterative run with the JSON

@@ -112,6 +112,14 @@ func TestRunFlagErrors(t *testing.T) {
 	if got := errOut.String(); !strings.HasPrefix(got, "spmvd: matrix g: graph: ") {
 		t.Errorf("NaN degree: stderr %q, want a graph: error", got)
 	}
+	// A negative default deadline is refused, not served as none.
+	errOut.Reset()
+	if code := run([]string{"-deadline", "-1s", "-addr", "127.0.0.1:0", "-matrix", "g=er:100:3:1"}, &out, &errOut); code != 1 {
+		t.Errorf("-deadline -1s: exit %d, want 1", code)
+	}
+	if got := errOut.String(); !strings.HasPrefix(got, "spmvd: serve: negative default deadline") {
+		t.Errorf("-deadline -1s: stderr %q, want a serve: error", got)
+	}
 }
 
 // TestEngineWorkers holds the pool's core split: each engine gets

@@ -65,6 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *iters < 1 {
+		fmt.Fprintf(stderr, "spmvrun: -iters %d: need at least one iteration\n", *iters)
+		return 2
+	}
+	if *vldiBits < 0 {
+		fmt.Fprintf(stderr, "spmvrun: -vldi %d: block bits must be 0 (off) or positive\n", *vldiBits)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -128,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var result vector.Dense
-	if *iters > 1 {
+	if *iters > 1 || *damping != 0 || *overlap {
 		if m.Rows != m.Cols {
 			fmt.Fprintln(stderr, "spmvrun: iterative mode needs a square matrix")
 			return 1

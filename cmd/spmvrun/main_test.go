@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -174,17 +175,57 @@ func TestRunPlainStillWorks(t *testing.T) {
 }
 
 // TestRunRejectsBadIterateInput holds the iterative mode's input errors
-// to a one-line engine error and exit 1, not a reference check that
-// compares an all-NaN result with an all-NaN reference and reports 0.
+// to a one-line error, not a run of a product nobody asked for or a
+// reference check that compares an all-NaN result with an all-NaN
+// reference and reports 0: a bad damping is an engine error (exit 1),
+// at any iteration count; an iteration count below one or a negative
+// VLDI width is a flag error (exit 2).
 func TestRunRejectsBadIterateInput(t *testing.T) {
-	for _, damping := range []string{"NaN", "Inf", "-Inf"} {
+	cases := []struct {
+		flags  []string
+		code   int
+		prefix string
+	}{
+		{[]string{"-iters", "3", "-damping", "NaN"}, 1, "spmvrun: core: "},
+		{[]string{"-iters", "3", "-damping", "Inf"}, 1, "spmvrun: core: "},
+		{[]string{"-iters", "3", "-damping", "-Inf"}, 1, "spmvrun: core: "},
+		{[]string{"-damping", "NaN"}, 1, "spmvrun: core: "},
+		{[]string{"-iters", "0"}, 2, "spmvrun: -iters 0: "},
+		{[]string{"-iters", "-3"}, 2, "spmvrun: -iters -3: "},
+		{[]string{"-vldi", "-1"}, 2, "spmvrun: -vldi -1: "},
+	}
+	for _, c := range cases {
 		var out, errOut strings.Builder
-		args := []string{"-gen", "er", "-nodes", "2000", "-degree", "3", "-iters", "3", "-damping", damping}
-		if code := run(args, &out, &errOut); code != 1 {
-			t.Errorf("-damping %s: exit %d, want 1\n%s", damping, code, out.String())
+		args := append([]string{"-gen", "er", "-nodes", "2000", "-degree", "3"}, c.flags...)
+		if code := run(args, &out, &errOut); code != c.code {
+			t.Errorf("%v: exit %d, want %d\n%s", c.flags, code, c.code, out.String())
 		}
-		if got := errOut.String(); !strings.HasPrefix(got, "spmvrun: core: ") {
-			t.Errorf("-damping %s: stderr %q, want a core: error", damping, got)
+		if got := errOut.String(); !strings.HasPrefix(got, c.prefix) {
+			t.Errorf("%v: stderr %q, want prefix %q", c.flags, got, c.prefix)
+		}
+	}
+}
+
+// TestRunOneDampedIteration holds -damping (and -overlap) at the default
+// -iters 1 to one damped iteration checked against the damped
+// reference, not a plain SpMV checked against a plain one.
+func TestRunOneDampedIteration(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-overlap"}} {
+		var out, errOut strings.Builder
+		args := append([]string{"-gen", "er", "-nodes", "2000", "-degree", "3", "-damping", "0.5"}, extra...)
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d: %s", extra, code, errOut.String())
+		}
+		if !strings.Contains(out.String(), "Ran 1 iterations") {
+			t.Errorf("%v: no iterative run:\n%s", extra, out.String())
+		}
+		_, check, ok := strings.Cut(out.String(), "Max |error| vs reference: ")
+		if !ok {
+			t.Fatalf("%v: no reference check:\n%s", extra, out.String())
+		}
+		var maxErr float64
+		if _, err := fmt.Sscan(check, &maxErr); err != nil || maxErr > 1e-12 {
+			t.Errorf("%v: max error %g (%v) vs the damped reference", extra, maxErr, err)
 		}
 	}
 }

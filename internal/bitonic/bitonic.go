@@ -63,51 +63,10 @@ func (n *Network) Comparators() int {
 	return c
 }
 
-// SortKeys sorts a slice of uint64 keys in place. len(keys) must equal the
-// network width.
-func (n *Network) SortKeys(keys []uint64) error {
-	if len(keys) != n.Width {
-		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(keys), n.Width)
-	}
-	for _, stage := range n.Stages {
-		for _, c := range stage {
-			if (keys[c.I] > keys[c.J]) == c.Asc {
-				keys[c.I], keys[c.J] = keys[c.J], keys[c.I]
-			}
-		}
-	}
-	return nil
-}
-
 // lane pairs a record with its routing key for in-network movement.
 type lane struct {
 	key uint64
 	rec types.Record
-}
-
-// SortRecordsBy sorts records in place ordered by keyOf(record).
-// len(recs) must equal the network width. The comparison uses only the
-// derived key, mirroring hardware that compares a q-bit radix rather than
-// the full record key.
-func (n *Network) SortRecordsBy(recs []types.Record, keyOf func(types.Record) uint64) error {
-	if len(recs) != n.Width {
-		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(recs), n.Width)
-	}
-	lanes := make([]lane, len(recs))
-	for i, r := range recs {
-		lanes[i] = lane{key: keyOf(r), rec: r}
-	}
-	for _, stage := range n.Stages {
-		for _, c := range stage {
-			if (lanes[c.I].key > lanes[c.J].key) == c.Asc {
-				lanes[c.I], lanes[c.J] = lanes[c.J], lanes[c.I]
-			}
-		}
-	}
-	for i := range recs {
-		recs[i] = lanes[i].rec
-	}
-	return nil
 }
 
 // PreSorter is the PRaP radix pre-sorter: a bitonic network that orders a

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"mwmerge/internal/types"
 )
@@ -39,56 +38,6 @@ func TestNetworkDepthAndComparators(t *testing.T) {
 		if n.Comparators() != c.comps {
 			t.Errorf("width %d: %d comparators, want %d", c.w, n.Comparators(), c.comps)
 		}
-	}
-}
-
-func TestSortKeysSortsEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, w := range []int{1, 2, 4, 8, 16, 32, 64} {
-		n, err := NewNetwork(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 50; trial++ {
-			keys := make([]uint64, w)
-			for i := range keys {
-				keys[i] = rng.Uint64() % 100
-			}
-			want := append([]uint64(nil), keys...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if err := n.SortKeys(keys); err != nil {
-				t.Fatal(err)
-			}
-			for i := range keys {
-				if keys[i] != want[i] {
-					t.Fatalf("width %d trial %d: got %v want %v", w, trial, keys, want)
-				}
-			}
-		}
-	}
-}
-
-func TestSortKeysWrongWidth(t *testing.T) {
-	n, _ := NewNetwork(4)
-	if err := n.SortKeys([]uint64{1, 2}); err == nil {
-		t.Error("wrong lane count accepted")
-	}
-}
-
-func TestSortKeysProperty(t *testing.T) {
-	n, _ := NewNetwork(16)
-	f := func(raw [16]uint16) bool {
-		keys := make([]uint64, 16)
-		for i, v := range raw {
-			keys[i] = uint64(v)
-		}
-		if err := n.SortKeys(keys); err != nil {
-			return false
-		}
-		return sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -169,55 +118,33 @@ func TestPreSorterRejectsHugeRadix(t *testing.T) {
 	}
 }
 
-func TestSortRecordsByCustomKey(t *testing.T) {
-	n, _ := NewNetwork(4)
-	recs := []types.Record{
-		{Key: 100, Val: 1}, {Key: 2, Val: 2}, {Key: 50, Val: 3}, {Key: 7, Val: 4},
-	}
-	// Sort descending by negated key.
-	if err := n.SortRecordsBy(recs, func(r types.Record) uint64 { return ^r.Key }); err != nil {
-		t.Fatal(err)
-	}
-	wantKeys := []uint64{100, 50, 7, 2}
-	for i, r := range recs {
-		if r.Key != wantKeys[i] {
-			t.Fatalf("got %v", recs)
-		}
-	}
-	if err := n.SortRecordsBy(recs[:2], nil); err == nil {
-		t.Error("wrong width accepted")
-	}
-}
-
 func TestZeroOnePrinciple(t *testing.T) {
 	// Knuth's 0-1 principle: a comparison network sorts all inputs iff
-	// it sorts every 0-1 input. Exhaustively verify width 8 (256 cases)
-	// and width 16 (65536 cases).
+	// it sorts every 0-1 input. Exhaustively route every 0-1 radix
+	// pattern through the pre-sorter at width 8 (256 cases) and width 16
+	// (65536 cases): zeros first, ones last, each in arrival order.
 	for _, w := range []int{8, 16} {
-		n, err := NewNetwork(w)
+		ps, err := NewPreSorter(w, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var buf SortBuf
+		batch := make([]types.Record, w)
 		for mask := 0; mask < 1<<w; mask++ {
-			keys := make([]uint64, w)
 			ones := 0
-			for i := 0; i < w; i++ {
-				if mask&(1<<i) != 0 {
-					keys[i] = 1
-					ones++
-				}
+			for i := range batch {
+				batch[i] = types.Record{Key: uint64(mask>>i) & 1, Val: float64(i)}
+				ones += int(batch[i].Key)
 			}
-			if err := n.SortKeys(keys); err != nil {
+			if err := ps.SortWith(&buf, batch); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < w-ones; i++ {
-				if keys[i] != 0 {
-					t.Fatalf("width %d mask %b: zeros not first: %v", w, mask, keys)
+			for i, r := range batch {
+				if r.Key != 0 && i < w-ones || r.Key != 1 && i >= w-ones {
+					t.Fatalf("width %d mask %b: not zeros then ones: %v", w, mask, batch)
 				}
-			}
-			for i := w - ones; i < w; i++ {
-				if keys[i] != 1 {
-					t.Fatalf("width %d mask %b: ones not last: %v", w, mask, keys)
+				if i > 0 && r.Key == batch[i-1].Key && r.Val < batch[i-1].Val {
+					t.Fatalf("width %d mask %b: arrival order lost: %v", w, mask, batch)
 				}
 			}
 		}

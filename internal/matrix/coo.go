@@ -1,8 +1,7 @@
 // Package matrix implements the sparse matrix formats and partitioners the
 // Two-Step SpMV accelerator operates on: row-major coordinate (RM-COO),
-// compressed sparse row (CSR), 1D column-blocking into stripes (the A_k of
-// the paper's Fig. 3), and 2D blocking for the partition-based
-// parallelization ablation. RM-COO is used for hypersparse stripes
+// compressed sparse row (CSR), and 1D column-blocking into stripes (the
+// A_k of the paper's Fig. 3). RM-COO is used for hypersparse stripes
 // (nnz < N), where CSR's O(N) row-pointer array is wasteful (paper §3.1).
 package matrix
 

@@ -218,31 +218,6 @@ func TestPartition1DUnevenWidth(t *testing.T) {
 	}
 }
 
-func TestPartition2D(t *testing.T) {
-	m := randomCOO(t, 20, 20, 100, 6)
-	blocks, err := Partition2D(m, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 || len(blocks[0]) != 3 {
-		t.Fatalf("block grid %dx%d", len(blocks), len(blocks[0]))
-	}
-	total := 0
-	for _, row := range blocks {
-		for _, b := range row {
-			total += len(b.Entries)
-			for _, e := range b.Entries {
-				if e.Row >= b.RowWidth || e.Col >= b.ColWidth {
-					t.Fatalf("block entry out of bounds")
-				}
-			}
-		}
-	}
-	if total != m.NNZ() {
-		t.Errorf("2D blocks lose entries: %d vs %d", total, m.NNZ())
-	}
-}
-
 func TestStripeNNZHistogram(t *testing.T) {
 	m := randomCOO(t, 10, 40, 200, 7)
 	counts := StripeNNZHistogram(m, 10)

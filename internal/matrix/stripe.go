@@ -21,9 +21,6 @@ type Stripe struct {
 // NNZ returns the stripe's nonzero count.
 func (s *Stripe) NNZ() int { return len(s.Entries) }
 
-// Hypersparse reports whether the stripe has fewer nonzeros than rows.
-func (s *Stripe) Hypersparse() bool { return uint64(len(s.Entries)) < s.Rows }
-
 // Partition1D cuts m into vertical stripes of the given column width
 // (the last stripe may be narrower). Width is dictated by the on-chip
 // scratchpad: one source-vector segment of Width elements must fit.
@@ -72,49 +69,6 @@ func (s *Stripe) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Block is one tile of a 2D partitioning, used by the partition-based
-// parallelization of paper §4.1 (the unscalable alternative to PRaP).
-type Block struct {
-	RowBlock, ColBlock int
-	RowStart, ColStart uint64
-	RowWidth, ColWidth uint64
-	Entries            []Entry // global indices shifted to block-local
-}
-
-// Partition2D tiles m into blocks of rowWidth x colWidth.
-func Partition2D(m *COO, rowWidth, colWidth uint64) ([][]*Block, error) {
-	if rowWidth == 0 || colWidth == 0 {
-		return nil, fmt.Errorf("matrix: block widths must be positive")
-	}
-	nr := int((m.Rows + rowWidth - 1) / rowWidth)
-	nc := int((m.Cols + colWidth - 1) / colWidth)
-	blocks := make([][]*Block, nr)
-	for i := range blocks {
-		blocks[i] = make([]*Block, nc)
-		for j := range blocks[i] {
-			rs, cs := uint64(i)*rowWidth, uint64(j)*colWidth
-			rw, cw := rowWidth, colWidth
-			if rs+rw > m.Rows {
-				rw = m.Rows - rs
-			}
-			if cs+cw > m.Cols {
-				cw = m.Cols - cs
-			}
-			blocks[i][j] = &Block{
-				RowBlock: i, ColBlock: j,
-				RowStart: rs, ColStart: cs,
-				RowWidth: rw, ColWidth: cw,
-			}
-		}
-	}
-	for _, e := range m.Entries {
-		i, j := int(e.Row/rowWidth), int(e.Col/colWidth)
-		b := blocks[i][j]
-		b.Entries = append(b.Entries, Entry{Row: e.Row - b.RowStart, Col: e.Col - b.ColStart, Val: e.Val})
-	}
-	return blocks, nil
 }
 
 // StripeNNZHistogram returns per-stripe nonzero counts for a given width,

@@ -1,8 +1,7 @@
-// Package mem models the memory system of the accelerator: the Disk Access
-// Machine (DAM) two-level hierarchy the paper assumes (§2), a parameterized
+// Package mem models the memory system of the accelerator: a parameterized
 // HBM main-memory model (streaming vs random bandwidth, row-buffer page
-// size, access energy), and the off-chip traffic accounting that drives
-// every performance number in the evaluation (Fig. 4, 14, 17-22).
+// size, prefetch-buffer sizing), and the off-chip traffic accounting that
+// drives every performance number in the evaluation (Fig. 4, 14, 17-22).
 package mem
 
 import (
@@ -142,23 +141,6 @@ func (h HBMConfig) Validate() error {
 	return nil
 }
 
-// StreamTime returns the time to stream the given bytes at full sequential
-// bandwidth.
-func (h HBMConfig) StreamTime(bytes uint64) float64 {
-	return float64(bytes) / h.StreamBandwidth
-}
-
-// RandomTime returns the time for n cache-line-grain random accesses,
-// assuming the memory-level parallelism captured by RandomBandwidth.
-func (h HBMConfig) RandomTime(n uint64, grainBytes uint64) float64 {
-	return float64(n*grainBytes) / h.RandomBandwidth
-}
-
-// Energy returns the DRAM access energy in joules for the given bytes.
-func (h HBMConfig) Energy(bytes uint64) float64 {
-	return float64(bytes) * h.PJPerByte * 1e-12
-}
-
 // PrefetchBufferBytes returns the on-chip buffer needed to guarantee
 // streaming access for K merge input lists: one DRAM page per list (paper
 // §4.1). PRaP's central result is that this does NOT scale with the number
@@ -173,39 +155,3 @@ func (h HBMConfig) PrefetchBufferBytes(k int) uint64 {
 func (h HBMConfig) PartitionedPrefetchBytes(m, k int) uint64 {
 	return uint64(m) * h.PrefetchBufferBytes(k)
 }
-
-// DAM models the Disk Access Machine (Aggarwal & Vitter): a fast memory of
-// M bytes and block transfers of B bytes from slow memory. Used to express
-// the algorithm-level I/O accounting independent of any device model.
-type DAM struct {
-	M uint64 // fast memory bytes
-	B uint64 // block transfer bytes
-	// Transfers counts block transfers performed.
-	Transfers uint64
-}
-
-// NewDAM constructs a DAM with fast-memory size m and block size b.
-func NewDAM(m, b uint64) (*DAM, error) {
-	if m == 0 || b == 0 || b > m {
-		return nil, fmt.Errorf("mem: invalid DAM parameters M=%d B=%d", m, b)
-	}
-	return &DAM{M: m, B: b}, nil
-}
-
-// Stream accounts a sequential transfer of the given bytes, rounded up to
-// block granularity, and returns the blocks moved.
-func (d *DAM) Stream(bytes uint64) uint64 {
-	blocks := (bytes + d.B - 1) / d.B
-	d.Transfers += blocks
-	return blocks
-}
-
-// RandomAccess accounts n independent random touches, each costing one
-// full block transfer regardless of useful bytes.
-func (d *DAM) RandomAccess(n uint64) uint64 {
-	d.Transfers += n
-	return n
-}
-
-// BytesMoved returns total bytes moved across the DAM boundary.
-func (d *DAM) BytesMoved() uint64 { return d.Transfers * d.B }

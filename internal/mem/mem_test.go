@@ -3,7 +3,6 @@ package mem
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"mwmerge/internal/types"
 )
@@ -67,19 +66,6 @@ func TestHBMValidation(t *testing.T) {
 	}
 }
 
-func TestHBMTimes(t *testing.T) {
-	h := DefaultHBM()
-	if got := h.StreamTime(512e9); got != 1.0 {
-		t.Errorf("StreamTime = %g s", got)
-	}
-	if got := h.RandomTime(1e6, 64); got <= h.StreamTime(64e6) {
-		t.Errorf("random access should be slower than streaming: %g", got)
-	}
-	if got := h.Energy(1e12); got != 7.0 {
-		t.Errorf("Energy(1TB) = %g J", got)
-	}
-}
-
 func TestPrefetchBufferSizing(t *testing.T) {
 	h := DefaultHBM()
 	// Paper §4.1 example: 1024 lists × 2 KiB pages = 2 MiB.
@@ -89,40 +75,5 @@ func TestPrefetchBufferSizing(t *testing.T) {
 	// 16 partitions → 32 MiB, the unscalable case.
 	if got := h.PartitionedPrefetchBytes(16, 1024); got != 32*types.MiB {
 		t.Errorf("PartitionedPrefetchBytes = %d", got)
-	}
-}
-
-func TestDAM(t *testing.T) {
-	d, err := NewDAM(1024, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocks := d.Stream(100); blocks != 2 {
-		t.Errorf("Stream(100) = %d blocks", blocks)
-	}
-	if blocks := d.RandomAccess(3); blocks != 3 {
-		t.Errorf("RandomAccess(3) = %d", blocks)
-	}
-	if d.BytesMoved() != 5*64 {
-		t.Errorf("BytesMoved = %d", d.BytesMoved())
-	}
-	if _, err := NewDAM(64, 1024); err == nil {
-		t.Error("B > M accepted")
-	}
-	if _, err := NewDAM(0, 0); err == nil {
-		t.Error("zero DAM accepted")
-	}
-}
-
-func TestDAMStreamProperty(t *testing.T) {
-	f := func(nRaw uint32) bool {
-		n := uint64(nRaw)
-		d, _ := NewDAM(1<<20, 64)
-		blocks := d.Stream(n)
-		// Blocks must cover the bytes without exceeding one extra block.
-		return blocks*64 >= n && (blocks == 0 || (blocks-1)*64 < n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mwmerge/internal/bitonic"
-	"mwmerge/internal/merge"
 )
 
 // AreaModel estimates the silicon area of the computation core in a
@@ -104,7 +103,3 @@ func log2i(v int) int {
 	}
 	return l
 }
-
-// FIFOCost re-exports the merge package's register-vs-SRAM model for
-// reporting alongside the area breakdown.
-func FIFOCost() merge.FIFOCostModel { return merge.DefaultFIFOCostModel() }

@@ -12,8 +12,9 @@
 // consecutive dense-vector elements with no extra sorting (§4.2.2).
 //
 // The decisive property: the prefetch buffer is K×dpage bytes regardless
-// of p, whereas the partition-based alternative (§4.1, also implemented
-// here for ablation) needs m×K×dpage and so cannot scale.
+// of p, whereas the partition-based alternative of §4.1 needs m×K×dpage
+// and so cannot scale (mem.HBMConfig.PartitionedPrefetchBytes, which the
+// ablation-prefetch experiment tabulates).
 package prap
 
 import (
@@ -23,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mwmerge/internal/mem"
-	"mwmerge/internal/merge"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
@@ -657,53 +656,4 @@ func (s Stats) LoadImbalance() float64 {
 	}
 	mean := float64(sum) / float64(len(s.PerCoreInput))
 	return float64(max) / mean
-}
-
-// PartitionedMerge implements the §4.1 alternative: the key space is cut
-// into m contiguous partitions, each merged by an independent MC. It
-// produces the same dense result but requires a prefetch buffer of
-// m×K×dpage bytes, reported alongside.
-func PartitionedMerge(lists [][]types.Record, dim uint64, yIn vector.Dense, m int, hbm mem.HBMConfig, ways int) (vector.Dense, uint64, error) {
-	if m < 1 {
-		return nil, 0, fmt.Errorf("prap: partition count must be positive")
-	}
-	if yIn != nil && uint64(len(yIn)) != dim {
-		return nil, 0, fmt.Errorf("prap: yIn dimension %d != %d", len(yIn), dim)
-	}
-	out := vector.NewDense(int(dim))
-	if yIn != nil {
-		copy(out, yIn)
-	}
-	partWidth := (dim + uint64(m) - 1) / uint64(m)
-	for part := 0; part < m; part++ {
-		lo := uint64(part) * partWidth
-		hi := lo + partWidth
-		if hi > dim {
-			hi = dim
-		}
-		sub := make([][]types.Record, len(lists))
-		for i, l := range lists {
-			s, e := searchKey(l, lo), searchKey(l, hi)
-			sub[i] = l[s:e]
-		}
-		for _, rec := range merge.MergeAccumulate(sub) {
-			out[rec.Key] += rec.Val
-		}
-	}
-	bufBytes := hbm.PartitionedPrefetchBytes(m, ways)
-	return out, bufBytes, nil
-}
-
-// searchKey returns the index of the first record with key >= k.
-func searchKey(l []types.Record, k uint64) int {
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l[mid].Key < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

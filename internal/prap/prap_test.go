@@ -2,7 +2,6 @@ package prap
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -355,29 +354,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestPartitionedMergeMatchesPRaP(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	dim := uint64(128)
-	lists := randomLists(rng, 6, dim, 0.2)
-	want := oracleDense(lists, dim, nil)
-	hbm := mem.DefaultHBM()
-	for _, m := range []int{1, 2, 4, 7} {
-		got, bufBytes, err := PartitionedMerge(lists, dim, nil, m, hbm, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := got.MaxAbsDiff(want); d > 1e-9 {
-			t.Errorf("m=%d: max diff %g", m, d)
-		}
-		if bufBytes != uint64(m)*64*hbm.PageBytes {
-			t.Errorf("m=%d: buffer %d bytes", m, bufBytes)
-		}
-	}
-	if _, _, err := PartitionedMerge(lists, dim, nil, 0, hbm, 64); err == nil {
-		t.Error("m=0 accepted")
-	}
-}
-
 func TestStoreQueueOrderingIsDense(t *testing.T) {
 	// The store queue must deliver strictly consecutive dense elements;
 	// an internal invariant violation would surface as an error.
@@ -416,21 +392,5 @@ func TestLoadImbalanceEmpty(t *testing.T) {
 	var s Stats
 	if s.LoadImbalance() != 0 {
 		t.Error("empty stats should report 0 imbalance")
-	}
-}
-
-func TestSearchKey(t *testing.T) {
-	l := []types.Record{{Key: 2}, {Key: 5}, {Key: 9}}
-	cases := []struct {
-		k    uint64
-		want int
-	}{{0, 0}, {2, 0}, {3, 1}, {5, 1}, {6, 2}, {9, 2}, {10, 3}}
-	for _, c := range cases {
-		if got := searchKey(l, c.k); got != c.want {
-			t.Errorf("searchKey(%d) = %d, want %d", c.k, got, c.want)
-		}
-	}
-	if !sort.SliceIsSorted(l, func(i, j int) bool { return l[i].Key < l[j].Key }) {
-		t.Fatal("fixture unsorted")
 	}
 }

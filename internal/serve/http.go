@@ -21,7 +21,8 @@ import (
 // Config parameterizes the HTTP server around a set of pools.
 type Config struct {
 	// DefaultDeadline bounds a request that carries no deadline_ms of
-	// its own; 0 leaves such requests unbounded.
+	// its own; 0 leaves such requests unbounded. A negative value is
+	// rejected, as a negative deadline_ms is.
 	DefaultDeadline time.Duration
 }
 
@@ -60,6 +61,9 @@ type Server struct {
 func NewServer(cfg Config, pools ...*Pool) (*Server, error) {
 	if len(pools) == 0 {
 		return nil, fmt.Errorf("serve: server needs at least one pool")
+	}
+	if cfg.DefaultDeadline < 0 {
+		return nil, fmt.Errorf("serve: negative default deadline %v", cfg.DefaultDeadline)
 	}
 	s := &Server{cfg: cfg, pools: make(map[string]*Pool), mux: http.NewServeMux()}
 	for _, p := range pools {

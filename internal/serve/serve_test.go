@@ -626,6 +626,19 @@ func TestNewServerRejectsDuplicatePools(t *testing.T) {
 	}
 }
 
+// TestNewServerRejectsNegativeDeadline holds the server-wide default to
+// the per-request rule (a negative deadline_ms is a 400): a negative
+// default is a configuration error, not a server with no deadline.
+func TestNewServerRejectsNegativeDeadline(t *testing.T) {
+	p := newTestPool(t, "g", testGraph(t, 128, 3, 19), 1, 0)
+	if _, err := NewServer(Config{DefaultDeadline: -time.Second}, p); err == nil {
+		t.Fatal("negative default deadline accepted")
+	}
+	if _, err := NewServer(Config{DefaultDeadline: time.Second}, p); err != nil {
+		t.Fatalf("positive default deadline rejected: %v", err)
+	}
+}
+
 func TestNewPoolRejectsRecorder(t *testing.T) {
 	cfg := testEngineConfig()
 	cfg.Recorder = report.NewRecorder()

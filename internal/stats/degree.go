@@ -5,37 +5,6 @@ import (
 	"sort"
 )
 
-// CCDF returns the complementary cumulative degree distribution of a
-// degree sequence: pairs (d, P(deg >= d)) at each distinct degree, in
-// ascending degree order. Power-law graphs show a straight line on
-// log-log axes; road networks and ER graphs fall off exponentially.
-type CCDFPoint struct {
-	Degree uint64
-	P      float64
-}
-
-// CCDF computes the complementary CDF of the degree sequence.
-func CCDF(degrees []uint64) []CCDFPoint {
-	if len(degrees) == 0 {
-		return nil
-	}
-	sorted := append([]uint64(nil), degrees...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	n := float64(len(sorted))
-	var out []CCDFPoint
-	for i := 0; i < len(sorted); {
-		d := sorted[i]
-		// P(deg >= d) = fraction at index >= i.
-		out = append(out, CCDFPoint{Degree: d, P: float64(len(sorted)-i) / n})
-		j := i
-		for j < len(sorted) && sorted[j] == d {
-			j++
-		}
-		i = j
-	}
-	return out
-}
-
 // HillEstimator returns the power-law tail exponent alpha of a degree
 // sequence using the Hill maximum-likelihood estimator over the top-k
 // order statistics: alpha = 1 + k / Σ ln(x_i / x_min). Zipf-generated

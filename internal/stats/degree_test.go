@@ -5,36 +5,6 @@ import (
 	"testing"
 )
 
-func TestCCDFBasics(t *testing.T) {
-	pts := CCDF([]uint64{1, 1, 2, 4})
-	// Distinct degrees 1, 2, 4 with P(>=1)=1, P(>=2)=0.5, P(>=4)=0.25.
-	want := []CCDFPoint{{1, 1}, {2, 0.5}, {4, 0.25}}
-	if len(pts) != len(want) {
-		t.Fatalf("got %v", pts)
-	}
-	for i := range want {
-		if pts[i].Degree != want[i].Degree || math.Abs(pts[i].P-want[i].P) > 1e-12 {
-			t.Fatalf("point %d: %v, want %v", i, pts[i], want[i])
-		}
-	}
-	if CCDF(nil) != nil {
-		t.Error("empty CCDF should be nil")
-	}
-}
-
-func TestCCDFMonotonic(t *testing.T) {
-	degs := make([]uint64, 1000)
-	for i := range degs {
-		degs[i] = uint64(i % 37)
-	}
-	pts := CCDF(degs)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].P > pts[i-1].P || pts[i].Degree <= pts[i-1].Degree {
-			t.Fatalf("CCDF not monotonic at %d", i)
-		}
-	}
-}
-
 func TestHillEstimatorRecoversParetoTail(t *testing.T) {
 	// Sample a discrete Pareto tail with alpha = 2.5 via inverse CDF.
 	alpha := 2.5

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a fixed-bin integer histogram over [0, Bins).
@@ -32,38 +31,6 @@ func (h *Histogram) Add(v int) {
 	}
 	h.Counts[v]++
 	h.Total++
-}
-
-// AddN records n observations of value v.
-func (h *Histogram) AddN(v int, n uint64) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.Counts) {
-		v = len(h.Counts) - 1
-	}
-	h.Counts[v] += n
-	h.Total += n
-}
-
-// P returns the empirical probability of bin v.
-func (h *Histogram) P(v int) float64 {
-	if h.Total == 0 || v < 0 || v >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[v]) / float64(h.Total)
-}
-
-// Probabilities returns the normalized distribution across all bins.
-func (h *Histogram) Probabilities() []float64 {
-	p := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return p
-	}
-	for i, c := range h.Counts {
-		p[i] = float64(c) / float64(h.Total)
-	}
-	return p
 }
 
 // Mean returns the mean bin index.
@@ -130,54 +97,4 @@ func GeometricGapWidthDist(p float64, maxW int) []float64 {
 		d[w] = pw
 	}
 	return d
-}
-
-// Quantile returns the q-quantile (0..1) of the sorted copy of xs.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive xs.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

@@ -3,32 +3,24 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(5)
-	h.Add(1)
-	h.Add(1)
-	h.Add(3)
-	h.AddN(4, 2)
+	for _, v := range []int{1, 1, 3, 4, 4} {
+		h.Add(v)
+	}
 	if h.Total != 5 {
 		t.Fatalf("Total = %d", h.Total)
 	}
-	if h.P(1) != 0.4 {
-		t.Errorf("P(1) = %g", h.P(1))
+	if want := []uint64{0, 2, 0, 1, 2}; !slices.Equal(h.Counts, want) {
+		t.Errorf("Counts = %v, want %v", h.Counts, want)
 	}
 	if h.Mode() != 1 {
 		t.Errorf("Mode = %d", h.Mode())
-	}
-	probs := h.Probabilities()
-	sum := 0.0
-	for _, p := range probs {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("probabilities sum to %g", sum)
 	}
 }
 
@@ -43,8 +35,9 @@ func TestHistogramClamping(t *testing.T) {
 
 func TestHistogramMean(t *testing.T) {
 	h := NewHistogram(10)
-	h.AddN(2, 3)
-	h.AddN(4, 1)
+	for _, v := range []int{2, 2, 2, 4} {
+		h.Add(v)
+	}
 	if got := h.Mean(); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("Mean = %g, want 2.5", got)
 	}
@@ -110,7 +103,7 @@ func TestGeometricGapWidthDistMatchesSampling(t *testing.T) {
 		h.Add(BitWidth(uint64(g)))
 	}
 	for w := 1; w <= 12; w++ {
-		got := h.P(w)
+		got := float64(h.Counts[w]) / n
 		if math.Abs(got-want[w]) > 0.01 {
 			t.Errorf("width %d: sampled %g vs analytic %g", w, got, want[w])
 		}
@@ -123,37 +116,5 @@ func TestGeometricGapEdgeCases(t *testing.T) {
 	}
 	if d := GeometricGapWidthDist(1, 10); d[1] != 1 {
 		t.Error("p=1 should put all mass at width 1")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
-		t.Error("extreme quantiles wrong")
-	}
-	if got := Quantile(xs, 0.5); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("median = %g", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestMeanAndGeoMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Errorf("Mean = %g", got)
-	}
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %g", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean of negative should be NaN")
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean of empty should be NaN")
 	}
 }

@@ -90,15 +90,3 @@ func (s *DeltaSizer) Bytes() uint64 { return (s.bits + 7) / 8 }
 
 // Count returns how many deltas have been fed.
 func (s *DeltaSizer) Count() int { return s.count }
-
-// VarintDeltaBytes returns the LEB128 footprint of one delta — the
-// streaming unit behind VarintBytes, usable for size-only accounting of
-// the byte-aligned comparison codec.
-func VarintDeltaBytes(d uint64) uint64 {
-	n := uint64(1)
-	for d >= 0x80 {
-		n++
-		d >>= 7
-	}
-	return n
-}

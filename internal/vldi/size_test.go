@@ -134,66 +134,3 @@ func TestDeltaSizerReset(t *testing.T) {
 		t.Fatalf("second pass %d != first %d", s.Bytes(), first)
 	}
 }
-
-// TestVarintDeltaBytes pins the LEB128 footprint at the 7-bit group
-// boundaries, including the 10-byte maximum, and checks VarintBytes and
-// the EncodeVarint pre-sizing against real encoding.
-func TestVarintDeltaBytes(t *testing.T) {
-	cases := []struct {
-		d    uint64
-		want uint64
-	}{
-		{0, 1}, {0x7f, 1}, {0x80, 2}, {0x3fff, 2}, {0x4000, 3},
-		{1 << 62, 9}, {^uint64(0) >> 1, 9}, {1 << 63, 10}, {^uint64(0), 10},
-	}
-	for _, c := range cases {
-		if got := VarintDeltaBytes(c.d); got != c.want {
-			t.Errorf("VarintDeltaBytes(%#x) = %d, want %d", c.d, got, c.want)
-		}
-		enc := EncodeVarint([]uint64{c.d})
-		if uint64(len(enc)) != c.want {
-			t.Errorf("EncodeVarint(%#x) emitted %d bytes, want %d", c.d, len(enc), c.want)
-		}
-	}
-
-	deltas := []uint64{0, 1, 0x80, ^uint64(0), 300, 1 << 40}
-	enc := EncodeVarint(deltas)
-	if VarintBytes(deltas) != uint64(len(enc)) {
-		t.Fatalf("VarintBytes %d != encoded length %d", VarintBytes(deltas), len(enc))
-	}
-	// Exact pre-sizing: append must never have regrown the buffer.
-	if uint64(cap(enc)) != VarintBytes(deltas) {
-		t.Fatalf("EncodeVarint capacity %d != exact size %d", cap(enc), VarintBytes(deltas))
-	}
-	dec, ok := DecodeVarint(enc, len(deltas))
-	if !ok {
-		t.Fatal("DecodeVarint failed")
-	}
-	for i := range deltas {
-		if dec[i] != deltas[i] {
-			t.Fatalf("delta %d: %d != %d", i, dec[i], deltas[i])
-		}
-	}
-}
-
-// TestDecodeVarintOverflowGuard drives the shift guard directly: a legal
-// 10-byte max-uint64 varint decodes, while an 11th continuation byte —
-// shift past bit 63 — is rejected rather than silently wrapped.
-func TestDecodeVarintOverflowGuard(t *testing.T) {
-	max := EncodeVarint([]uint64{^uint64(0)})
-	if len(max) != 10 {
-		t.Fatalf("max-uint64 varint is %d bytes, want 10", len(max))
-	}
-	dec, ok := DecodeVarint(max, 1)
-	if !ok || dec[0] != ^uint64(0) {
-		t.Fatalf("max-uint64 round trip failed: %v %v", dec, ok)
-	}
-	overlong := make([]byte, 11)
-	for i := 0; i < 10; i++ {
-		overlong[i] = 0x80
-	}
-	overlong[10] = 0x01
-	if _, ok := DecodeVarint(overlong, 1); ok {
-		t.Fatal("11-byte continuation chain accepted")
-	}
-}

@@ -13,7 +13,6 @@ import (
 
 	"mwmerge/internal/stats"
 	"mwmerge/internal/types"
-	"mwmerge/internal/vector"
 )
 
 // Codec encodes/decodes delta-index streams with a fixed block width.
@@ -206,65 +205,15 @@ func KeysFromDeltas(deltas []uint64) []uint64 {
 	return out
 }
 
-// CompressedVec is an intermediate sparse vector with VLDI-compressed
-// meta-data: values stay uncompressed, indices are delta/block coded. This
-// is what ITS_VC streams to and from DRAM.
-type CompressedVec struct {
-	Dim      int
-	Meta     EncodedDeltas
-	Vals     []float64
-	ValBytes int // precision used for traffic accounting
-}
-
-// Bytes returns the DRAM footprint of the compressed vector.
-func (v CompressedVec) Bytes() uint64 {
-	return v.Meta.Bytes() + uint64(len(v.Vals))*uint64(v.ValBytes)
-}
-
-// UncompressedBytes returns the footprint without VLDI (full keys).
-func (v CompressedVec) UncompressedBytes() uint64 {
-	return uint64(v.Meta.Count) * uint64(types.KeyBytes+v.ValBytes)
-}
-
-// CompressSparse encodes a sorted sparse vector.
-func (c *Codec) CompressSparse(s *vector.Sparse, valBytes int) (CompressedVec, error) {
-	keys := make([]uint64, len(s.Recs))
-	vals := make([]float64, len(s.Recs))
-	for i, r := range s.Recs {
-		keys[i] = r.Key
-		vals[i] = r.Val
-	}
-	deltas, err := DeltasFromKeys(keys)
-	if err != nil {
-		return CompressedVec{}, err
-	}
-	return CompressedVec{Dim: s.Dim, Meta: c.EncodeDeltas(deltas), Vals: vals, ValBytes: valBytes}, nil
-}
-
-// DecompressSparse inverts CompressSparse.
-func (c *Codec) DecompressSparse(v CompressedVec) (*vector.Sparse, error) {
-	deltas, err := c.DecodeDeltas(v.Meta)
-	if err != nil {
-		return nil, err
-	}
-	keys := KeysFromDeltas(deltas)
-	s := vector.NewSparse(v.Dim, len(keys))
-	for i, k := range keys {
-		if err := s.Append(types.Record{Key: k, Val: v.Vals[i]}); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
 // RoundTripRecords encodes recs' keys as a VLDI delta stream into w
 // (reset first) and decodes the stream back, verifying each
-// reconstructed key bit-for-bit — the allocation-free equivalent of the
-// CompressSparse/DecompressSparse functional round trip for a record
-// stream whose values stay uncompressed. It errors on a non-ascending
-// key stream (same contract as DeltasFromKeys) or on any decode
-// mismatch. w provides the only scratch storage, so callers that recycle
-// the writer run the round trip with zero allocations.
+// reconstructed key bit-for-bit: the functional round trip of an
+// intermediate vector whose values stay uncompressed, as ITS_VC streams
+// it to and from DRAM. The stream written is EncodeDeltas of the keys'
+// DeltasFromKeys, bit for bit. It errors on a non-ascending key stream
+// (same contract as DeltasFromKeys) or on any decode mismatch. w
+// provides the only scratch storage, so callers that recycle the writer
+// run the round trip with zero allocations.
 func (c *Codec) RoundTripRecords(recs []types.Record, w *BitWriter) error {
 	w.Reset()
 	var prev uint64

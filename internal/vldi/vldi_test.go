@@ -8,7 +8,6 @@ import (
 
 	"mwmerge/internal/stats"
 	"mwmerge/internal/types"
-	"mwmerge/internal/vector"
 )
 
 func TestNewCodecBounds(t *testing.T) {
@@ -196,57 +195,42 @@ func TestDeltasFromKeys(t *testing.T) {
 	}
 }
 
-func TestCompressSparseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := vector.NewSparse(10000, 0)
-	for k := uint64(0); k < 10000; k++ {
-		if rng.Float64() < 0.05 {
-			if err := s.Append(types.Record{Key: k, Val: rng.NormFloat64()}); err != nil {
+func TestRoundTripRecords(t *testing.T) {
+	cases := []struct {
+		name string
+		keys []uint64
+		ok   bool
+	}{
+		{"empty", nil, true},
+		{"key zero", []uint64{0}, true},
+		{"ascending", []uint64{0, 1, 2, 9, 300, 1 << 20}, true},
+		{"gap 1<<63", []uint64{3, 3 + 1<<63, ^uint64(0)}, true},
+		{"duplicate", []uint64{4, 7, 7}, false},
+		{"descending", []uint64{0, 9, 8}, false},
+	}
+	for _, b := range []int{1, 8, 63} {
+		c, _ := NewCodec(b)
+		var w BitWriter
+		for _, tc := range cases {
+			recs := make([]types.Record, len(tc.keys))
+			for i, k := range tc.keys {
+				recs[i] = types.Record{Key: k, Val: float64(i)}
+			}
+			err := c.RoundTripRecords(recs, &w)
+			if (err == nil) != tc.ok {
+				t.Fatalf("block %d, %s: err = %v, want ok=%v", b, tc.name, err, tc.ok)
+			}
+			if !tc.ok {
+				continue
+			}
+			deltas, err := DeltasFromKeys(tc.keys)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if want := c.EncodeDeltas(deltas).Bits; w.Bits() != want {
+				t.Errorf("block %d, %s: %d bits written, EncodeDeltas gives %d", b, tc.name, w.Bits(), want)
+			}
 		}
-	}
-	c, _ := NewCodec(8)
-	cv, err := c.CompressSparse(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.DecompressSparse(cv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NNZ() != s.NNZ() {
-		t.Fatalf("nnz %d != %d", back.NNZ(), s.NNZ())
-	}
-	for i := range s.Recs {
-		if s.Recs[i] != back.Recs[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-	if cv.Bytes() >= cv.UncompressedBytes() {
-		t.Errorf("compression enlarged: %d >= %d", cv.Bytes(), cv.UncompressedBytes())
-	}
-}
-
-func TestCompressSparseIncludesZeroFirstKey(t *testing.T) {
-	s := vector.NewSparse(10, 0)
-	if err := s.Append(types.Record{Key: 0, Val: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(types.Record{Key: 9, Val: 2}); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := NewCodec(4)
-	cv, err := c.CompressSparse(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.DecompressSparse(cv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Recs[0].Key != 0 || back.Recs[1].Key != 9 {
-		t.Errorf("round trip keys: %v", back.Recs)
 	}
 }
 
