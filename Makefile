@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-selftest cover bench experiments golden report serve-smoke fuzz clean
+.PHONY: all build vet fmt test test-1cpu race bench-selftest cover bench experiments golden report serve-smoke fuzz clean
 
-all: build vet fmt test race bench-selftest golden
+all: build vet fmt test test-1cpu race bench-selftest golden
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ fmt:
 # maps every invariant to its guard.
 test:
 	$(GO) test ./...
+
+# The engine's worker counts default to GOMAXPROCS, and CI runners have
+# at least two cores: run the engine, serving and CLI tests on one, so
+# the one-worker default (and ITS with one step-1 worker beside step 2)
+# stays tested. -count=1: the test cache does not key on GOMAXPROCS, so
+# a cached multi-core result would stand in for the one-core run.
+test-1cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core ./internal/serve ./cmd/...
 
 # The data-race guard for the parallel step-1 and merge paths (captured
 # writes in worker closures, dense-result writes outside the drain).

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -132,6 +133,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		smoke      = fs.Bool("smoke", false, "self-check: serve a small graph, run PageRank over HTTP plus a coalesced SpMV batch, verify the /metrics scrape against a direct engine run, exit")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *scratchKiB > math.MaxUint64>>10 {
+		fmt.Fprintf(stderr, "spmvd: -scratch %d: more KiB than a 64-bit byte count holds\n", *scratchKiB)
 		return 2
 	}
 	if *smoke {

@@ -101,6 +101,14 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-addr", ":0"}, &out, &errOut); code != 2 {
 		t.Errorf("no matrices: exit %d, want 2", code)
 	}
+	// 2^54+1 KiB would wrap to a 1 KiB scratchpad and serve.
+	errOut.Reset()
+	if code := run([]string{"-scratch", "18014398509481985", "-addr", "127.0.0.1:0", "-matrix", "g=er:100:3:1"}, &out, &errOut); code != 2 {
+		t.Errorf("-scratch 2^54+1: exit %d, want 2", code)
+	}
+	if got := errOut.String(); !strings.HasPrefix(got, "spmvd: -scratch 18014398509481985: ") {
+		t.Errorf("-scratch 2^54+1: stderr %q, want a -scratch error", got)
+	}
 	if code := run([]string{"-matrix", "g=er:"}, &out, &errOut); code != 1 {
 		t.Errorf("bad spec: exit %d, want 1", code)
 	}

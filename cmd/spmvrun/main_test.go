@@ -178,8 +178,9 @@ func TestRunPlainStillWorks(t *testing.T) {
 // to a one-line error, not a run of a product nobody asked for or a
 // reference check that compares an all-NaN result with an all-NaN
 // reference and reports 0: a bad damping is an engine error (exit 1),
-// at any iteration count; an iteration count below one or a negative
-// VLDI width is a flag error (exit 2).
+// at any iteration count; an iteration count below one, a negative
+// VLDI width or a scratchpad too large to count in bytes is a flag
+// error (exit 2).
 func TestRunRejectsBadIterateInput(t *testing.T) {
 	cases := []struct {
 		flags  []string
@@ -193,6 +194,10 @@ func TestRunRejectsBadIterateInput(t *testing.T) {
 		{[]string{"-iters", "0"}, 2, "spmvrun: -iters 0: "},
 		{[]string{"-iters", "-3"}, 2, "spmvrun: -iters -3: "},
 		{[]string{"-vldi", "-1"}, 2, "spmvrun: -vldi -1: "},
+		// 2^54 KiB wraps the byte count to 0, and 2^54+1 to a 1 KiB
+		// scratchpad that would run.
+		{[]string{"-scratch", "18014398509481984"}, 2, "spmvrun: -scratch 18014398509481984: "},
+		{[]string{"-scratch", "18014398509481985"}, 2, "spmvrun: -scratch 18014398509481985: "},
 	}
 	for _, c := range cases {
 		var out, errOut strings.Builder

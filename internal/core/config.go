@@ -54,12 +54,14 @@ type Config struct {
 	HDN *hdn.Config
 	// Workers bounds the goroutines running step 1 over independent
 	// stripes in parallel (the host-side analogue of the hardware's
-	// parallel fabric). 0 or 1 runs sequentially; results and traffic
-	// accounting are identical either way. Step-2 parallelism is the
+	// parallel fabric). 0 means runtime.GOMAXPROCS, as for
+	// Merge.MergeWorkers; 1 runs sequentially. Results and traffic
+	// accounting are identical at any count. Step-2 parallelism is the
 	// separate Merge.MergeWorkers knob, which splits the output keys
 	// into contiguous block ranges, one per goroutine, with
-	// bit-identical results. Workers does not bound the plan build,
-	// which runs once per matrix on runtime.GOMAXPROCS goroutines
+	// bit-identical results. Callers that share the host with other
+	// engines (spmvd's pool) set both. Workers does not bound the plan
+	// build, which runs once per matrix on runtime.GOMAXPROCS goroutines
 	// (DESIGN.md §9).
 	Workers int
 	// Recorder, when non-nil, collects the observability run report:

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
@@ -321,79 +320,70 @@ func (e *Engine) chargeDetector(p *enginePlan) {
 }
 
 // step1Compute executes the per-stripe partial SpMV across Workers
-// goroutines without touching persistent engine state (recorder spans
-// aside), which is what lets the ITS pipeline run it concurrently with
-// the previous iteration's step 2. A worker holding stripe s runs it
-// against all k source vectors before moving on — the stripe stays
-// resident while every column consumes it, which is exactly why only
-// column 0 books the matrix stream (commit). Column c's records for
-// stripe s land in their own span of the bank's arena and its list
+// goroutines (workerCount) without touching persistent engine state
+// (recorder spans aside), which is what lets the ITS pipeline run it
+// concurrently with the previous iteration's step 2. A worker holding
+// stripe s runs it against all k source vectors before moving on — the
+// stripe stays resident while every column consumes it, which is exactly
+// why only column 0 books the matrix stream (commit). Column c's records
+// for stripe s land in their own span of the bank's arena and its list
 // header in slot c·n + s, so parallel runs stay race-free and
 // deterministic. With a non-nil gate, stripe s first waits until
 // segment s of x has been published and releases its handoff slot when
 // done.
+//
+// The workers are one fork-join (fanOut) over an atomic claim counter:
+// worker w takes claim w first, so every worker runs at least one
+// stripe, then claims the next unclaimed index until none is left.
+// Without a gate every stripe is ready at once and claim i is the plan's
+// i-th heaviest stripe (LPT order), which cuts the straggler tail on
+// skewed partitions. Under a gate claim i is stripe i: claims ascend,
+// and that is load-bearing. Every stripe below the next claim is held or
+// done, so whenever the producer is blocked on the handoff bound, the
+// lowest published-but-unconsumed stripe is already held by some worker
+// (or is the next claim of a worker between stripes), and the pipeline
+// always advances.
 func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense, gate *segmentGate, bank *stripeBank) {
 	n := len(p.stripes)
 	bank.sized(n*len(xs), p.runs*len(xs))
-	run := func(w, s int) {
-		if gate != nil {
-			gate.wait(s)
-			defer gate.consume()
-		}
-		if e.rec != nil {
-			defer e.rec.StartSpan("step1/w"+strconv.Itoa(w), "s"+strconv.Itoa(s)).End()
-		}
-		st := &p.stripes[s]
-		for c, x := range xs {
-			off := c*p.runs + st.recOff
-			recs := bank.recs[off : off+len(st.rows) : off+len(st.rows)]
-			st.multiply(x[st.colStart:st.colStart+st.width], recs)
-			bank.lists[c*n+s] = recs
-		}
-	}
-
-	workers := min(max(e.cfg.Workers, 1), n)
 	var s1 report.Span
 	if e.rec != nil {
 		s1 = e.rec.StartSpan("phase", "s1")
 	}
-	if workers <= 1 {
-		for s := range p.stripes {
-			run(0, s)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := range work {
-					run(w, s)
-				}
-			}(w)
-		}
-		// Ascending dispatch order is load-bearing under a gate: it
-		// guarantees that whenever the producer is blocked on the
-		// handoff bound, the lowest published-but-unconsumed stripe is
-		// already held by some worker, so the pipeline always advances.
-		// Without a gate every stripe is ready immediately, so the
-		// ungated path dispatches heaviest-first (the plan's LPT order)
-		// to cut the straggler tail on skewed partitions.
-		if gate != nil {
-			for s := range p.stripes {
-				work <- s
+	workers := workerCount(e.cfg.Workers, n)
+	bank.claims.Store(int64(workers))
+	fanOut(workers, func(w int) {
+		for i := w; i < n; i = int(bank.claims.Add(1) - 1) {
+			s := i
+			if gate == nil {
+				s = p.lpt[i]
+			} else {
+				gate.wait(s)
 			}
-		} else {
-			for _, s := range p.lpt {
-				work <- s
+			e.step1Stripe(p, xs, bank, w, s)
+			if gate != nil {
+				gate.consume()
 			}
 		}
-		close(work)
-		wg.Wait()
-	}
+	})
 	if e.rec != nil {
 		s1.End()
+	}
+}
+
+// step1Stripe runs stripe s of p against every column of xs, worker w's
+// claim.
+func (e *Engine) step1Stripe(p *enginePlan, xs []vector.Dense, bank *stripeBank, w, s int) {
+	if e.rec != nil {
+		defer e.rec.StartSpan("step1/w"+strconv.Itoa(w), "s"+strconv.Itoa(s)).End()
+	}
+	n := len(p.stripes)
+	st := &p.stripes[s]
+	for c, x := range xs {
+		off := c*p.runs + st.recOff
+		recs := bank.recs[off : off+len(st.rows) : off+len(st.rows)]
+		st.multiply(x[st.colStart:st.colStart+st.width], recs)
+		bank.lists[c*n+s] = recs
 	}
 }
 

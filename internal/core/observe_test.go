@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -134,6 +135,52 @@ func TestRecorderLanes(t *testing.T) {
 	}
 	if itsLane.Spans != 2 {
 		t.Errorf("its lane has %d spans, want 2 for 3 overlapped iterations", itsLane.Spans)
+	}
+}
+
+// TestStep1WorkerLanes holds the step-1 worker count to its rule: Workers
+// 0 runs min(GOMAXPROCS, stripes) workers, each of which runs at least
+// one stripe and so opens its step1/w<i> lane, and Workers 1 runs one.
+// GOMAXPROCS is set per case, so the rule is checked on any host.
+func TestStep1WorkerLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := []struct {
+		dim        uint64 // 128-wide stripes
+		workers    int
+		gomaxprocs int
+		want       int
+	}{
+		{2000, 0, 3, 3},
+		{2000, 0, 1, 1},
+		{256, 0, 3, 2},
+		{2000, 1, 3, 1},
+	}
+	for _, c := range cases {
+		runtime.GOMAXPROCS(c.gomaxprocs)
+		a, err := graph.ErdosRenyi(c.dim, 4, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := report.NewRecorder()
+		cfg := testConfig()
+		cfg.Workers, cfg.Recorder = c.workers, rec
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.SpMV(a, randomX(c.dim, 49), nil); err != nil {
+			t.Fatal(err)
+		}
+		var lanes []string
+		for _, l := range rec.Build(report.Meta{}).Lanes {
+			if strings.HasPrefix(l.Lane, "step1/w") {
+				lanes = append(lanes, l.Lane)
+			}
+		}
+		if len(lanes) != c.want {
+			t.Errorf("dim %d, Workers %d, GOMAXPROCS %d: step-1 lanes %v, want %d",
+				c.dim, c.workers, c.gomaxprocs, lanes, c.want)
+		}
 	}
 }
 

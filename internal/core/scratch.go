@@ -26,6 +26,8 @@ package core
 // bank it was handed, and is joined before the bank rotates back.
 
 import (
+	"sync/atomic"
+
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
@@ -34,10 +36,12 @@ import (
 // every list of one step-1 run is carved from — a column holds exactly
 // the plan's run count of records, column c's stripe s starting at
 // c·runs + recOff — and the list headers, column c's stripe s in slot
-// c·n + s.
+// c·n + s. claims is the run's stripe claim counter (step1Compute), kept
+// here so that claiming allocates nothing.
 type stripeBank struct {
-	recs  []types.Record
-	lists [][]types.Record
+	recs   []types.Record
+	lists  [][]types.Record
+	claims atomic.Int64
 }
 
 // sized prepares the bank for n list slots over recs records, recycling

@@ -15,7 +15,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"strconv"
 
 	"mwmerge/internal/mem"
@@ -160,11 +159,7 @@ func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64
 	nb := int((dim + width - 1) / width)
 	w := 1
 	if publish == nil {
-		w = e.cfg.Merge.MergeWorkers
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		w = max(min(w, nb), 1)
+		w = workerCount(e.cfg.Merge.MergeWorkers, nb)
 	}
 	sc := &e.step2
 	sc.bounds = resizedZero(sc.bounds, w+1)

@@ -100,15 +100,11 @@ type HBMConfig struct {
 	// RandomBandwidth is the effective bandwidth of cache-line-grain
 	// random access (row-buffer miss dominated), bytes/s.
 	RandomBandwidth float64
-	// RandomLatency is the average latency of one random access.
-	RandomLatency float64 // seconds
 	// PageBytes is the DRAM row-buffer (dpage) size; the prefetch buffer
 	// allocates one page per merge input list.
 	PageBytes uint64
 	// Channels is the number of independent HBM channels.
 	Channels int
-	// PJPerByte is the access energy per byte transferred.
-	PJPerByte float64
 }
 
 // DefaultHBM returns the ASIC design point's memory system: 512 GB/s
@@ -117,10 +113,8 @@ func DefaultHBM() HBMConfig {
 	return HBMConfig{
 		StreamBandwidth: 512e9,
 		RandomBandwidth: 32e9, // ~1/16 of streaming for 64B-grain random access
-		RandomLatency:   120e-9,
 		PageBytes:       2 * types.KiB,
 		Channels:        4,
-		PJPerByte:       7.0, // ~0.9 pJ/bit HBM2-class access energy
 	}
 }
 

@@ -43,7 +43,11 @@ type PoolConfig struct {
 	Matrix *matrix.COO
 	// Engine parameterizes every pool member. Engine.Recorder must be
 	// nil: recorders are per-run, and the pool's observability surface
-	// is the published ledger instead.
+	// is the published ledger instead. A member built from the default
+	// worker counts (0) runs both steps on every core, so Size members
+	// serving at once oversubscribe the host Size-fold; a caller that
+	// shares the host sets Engine.Workers and Engine.Merge.MergeWorkers
+	// to a share of GOMAXPROCS, as spmvd does.
 	Engine core.Config
 	// Size is the number of warmed engines (default 1). It bounds the
 	// requests served concurrently against this matrix.

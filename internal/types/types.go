@@ -36,9 +36,6 @@ const (
 	ValBytes32 = 4
 	// RecordBytes is the uncompressed width of a full record.
 	RecordBytes = KeyBytes + ValBytes64
-	// CacheLineBytes is the transfer granularity of the cache-based
-	// (latency-bound) baseline.
-	CacheLineBytes = 64
 )
 
 // KiB, MiB and GiB are byte-size multipliers.

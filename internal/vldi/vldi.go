@@ -30,10 +30,6 @@ func NewCodec(blockBits int) (*Codec, error) {
 	return &Codec{BlockBits: blockBits}, nil
 }
 
-// StringBits returns the width of one VLDI string (block + continuation
-// bit).
-func (c *Codec) StringBits() int { return c.BlockBits + 1 }
-
 // BitWriter packs bits MSB-first into a byte slice.
 type BitWriter struct {
 	buf  []byte

@@ -115,6 +115,9 @@ type (
 )
 
 // NewEnginePool builds and warms a fixed-size engine pool for one matrix.
+// A member built from DefaultEngineConfig uses every core, so a pool
+// whose members serve at once should set Workers and Merge.MergeWorkers
+// to a share of GOMAXPROCS, as cmd/spmvd does.
 func NewEnginePool(cfg EnginePoolConfig) (*EnginePool, error) { return serve.NewPool(cfg) }
 
 // NewServer assembles the HTTP serving surface over the given pools.
@@ -157,11 +160,12 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return core.New(cfg) }
 
 // DefaultEngineConfig returns the TS_ASIC-shaped configuration scaled for
 // functional (in-memory) execution: 256 KiB segments, 1024-way PRaP merge
-// with 16 cores, handling matrices up to ~33M rows. Step 2 parallelizes
-// across goroutines by default (Merge.MergeWorkers = 0 splits the output
-// keys into contiguous block ranges for up to GOMAXPROCS goroutines, with
-// bit-identical results); set EngineConfig.Workers to parallelize step 1
-// as well.
+// with 16 cores, handling matrices up to ~33M rows. Both steps take every
+// core by default, with bit-identical results at any count: Workers = 0
+// runs step 1's stripes on GOMAXPROCS goroutines, and Merge.MergeWorkers
+// = 0 splits step 2's output keys into contiguous block ranges for up to
+// GOMAXPROCS goroutines. Set both to 1 for a sequential engine, or to a
+// share of the cores when several engines run at once.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{
 		ScratchpadBytes: 256 << 10,
