@@ -15,7 +15,8 @@ type Meta struct {
 	Rows uint64 `json:"rows,omitempty"`
 	Cols uint64 `json:"cols,omitempty"`
 	NNZ  uint64 `json:"nnz,omitempty"`
-	// Parallelism knobs of the run.
+	// Parallelism knobs of the run, as configured: a worker count of 0
+	// (omitted) runs runtime.GOMAXPROCS goroutines, at most one per task.
 	Workers      int `json:"workers,omitempty"`
 	MergeWorkers int `json:"merge_workers,omitempty"`
 	MergeCores   int `json:"merge_cores,omitempty"`
