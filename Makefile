@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-1cpu race bench-selftest cover bench experiments golden report serve-smoke fuzz clean
+.PHONY: all build vet fmt test test-1cpu race bench-selftest cover bench experiments golden report serve-smoke examples fuzz clean
 
-all: build vet fmt test test-1cpu race bench-selftest golden
+all: build vet fmt test test-1cpu race bench-selftest golden examples
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,15 @@ report:
 # ranks and the scraped ledger equal a direct engine run (DESIGN.md §10).
 serve-smoke:
 	$(GO) run ./cmd/spmvd -smoke
+
+# Build and run every program under examples/ (~6 s in total). They are
+# the library's documented entry points, so running them, not only
+# compiling them, is what keeps the public surface honest. Each example
+# exits non-zero when its own check fails.
+examples:
+	for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # Short fuzz pass (CI's fuzz job) over the VLDI codec (round trip; the
 # streaming sizer equal to the encoder, which the plan's once-per-plan

@@ -139,10 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var result vector.Dense
 	if *iters > 1 || *damping != 0 || *overlap {
-		if m.Rows != m.Cols {
-			fmt.Fprintln(stderr, "spmvrun: iterative mode needs a square matrix")
-			return 1
-		}
 		opt := core.IterateOptions{Iterations: *iters, Overlap: *overlap, Damping: *damping}
 		res, err := eng.Iterate(m, x, opt)
 		if err != nil {

@@ -211,6 +211,24 @@ func TestRunRejectsBadIterateInput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonSquareIterate holds the iterative mode on a
+// rectangular matrix to the engine's own rejection: exit 1, with the
+// core error on stderr.
+func TestRunRejectsNonSquareIterate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rect.mtx")
+	const mtx = "%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 1.0\n2 3 2.0\n"
+	if err := os.WriteFile(path, []byte(mtx), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-m", path, "-iters", "2"}, &out, &errOut); code != 1 {
+		t.Errorf("exit %d, want 1\n%s", code, out.String())
+	}
+	if got, want := errOut.String(), "core: iterative SpMV needs a square matrix"; !strings.Contains(got, want) {
+		t.Errorf("stderr %q, want it to carry %q", got, want)
+	}
+}
+
 // TestRunOneDampedIteration holds -damping (and -overlap) at the default
 // -iters 1 to one damped iteration checked against the damped
 // reference, not a plain SpMV checked against a plain one.

@@ -61,21 +61,6 @@ func ExampleEngine_SpMVBlock() {
 	// 0
 }
 
-// ExampleEngine_IterateBlock runs k damped iteration chains in lock
-// step, one matrix pass per iteration for all columns.
-func ExampleEngine_IterateBlock() {
-	a, _ := mwmerge.NewMatrix(2, 2, []mwmerge.Entry{
-		{Row: 0, Col: 1, Val: 1},
-		{Row: 1, Col: 0, Val: 1},
-	})
-	eng, _ := mwmerge.NewEngine(mwmerge.DefaultEngineConfig())
-	res, _ := eng.IterateBlock(a,
-		[]mwmerge.Dense{{1, 0}, {0, 2}},
-		mwmerge.IterateOptions{Iterations: 2})
-	fmt.Println(res.Iterations, res.Xs[0], res.Xs[1])
-	// Output: 2 [1 0] [0 2]
-}
-
 // ExampleASICDesign prints the fabricated design point's headline
 // capacity and throughput (paper Table 2).
 func ExampleASICDesign() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"mwmerge/internal/graph"
@@ -196,137 +195,5 @@ func TestSpMVBlockValidation(t *testing.T) {
 	}
 	if _, err := e.SpMVBlock(a, []vector.Dense{x}, []vector.Dense{randomX(a.Rows-1, 2)}); err == nil {
 		t.Error("wrong-dimension y_in accepted")
-	}
-}
-
-// TestIterateBlockMatchesIterate pins block iteration against k
-// independent Iterate runs: bit-identical trajectories per column, and
-// rejection of the ITS overlap schedule (whose two-buffer pipeline is
-// single-column by construction).
-func TestIterateBlockMatchesIterate(t *testing.T) {
-	const k = 3
-	a, err := graph.ErdosRenyi(500, 4, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0s := make([]vector.Dense, k)
-	for c := range x0s {
-		x0s[c] = randomX(a.Cols, int64(40+c))
-	}
-	opt := IterateOptions{Iterations: 4, Damping: 0.85}
-
-	want := make([]vector.Dense, k)
-	for c := range x0s {
-		e, err := New(testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := e.Iterate(a, x0s[c], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[c] = r.X
-	}
-
-	blk, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := blk.IterateBlock(a, x0s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != opt.Iterations {
-		t.Errorf("Iterations = %d, want %d", res.Iterations, opt.Iterations)
-	}
-	for c := range want {
-		if d := res.Xs[c].MaxAbsDiff(want[c]); d != 0 {
-			t.Errorf("column %d trajectory differs from Iterate by %g", c, d)
-		}
-	}
-
-	opt.Overlap = true
-	if _, err := blk.IterateBlock(a, x0s, opt); err == nil || !strings.Contains(err.Error(), "overlap") {
-		t.Errorf("ITS overlap accepted by block iteration: %v", err)
-	}
-}
-
-// TestPageRankBlockMatchesPageRank checks both start modes: nil columns
-// (uniform start) must reproduce the sequential PageRank bit-exactly,
-// and arbitrary starts must match the k=1 block run of the same column.
-func TestPageRankBlockMatchesPageRank(t *testing.T) {
-	a, err := graph.ErdosRenyi(400, 4, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		damping  = 0.85
-		tol      = 1e-8
-		maxIters = 50
-	)
-
-	seqEng, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRank, seqIters, err := seqEng.PageRank(a, damping, tol, maxIters, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	blk, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := blk.PageRankBlock(a, []vector.Dense{nil, nil}, damping, tol, maxIters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 2; c++ {
-		if d := res.Ranks[c].MaxAbsDiff(seqRank); d != 0 {
-			t.Errorf("uniform column %d differs from sequential PageRank by %g", c, d)
-		}
-		if res.Iterations[c] != seqIters {
-			t.Errorf("uniform column %d converged in %d iterations, want %d", c, res.Iterations[c], seqIters)
-		}
-	}
-
-	// Arbitrary starts: different columns converge at different
-	// iterations, exercising the active-set compaction. Each column must
-	// match its own single-column run exactly.
-	starts := []vector.Dense{nil, randomX(a.Cols, 51), randomX(a.Cols, 52)}
-	for c := range starts {
-		if starts[c] != nil {
-			// PageRank starts are distributions; keep them positive.
-			for i := range starts[c] {
-				if starts[c][i] < 0 {
-					starts[c][i] = -starts[c][i]
-				}
-			}
-		}
-	}
-	multi, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := multi.PageRankBlock(a, starts, damping, tol, maxIters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range starts {
-		solo, err := New(testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := solo.PageRankBlock(a, starts[c:c+1], damping, tol, maxIters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := got.Ranks[c].MaxAbsDiff(want.Ranks[0]); d != 0 {
-			t.Errorf("column %d differs from its single-column run by %g", c, d)
-		}
-		if got.Iterations[c] != want.Iterations[0] {
-			t.Errorf("column %d: %d iterations, single-column run took %d", c, got.Iterations[c], want.Iterations[0])
-		}
 	}
 }

@@ -433,8 +433,8 @@ func TestIterateRejectsBadArgs(t *testing.T) {
 }
 
 // TestIterateRejectsNonFiniteDamping holds Iterate, on both schedules,
-// and IterateBlock to rejecting a NaN or infinite damping with a core
-// error before any work — nothing planned, nothing booked — while any
+// to rejecting a NaN or infinite damping with a core error before any
+// work — nothing planned, nothing booked — while any
 // finite damping runs.
 func TestIterateRejectsNonFiniteDamping(t *testing.T) {
 	a, err := graph.ErdosRenyi(300, 3, 96)
@@ -449,10 +449,6 @@ func TestIterateRejectsNonFiniteDamping(t *testing.T) {
 		},
 		"Iterate overlap": func(e *Engine, damping float64) error {
 			_, err := e.Iterate(a, x, IterateOptions{Iterations: 3, Damping: damping, Overlap: true})
-			return err
-		},
-		"IterateBlock": func(e *Engine, damping float64) error {
-			_, err := e.IterateBlock(a, []vector.Dense{x, x}, IterateOptions{Iterations: 3, Damping: damping})
 			return err
 		},
 	}

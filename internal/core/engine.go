@@ -31,22 +31,20 @@ type Engine struct {
 	// Steady-state memory reuse (scratch.go): the cached matrix plan
 	// (plan.go), the two rotating step-1 banks, the dense free list, and
 	// the recycled pipeline handoff primitives. All are confined to the
-	// goroutine driving the engine's public methods. denseFreeCap widens
-	// the free-list bound once a block entry point has run, so k-wide
-	// ping-pong buffers keep recycling (see denseFreeBound).
-	plan         *enginePlan
-	banks        [2]stripeBank
-	bankIdx      int
-	denseFree    []vector.Dense
-	denseFreeCap int
-	gate         *segmentGate
-	nextCh       chan step1Result
-	frontier     frontierScratch
-	step2        step2Scratch
+	// goroutine driving the engine's public methods.
+	plan      *enginePlan
+	banks     [2]stripeBank
+	bankIdx   int
+	denseFree []vector.Dense
+	gate      *segmentGate
+	nextCh    chan step1Result
+	frontier  frontierScratch
+	step2     step2Scratch
 
 	// one backs the one-element xs/yIns/ys column sets the scalar entry
-	// points hand to the k-wide driver (see col), so being its k=1 case
-	// costs them no slice-header allocation per call or per iteration.
+	// points hand to the k-wide step 1 and driver (see col), so being
+	// their k=1 case costs them no slice-header allocation per call or
+	// per iteration.
 	one oneCols
 }
 
@@ -112,9 +110,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return &Engine{cfg: cfg, rec: cfg.Recorder}, nil
 }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Traffic returns the accumulated off-chip traffic ledger.
 func (e *Engine) Traffic() mem.Traffic { return e.ledger.Traffic() }

@@ -333,38 +333,14 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 			ir.TransitionBytesSaved, its.Counters(), wantITS)
 	}
 
-	iblk1 := fresh()
-	ib, err := iblk1.IterateBlock(a, xs[:1], opt)
-	ok(err)
-	sameBits("IterateBlock k=1", ib.Xs[0], refIterate(x))
-	sameBooks("IterateBlock k=1 vs Iterate", iblk1, iter)
-
-	iseq3 := fresh()
-	for c := range xs {
-		_, err := iseq3.Iterate(a, xs[c], opt)
-		ok(err)
-	}
-	iblk3 := fresh()
-	ib, err = iblk3.IterateBlock(a, xs, opt)
-	ok(err)
-	for c := range xs {
-		sameBits("IterateBlock k=3", ib.Xs[c], refIterate(xs[c]))
-	}
-	if got, want := iblk3.Counters(), amortized(iseq3, single, 2*uint64(opt.Iterations)); got != want {
-		t.Errorf("IterateBlock k=3: ledger is not 3 sequential runs minus 2 matrix shares per iteration:\n got  %+v\n want %+v", got, want)
-	}
-
 	// --- PageRank ---
 	// Four iterations is as far as exactness reaches: the dangling-mass
 	// term shrinks the quantum by 2^-10 per iteration.
 	const damping, tol, maxIters = 0.5, 0.05, 4
 	norm, dangling := pageRankSetup(a)
-	refPageRank := func(x0 vector.Dense) (vector.Dense, int) {
+	refPageRank := func() (vector.Dense, int) {
 		x := vector.NewDense(eqDim)
 		x.Fill(1.0 / eqDim)
-		if x0 != nil {
-			copy(x, x0)
-		}
 		for it := 1; ; it++ {
 			y := ref(norm, x, nil)
 			dampSegment(y, damping, teleportBase(x, dangling, damping, eqDim))
@@ -375,7 +351,7 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 			}
 		}
 	}
-	wantRanks, wantIters := refPageRank(nil)
+	wantRanks, wantIters := refPageRank()
 	var pr [2]*Engine
 	for i, overlap := range []bool{false, true} {
 		pr[i] = fresh()
@@ -395,47 +371,6 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 			saved, pr[1].Counters(), wantITS)
 	}
 
-	pblk1 := fresh()
-	pb, err := pblk1.PageRankBlock(a, []vector.Dense{nil}, damping, tol, maxIters)
-	ok(err)
-	sameBits("PageRankBlock k=1", pb.Ranks[0], wantRanks)
-	sameBooks("PageRankBlock k=1 vs PageRank", pblk1, pr[0])
-
-	// A start concentrated on four nodes is further from the fixed point
-	// than the uniform one, so its column outlives its batchmates.
-	hot := vector.NewDense(eqDim)
-	for _, i := range []int{1, 130, 260, 390} {
-		hot[i] = 0.25
-	}
-	starts := []vector.Dense{nil, hot, nil}
-	pseq := fresh()
-	sumIters, maxIt := 0, 0
-	for _, x0 := range starts {
-		one, err := pseq.PageRankBlock(a, []vector.Dense{x0}, damping, tol, maxIters)
-		ok(err)
-		sumIters += one.Iterations[0]
-		if one.Iterations[0] > maxIt {
-			maxIt = one.Iterations[0]
-		}
-	}
-	if sumIters == len(starts)*maxIt {
-		t.Fatal("every column ran equally long: batch compaction is not exercised")
-	}
-	pblk3 := fresh()
-	pb, err = pblk3.PageRankBlock(a, starts, damping, tol, maxIters)
-	ok(err)
-	for c, x0 := range starts {
-		ranks, iters := refPageRank(x0)
-		sameBits("PageRankBlock k=3", pb.Ranks[c], ranks)
-		if pb.Iterations[c] != iters {
-			t.Errorf("PageRankBlock k=3: column %d took %d iterations, reference %d", c, pb.Iterations[c], iters)
-		}
-	}
-	// The batch streams the matrix once per iteration while any column
-	// lives; the sequential runs once per column per iteration.
-	if got, want := pblk3.Counters(), amortized(pseq, single, uint64(sumIters-maxIt)); got != want {
-		t.Errorf("PageRankBlock k=3: ledger is not the columns' runs minus the shared passes:\n got  %+v\n want %+v", got, want)
-	}
 	books := make([]engineBooks, len(engines))
 	for i, e := range engines {
 		books[i] = engineBooks{e.Counters(), e.Stats()}
@@ -471,8 +406,6 @@ func TestOperandErrorsMatchSpMV(t *testing.T) {
 		_, gotErr = e.Iterate(a, short, IterateOptions{Iterations: 2, Overlap: overlap})
 		same("Iterate x0", gotErr, wantX)
 	}
-	_, gotErr = e.IterateBlock(a, []vector.Dense{good, short}, IterateOptions{Iterations: 2})
-	same("IterateBlock x0", gotErr, wantX)
 
 	_, wantY := e.SpMV(a, good, short)
 	_, gotErr = e.SpMVStripes(stripes, 300, 300, good, short)

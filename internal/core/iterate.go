@@ -76,41 +76,25 @@ func (e *Engine) recordIteration(it int, start uint64) {
 // the differences are wall-clock, the traffic ledger and the capacity
 // bound, exactly as in the paper's Table 2.
 func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (IterateResult, error) {
-	xs, saved, err := e.iterate(a, []vector.Dense{x0}, opt)
-	if err != nil {
-		return IterateResult{}, err
-	}
-	return IterateResult{X: xs[0], Iterations: opt.Iterations, TransitionBytesSaved: saved}, nil
-}
-
-// iterate is the iterative-SpMV driver behind Iterate (its k=1 case) and
-// IterateBlock: k damped chains advanced in lock step by loop. It
-// returns the final vectors and the transition bytes ITS kept on chip.
-// Overlap selects the ITS schedule, whose bounded segment handoff joins
-// exactly one producer and one consumer vector — only Iterate passes it,
-// with its single column.
-func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) ([]vector.Dense, uint64, error) {
 	if opt.Iterations < 1 {
-		return nil, 0, fmt.Errorf("core: iteration count must be positive")
+		return IterateResult{}, fmt.Errorf("core: iteration count must be positive")
 	}
 	damping := opt.Damping
 	if math.IsNaN(damping) || math.IsInf(damping, 0) {
-		return nil, 0, fmt.Errorf("core: damping %g is not a finite number", damping)
+		return IterateResult{}, fmt.Errorf("core: damping %g is not a finite number", damping)
 	}
 	if a.Rows != a.Cols {
-		return nil, 0, fmt.Errorf("core: iterative SpMV needs a square matrix, got %dx%d", a.Rows, a.Cols)
+		return IterateResult{}, fmt.Errorf("core: iterative SpMV needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	if err := e.cfg.CheckIterativeCapacity(a.Rows, opt.Overlap); err != nil {
-		return nil, 0, err
+		return IterateResult{}, err
 	}
-	for _, x0 := range x0s {
-		if err := e.cfg.CheckOperands(a, uint64(len(x0)), nil); err != nil {
-			return nil, 0, err
-		}
+	if err := e.cfg.CheckOperands(a, uint64(len(x0)), nil); err != nil {
+		return IterateResult{}, err
 	}
 	p, err := e.planFor(a)
 	if err != nil {
-		return nil, 0, err
+		return IterateResult{}, err
 	}
 	var h loopHooks
 	if damping != 0 {
@@ -118,18 +102,15 @@ func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) 
 		damp := func(seg vector.Dense) { dampSegment(seg, damping, base) }
 		h.update = func(vector.Dense) func(vector.Dense) { return damp }
 	}
-	xs := make([]vector.Dense, len(x0s))
-	for c, x0 := range x0s {
-		xs[c] = x0.Clone()
-	}
-	xs, _, saved := e.loop(p, a.Rows, xs, opt.Iterations, opt.Overlap, h)
-	return xs, saved, nil
+	x, _, saved := e.loop(p, a.Rows, x0.Clone(), opt.Iterations, opt.Overlap, h)
+	return IterateResult{X: x, Iterations: opt.Iterations, TransitionBytesSaved: saved}, nil
 }
 
-// PageRank runs damped power iteration until the L1 delta drops below tol
-// or maxIters is reached, returning the rank vector and iterations used.
-// It is the workload of the paper's iterative-SpMV optimization study.
-// damping must lie in [0, 1] and tol be a non-negative number.
+// PageRank runs damped power iteration from the uniform start until the
+// L1 delta drops below tol or maxIters is reached, returning the rank
+// vector and iterations used. It is the workload of the paper's
+// iterative-SpMV optimization study. damping must lie in [0, 1], tol be
+// a non-negative number and maxIters be positive.
 // Dangling (all-zero) columns get the standard damped-PageRank
 // correction: their rank mass is redistributed uniformly each iteration,
 // so the returned vector always sums to 1. Inter-iteration transitions
@@ -139,61 +120,32 @@ func (e *Engine) iterate(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) 
 // operand is derived once from the matrix's cached plan and kept with
 // it, so repeated calls, and SpMV calls in between, never plan again.
 func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, overlap bool) (vector.Dense, int, error) {
-	ranks, iters, err := e.pageRank(a, []vector.Dense{nil}, damping, tol, maxIters, overlap)
-	if err != nil {
-		return nil, iters[0], err
-	}
-	return ranks[0], iters[0], nil
-}
-
-// pageRank is the power-iteration driver behind PageRank (its k=1 case,
-// one uniform start) and PageRankBlock: one rank vector per column of
-// x0s, nil meaning the uniform start, plus per-column iteration counts —
-// on error, how far each live column got. Like iterate, overlap is the
-// single-column ITS schedule that only PageRank passes.
-func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float64, maxIters int, overlap bool) ([]vector.Dense, []int, error) {
-	k := len(x0s)
-	iters := make([]int, k)
 	// The negated comparisons reject NaN too: a NaN tol never converges
 	// and a damping outside [0, 1] diverges until the ranks overflow.
 	if !(damping >= 0 && damping <= 1) {
-		return nil, iters, fmt.Errorf("core: PageRank damping %g outside [0, 1]", damping)
+		return nil, 0, fmt.Errorf("core: PageRank damping %g outside [0, 1]", damping)
 	}
 	if !(tol >= 0) {
-		return nil, iters, fmt.Errorf("core: PageRank tolerance %g is not a non-negative number", tol)
+		return nil, 0, fmt.Errorf("core: PageRank tolerance %g is not a non-negative number", tol)
+	}
+	if maxIters < 1 {
+		return nil, 0, fmt.Errorf("core: PageRank iteration cap %d must be positive", maxIters)
 	}
 	if a.Rows != a.Cols {
-		return nil, iters, fmt.Errorf("core: PageRank needs a square matrix")
+		return nil, 0, fmt.Errorf("core: PageRank needs a square matrix")
 	}
 	// Capacity is checked before planning: an over-capacity matrix must
 	// fail fast, not after an O(nnz) partition.
 	if err := e.cfg.CheckIterativeCapacity(a.Rows, overlap); err != nil {
-		return nil, iters, err
+		return nil, 0, err
 	}
 	n := a.Rows
-	for c := range x0s {
-		if x0s[c] != nil && uint64(len(x0s[c])) != n {
-			return nil, iters, fmt.Errorf("core: column %d start vector has dimension %d, want %d", c, len(x0s[c]), n)
-		}
-	}
-
-	xs := make([]vector.Dense, k)
-	for c := range x0s {
-		x := vector.NewDense(int(n))
-		if x0s[c] == nil {
-			x.Fill(1 / float64(n))
-		} else {
-			copy(x, x0s[c])
-		}
-		xs[c] = x
-	}
-	if maxIters < 1 {
-		return xs, iters, nil
-	}
 	p, err := e.planFor(a)
 	if err != nil {
-		return nil, iters, err
+		return nil, 0, err
 	}
+	x := vector.NewDense(int(n))
+	x.Fill(1 / float64(n))
 	norm := p.pageRankPlan(n)
 	var base float64
 	damp := func(seg vector.Dense) { dampSegment(seg, damping, base) }
@@ -204,14 +156,14 @@ func (e *Engine) pageRank(a *matrix.COO, x0s []vector.Dense, damping, tol float6
 		},
 		converged: func(y, x vector.Dense) bool { return l1Delta(y, x) < tol },
 	}
-	ranks, iters, _ := e.loop(norm, n, xs, maxIters, overlap, h)
+	ranks, iters, _ := e.loop(norm, n, x, maxIters, overlap, h)
 	return ranks, iters, nil
 }
 
 // teleportBase evaluates the iteration-dependent part of the update
 // y = damping·A·x + base: teleport plus the dangling mass of the
 // iteration's source vector, summed in index order on every schedule —
-// the summation-order anchor of the scalar/block bit-identity contract.
+// the summation-order anchor of the schedules' bit-identity contract.
 // Dangling columns (sinks) push no mass through A, so ‖A·x‖₁ < 1 and
 // rank mass would leak every iteration; redistributing their mass
 // uniformly here keeps ‖x‖₁ = 1 exactly (up to rounding).

@@ -10,7 +10,6 @@ import (
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/report"
-	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
 )
 
@@ -148,7 +147,7 @@ func sameFloatBits(a, b []float64) bool {
 // TestPageRankPlansOnce pins the plan's lifetime across entry points: the
 // plain plan is built by the first call on a matrix, its PageRank sibling
 // by the first PageRank, and no later call on the same matrix — PageRank
-// on either schedule, PageRankBlock or SpMV — rebuilds or evicts either.
+// on either schedule or SpMV — rebuilds or evicts either.
 func TestPageRankPlansOnce(t *testing.T) {
 	e, err := New(testConfig())
 	if err != nil {
@@ -182,8 +181,8 @@ func TestPageRankPlansOnce(t *testing.T) {
 			_, _, err := e.PageRank(a, 0.85, 1e-8, 20, true)
 			return err
 		}},
-		{"PageRankBlock", func() error {
-			_, err := e.PageRankBlock(a, []vector.Dense{nil, nil}, 0.85, 1e-8, 20)
+		{"PageRank sequential", func() error {
+			_, _, err := e.PageRank(a, 0.85, 1e-8, 20, false)
 			return err
 		}},
 	}
@@ -197,60 +196,52 @@ func TestPageRankPlansOnce(t *testing.T) {
 	}
 }
 
-// TestPageRankRejectsBadArgs pins the parameter contract of both PageRank
-// entry points: damping outside [0, 1] and a negative or NaN tolerance
-// are rejected with a core error before any work — nothing planned,
+// TestPageRankRejectsBadArgs pins PageRank's parameter contract: damping
+// outside [0, 1], a negative or NaN tolerance and an iteration cap below
+// one are rejected with a core error before any work — nothing planned,
 // nothing booked — and the boundary values are accepted.
 func TestPageRankRejectsBadArgs(t *testing.T) {
 	a, err := graph.ErdosRenyi(300, 3, 95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := map[string]func(e *Engine, damping, tol float64) error{
-		"PageRank": func(e *Engine, damping, tol float64) error {
-			_, _, err := e.PageRank(a, damping, tol, 5, false)
-			return err
-		},
-		"PageRankBlock": func(e *Engine, damping, tol float64) error {
-			_, err := e.PageRankBlock(a, []vector.Dense{nil}, damping, tol, 5)
-			return err
-		},
-	}
 	cases := []struct {
 		name          string
 		damping, tol  float64
+		maxIters      int
 		wantRejection bool
 	}{
-		{"damping-negative", -0.1, 1e-9, true},
-		{"damping-above-one", 1.5, 1e-9, true},
-		{"damping-NaN", math.NaN(), 1e-9, true},
-		{"tol-negative", 0.85, -1, true},
-		{"tol-NaN", 0.85, math.NaN(), true},
-		{"damping-zero", 0, 1e-9, false},
-		{"damping-one", 1, 1e-9, false},
-		{"tol-zero", 0.85, 0, false},
-		{"tol-inf", 0.85, math.Inf(1), false},
+		{"damping-negative", -0.1, 1e-9, 5, true},
+		{"damping-above-one", 1.5, 1e-9, 5, true},
+		{"damping-NaN", math.NaN(), 1e-9, 5, true},
+		{"tol-negative", 0.85, -1, 5, true},
+		{"tol-NaN", 0.85, math.NaN(), 5, true},
+		{"max-iters-zero", 0.85, 1e-9, 0, true},
+		{"max-iters-negative", 0.85, 1e-9, -1, true},
+		{"damping-zero", 0, 1e-9, 5, false},
+		{"damping-one", 1, 1e-9, 5, false},
+		{"tol-zero", 0.85, 0, 5, false},
+		{"tol-inf", 0.85, math.Inf(1), 5, false},
+		{"max-iters-one", 0.85, 1e-9, 1, false},
 	}
-	for entry, call := range entries {
-		for _, tc := range cases {
-			e, err := New(testConfig())
+	for _, tc := range cases {
+		e, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = e.PageRank(a, tc.damping, tc.tol, tc.maxIters, false)
+		if !tc.wantRejection {
 			if err != nil {
-				t.Fatal(err)
+				t.Errorf("%s: rejected: %v", tc.name, err)
 			}
-			err = call(e, tc.damping, tc.tol)
-			if !tc.wantRejection {
-				if err != nil {
-					t.Errorf("%s/%s: rejected: %v", entry, tc.name, err)
-				}
-				continue
-			}
-			if err == nil || !strings.HasPrefix(err.Error(), "core: ") {
-				t.Errorf("%s/%s: error %v, want a core: rejection", entry, tc.name, err)
-				continue
-			}
-			if e.plan != nil || e.Counters() != (report.Counters{}) {
-				t.Errorf("%s/%s: rejected only after planning or booking work", entry, tc.name)
-			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+			t.Errorf("%s: error %v, want a core: rejection", tc.name, err)
+			continue
+		}
+		if e.plan != nil || e.Counters() != (report.Counters{}) {
+			t.Errorf("%s: rejected only after planning or booking work", tc.name)
 		}
 	}
 }

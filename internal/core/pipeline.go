@@ -1,16 +1,17 @@
 package core
 
-// The iteration loop behind Iterate, IterateBlock, PageRank and
-// PageRankBlock, and its ITS schedule (paper Fig. 15). Sequentially,
-// step 1 of iteration i+1 runs after step 2 of iteration i. Under ITS
-// it runs alongside it: step 2 publishes the dense result segment by
-// segment in ascending key order (runStep2Into), the update is applied
-// to each segment as it is published, and the next iteration's stripe
-// workers block per stripe until the x-segment they read is final. The
-// handoff is bounded at two segments — the software analogue of the
-// paper's halved-capacity constraint, under which the transition vector
-// never round-trips through DRAM. Both schedules share every commit,
-// step 2, update, retirement, transition charge and snapshot, and every
+// The iteration loop behind Iterate and PageRank, and its ITS schedule
+// (paper Fig. 15). The loop is one column wide: ITS joins exactly one
+// producer vector to one consumer vector. Sequentially, step 1 of
+// iteration i+1 runs after step 2 of iteration i. Under ITS it runs
+// alongside it: step 2 publishes the dense result segment by segment in
+// ascending key order (runStep2Into), the update is applied to each
+// segment as it is published, and the next iteration's stripe workers
+// block per stripe until the x-segment they read is final. The handoff
+// is bounded at two segments — the software analogue of the paper's
+// halved-capacity constraint, under which the transition vector never
+// round-trips through DRAM. Both schedules share every commit, step 2,
+// update, convergence check, transition charge and snapshot, and every
 // element receives the same float64 operations in the same order, so
 // the two agree bit for bit and book for book at any Workers/MergeWorkers
 // setting.
@@ -117,12 +118,12 @@ func l1Delta(y, x vector.Dense) float64 {
 // PageRank with convergence).
 type loopHooks struct {
 	// update, when non-nil, returns the element-wise post-step-2 update
-	// of a column given its source vector x: applied to the whole y
+	// of an iteration given its source vector x: applied to the whole y
 	// sequentially and to each published segment under ITS. loop is
 	// done with the returned func before it calls update again, so the
 	// func may be reused.
 	update func(x vector.Dense) func(seg vector.Dense)
-	// converged, when non-nil, reports whether a column retires before
+	// converged, when non-nil, reports whether the iteration stops before
 	// maxIters given its output y and its source x. Under ITS the step 1
 	// speculatively running against y is then discarded uncommitted.
 	converged func(y, x vector.Dense) bool
@@ -136,29 +137,15 @@ type step1Result struct {
 }
 
 // loop runs up to maxIters SpMV applications of the matrix planned in p
-// (rows rows) on every column of xs, which it owns and recycles, and
-// returns each column's final vector and iteration count and the
-// transition bytes kept on chip. A column retires when h.converged says
-// so or at maxIters; the survivors keep iterating in lock step, one
-// k-wide step 1 per iteration. With overlap and a single column, the
-// ITS schedule runs step 1 of each next iteration alongside step 2
-// (overlapStep2). When a column converges there, the speculative step 1
+// (rows rows) starting from x, which it owns and recycles, and returns
+// the final vector, the iterations run and the transition bytes kept on
+// chip. It stops when h.converged says so or at maxIters. With overlap,
+// the ITS schedule runs step 1 of each next iteration alongside step 2
+// (overlapStep2). When the run converges there, the speculative step 1
 // is joined and discarded without committing — wasted wall-clock, as on
 // the real machine, but no ledger pollution.
-func (e *Engine) loop(p *enginePlan, rows uint64, xs []vector.Dense, maxIters int, overlap bool, h loopHooks) ([]vector.Dense, []int, uint64) {
-	k := len(xs)
-	outs := make([]vector.Dense, k)
-	iters := make([]int, k)
-	// The live set: xs and the original column index of each live slot,
-	// compacted in place as columns retire.
-	cols := make([]int, k)
-	for c := range cols {
-		cols[c] = c
-	}
-	ys := make([]vector.Dense, k)
-	its := overlap && k == 1
-	e.reserveDense(k)
-
+func (e *Engine) loop(p *enginePlan, rows uint64, x vector.Dense, maxIters int, overlap bool, h loopHooks) (vector.Dense, int, uint64) {
+	defer e.dropCols()
 	var saved, iterStart uint64
 	if e.rec != nil {
 		iterStart = e.rec.Now()
@@ -168,54 +155,44 @@ func (e *Engine) loop(p *enginePlan, rows uint64, xs []vector.Dense, maxIters in
 	// each iteration starts with its own step 1.
 	var bank *stripeBank
 	overlapped := false
-	for it := 0; len(xs) > 0; it++ {
+	for it := 0; ; it++ {
 		if !overlapped {
 			bank = e.nextBank()
-			e.step1Compute(p, xs, nil, bank)
+			e.step1Compute(p, col(&e.one.x, x), nil, bank)
 		}
 		e.chargeDetector(p)
-		overlapped = its && it < maxIters-1
+		overlapped = overlap && it < maxIters-1
+		lists := e.commit(p, bank, 0)
+		var update func(vector.Dense)
+		if h.update != nil {
+			update = h.update(x)
+		}
+		y := e.getDense(int(rows))
 		var nextStart, lo, hi uint64
-		for i, x := range xs {
-			lists := e.commit(p, bank, i)
-			var update func(vector.Dense)
-			if h.update != nil {
-				update = h.update(x)
-			}
-			ys[i] = e.getDense(int(rows))
-			if overlapped {
-				bank = e.nextBank()
-				nextStart, lo, hi = e.overlapStep2(p, lists, rows, ys, update, bank)
-				continue
-			}
-			e.runStep2Into(lists, &p.cover, rows, nil, ys[i], nil)
+		if overlapped {
+			bank = e.nextBank()
+			nextStart, lo, hi = e.overlapStep2(p, lists, rows, y, update, bank)
+		} else {
+			e.runStep2Into(lists, &p.cover, rows, nil, y, nil)
 			if update != nil {
-				update(ys[i])
+				update(y)
 			}
 		}
 
-		// Retire or advance each live column. Every x is dead: its step 1
-		// was committed above, and a speculative step 1 read y, not x.
-		w := 0
-		for i, x := range xs {
-			y := ys[i]
-			stop := it == maxIters-1 || h.converged != nil && h.converged(y, x)
-			e.putDense(x)
-			if stop {
-				outs[cols[i]], iters[cols[i]] = y, it+1
-				continue
-			}
-			xs[w], cols[w] = y, cols[i]
-			w++
+		// x is dead: its step 1 was committed above, and a speculative
+		// step 1 read y, not x.
+		stop := it == maxIters-1 || h.converged != nil && h.converged(y, x)
+		e.putDense(x)
+		if stop {
+			e.recordIteration(it, iterStart)
+			return y, it + 1, saved
 		}
-		xs, cols = xs[:w], cols[:w]
-		if overlapped && w > 0 && e.rec != nil {
+		x = y
+		if overlapped && e.rec != nil {
 			e.rec.AddSpan("its", "o"+strconv.Itoa(it+1), lo, hi)
 		}
-		// Columns that continue book their y-as-next-x transition.
-		for range xs {
-			saved += e.accountTransition(rows, its)
-		}
+		// The next iteration reads y as its x: book that transition.
+		saved += e.accountTransition(rows, overlap)
 		e.recordIteration(it, iterStart)
 		if overlapped {
 			iterStart = nextStart
@@ -223,21 +200,21 @@ func (e *Engine) loop(p *enginePlan, rows uint64, xs []vector.Dense, maxIters in
 			iterStart = e.rec.Now()
 		}
 	}
-	return outs, iters, saved
 }
 
 // overlapStep2 is step 2 of one ITS iteration: it launches step 1 of the
-// next iteration against ys[0], the y under construction, into bank —
-// its stripes gate on the segment publishes — and runs step 2 into
-// ys[0], applying update (when non-nil) to each segment before
+// next iteration against y, the vector under construction, into bank —
+// its stripes gate on the segment publishes — and runs step 2 into y,
+// applying update (when non-nil) to each segment before
 // publishing it. It returns once both have finished, with the time the
 // next step 1 started and the measured overlap window [lo, hi): the
 // intersection of this step 2 with that step 1. Exactly one step-1 run
 // is ever in flight, so the recycled gate and handoff channel are
 // quiescent on entry.
-func (e *Engine) overlapStep2(p *enginePlan, lists [][]types.Record, rows uint64, ys []vector.Dense, update func(vector.Dense), bank *stripeBank) (nextStart, lo, hi uint64) {
+func (e *Engine) overlapStep2(p *enginePlan, lists [][]types.Record, rows uint64, y vector.Dense, update func(vector.Dense), bank *stripeBank) (nextStart, lo, hi uint64) {
 	gate := e.pipeGate(2)
 	ch := e.pipeNext()
+	ys := col(&e.one.y, y)
 	go func() {
 		var r step1Result
 		if e.rec != nil {
@@ -251,7 +228,6 @@ func (e *Engine) overlapStep2(p *enginePlan, lists [][]types.Record, rows uint64
 	}()
 
 	width := e.cfg.SegmentWidth()
-	y := ys[0]
 	if e.rec != nil {
 		lo = e.rec.Now()
 	}

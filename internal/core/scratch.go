@@ -88,7 +88,7 @@ func (e *Engine) getDense(dim int) vector.Dense {
 // results stay detached, which is the no-aliasing guarantee the reuse
 // hammer test pins down.
 func (e *Engine) putDense(d vector.Dense) {
-	if d == nil || len(e.denseFree) >= e.denseFreeBound() {
+	if d == nil || len(e.denseFree) >= denseFreeLimit {
 		return
 	}
 	e.denseFree = append(e.denseFree, d)
@@ -97,26 +97,6 @@ func (e *Engine) putDense(d vector.Dense) {
 // denseFreeLimit bounds the free list; iterative ping-pong needs two
 // buffers, the rest is slack for interleaved workloads.
 const denseFreeLimit = 4
-
-// denseFreeBound is the free list's effective bound: the scalar default,
-// widened once a block entry point has reserved room for its k-wide
-// ping-pong so steady-state block iteration recycles every buffer.
-func (e *Engine) denseFreeBound() int {
-	if e.denseFreeCap > denseFreeLimit {
-		return e.denseFreeCap
-	}
-	return denseFreeLimit
-}
-
-// reserveDense widens the free-list bound for a k-column block run: two
-// buffers per column for the x/y ping-pong, plus the scalar slack. The
-// bound only grows — interleaved scalar and block workloads keep the
-// widest reservation seen.
-func (e *Engine) reserveDense(k int) {
-	if n := 2*k + 2; n > e.denseFreeCap {
-		e.denseFreeCap = n
-	}
-}
 
 // frontierScratch recycles SpMSpV's scatter state: the per-segment dense
 // buffer headers and nonzero counts. The buffers themselves come from

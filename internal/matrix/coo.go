@@ -60,9 +60,6 @@ func NewCOO(rows, cols uint64, entries []Entry) (*COO, error) {
 // NNZ returns the number of stored nonzeros.
 func (m *COO) NNZ() int { return len(m.Entries) }
 
-// Dims returns (rows, cols).
-func (m *COO) Dims() (uint64, uint64) { return m.Rows, m.Cols }
-
 // Hypersparse reports whether nnz < max(rows, cols), the regime where
 // RM-COO beats CSR (paper §3.1, citing Buluc & Gilbert).
 func (m *COO) Hypersparse() bool {

@@ -16,9 +16,6 @@ type CSR struct {
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.ColIdx) }
 
-// Dims returns (rows, cols).
-func (m *CSR) Dims() (uint64, uint64) { return m.Rows, m.Cols }
-
 // Row returns the column indices and values of row r.
 func (m *CSR) Row(r uint64) ([]uint64, []float64) {
 	lo, hi := m.RowPtr[r], m.RowPtr[r+1]

@@ -119,9 +119,6 @@ type Recorder struct {
 // NewRecorder returns a recorder whose clock starts now.
 func NewRecorder() *Recorder { return &Recorder{start: time.Now()} }
 
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Now returns nanoseconds since the recorder's clock started (0 when
 // disabled). Instrumentation uses it to mark window boundaries that
 // span multiple engine calls, such as the ITS overlap windows.

@@ -16,9 +16,6 @@ import (
 // unconditionally and stay bit-identical when observability is off.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder claims enabled")
-	}
 	if r.Now() != 0 {
 		t.Error("nil Now() != 0")
 	}

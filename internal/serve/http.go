@@ -86,15 +86,6 @@ func NewServer(cfg Config, pools ...*Pool) (*Server, error) {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pools returns the mounted pools in name order.
-func (s *Server) Pools() []*Pool {
-	out := make([]*Pool, 0, len(s.names))
-	for _, n := range s.names {
-		out = append(out, s.pools[n])
-	}
-	return out
-}
-
 // requestCommon carries the fields every compute request shares.
 type requestCommon struct {
 	Matrix     string `json:"matrix"`

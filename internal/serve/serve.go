@@ -180,15 +180,6 @@ func NewPool(pc PoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// Name returns the pool's matrix identifier.
-func (p *Pool) Name() string { return p.name }
-
-// Matrix returns the resident matrix. Callers must not mutate it.
-func (p *Pool) Matrix() *matrix.COO { return p.a }
-
-// Config returns the pool members' engine configuration.
-func (p *Pool) Config() core.Config { return p.cfg }
-
 // Size returns the number of engines in the pool.
 func (p *Pool) Size() int { return len(p.members) }
 

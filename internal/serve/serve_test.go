@@ -330,9 +330,10 @@ func TestServerPageRankRejectsBadParams(t *testing.T) {
 	ts := newTestServer(t, Config{}, p)
 	before, _, _ := p.Ledger()
 	for name, body := range map[string]map[string]any{
-		"damping-above-one": {"matrix": "g", "damping": 1.5, "max_iters": 400},
-		"damping-negative":  {"matrix": "g", "damping": -0.5},
-		"tol-negative":      {"matrix": "g", "tol": -1},
+		"damping-above-one":  {"matrix": "g", "damping": 1.5, "max_iters": 400},
+		"damping-negative":   {"matrix": "g", "damping": -0.5},
+		"tol-negative":       {"matrix": "g", "tol": -1},
+		"max-iters-negative": {"matrix": "g", "max_iters": -1},
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/pagerank", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -1,9 +1,9 @@
-// Package solver builds the iterative numerical kernels the paper's
-// introduction motivates ("numerous scientific applications") on top of
-// the Two-Step SpMV engine: power iteration, Jacobi relaxation and
-// conjugate gradients. Every multiply goes through the accelerator model,
-// so a solve carries the full traffic ledger of the machine it would run
-// on.
+// Package solver builds an iterative numerical kernel of the kind the
+// paper's introduction motivates ("numerous scientific applications") on
+// top of the Two-Step SpMV engine: conjugate gradients, with the SPD
+// graph-Laplacian system examples/laplacian solves. Every multiply goes
+// through the accelerator model, so a solve carries the full traffic
+// ledger of the machine it would run on.
 package solver
 
 import (
@@ -26,98 +26,6 @@ type Result struct {
 	Iterations int
 	Residual   float64
 	Converged  bool
-}
-
-// PowerIteration finds the dominant eigenvalue/eigenvector pair of A by
-// repeated multiplication and normalization. The Result is populated on
-// every exit path: an SpMV failure still reports the iterations already
-// completed (and the iterate they produced), and a non-converged run
-// carries the last eigenvalue delta as its Residual.
-func PowerIteration(m Multiplier, a *matrix.COO, tol float64, maxIters int) (float64, Result, error) {
-	if a.Rows != a.Cols {
-		return 0, Result{}, fmt.Errorf("solver: power iteration needs a square matrix")
-	}
-	n := int(a.Rows)
-	x := vector.NewDense(n)
-	x.Fill(1 / math.Sqrt(float64(n)))
-	var lambda, delta float64
-	for it := 1; it <= maxIters; it++ {
-		y, err := m.SpMV(a, x, nil)
-		if err != nil {
-			return lambda, Result{X: x, Iterations: it - 1, Residual: delta},
-				fmt.Errorf("solver: iteration %d: %w", it, err)
-		}
-		norm := math.Sqrt(dot(y, y))
-		if norm == 0 {
-			return 0, Result{X: y, Iterations: it}, fmt.Errorf("solver: A annihilated the iterate")
-		}
-		newLambda := dot(x, y) // Rayleigh quotient with unit x
-		y.Scale(1 / norm)
-		delta = math.Abs(newLambda - lambda)
-		x, lambda = y, newLambda
-		if it > 1 && delta <= tol*math.Abs(lambda) {
-			return lambda, Result{X: x, Iterations: it, Residual: delta, Converged: true}, nil
-		}
-	}
-	return lambda, Result{X: x, Iterations: maxIters, Residual: delta, Converged: false}, nil
-}
-
-// Jacobi solves A·x = b by diagonal relaxation: x' = D⁻¹(b − R·x) with
-// R = A − D. Requires a nonzero diagonal; converges for diagonally
-// dominant systems.
-func Jacobi(m Multiplier, a *matrix.COO, b vector.Dense, tol float64, maxIters int) (Result, error) {
-	if a.Rows != a.Cols {
-		return Result{}, fmt.Errorf("solver: Jacobi needs a square matrix")
-	}
-	if uint64(len(b)) != a.Rows {
-		return Result{}, fmt.Errorf("solver: b dimension %d != %d", len(b), a.Rows)
-	}
-	n := int(a.Rows)
-	diag := vector.NewDense(n)
-	offEntries := make([]matrix.Entry, 0, a.NNZ())
-	for _, e := range a.Entries {
-		if e.Row == e.Col {
-			diag[e.Row] += e.Val
-		} else {
-			offEntries = append(offEntries, e)
-		}
-	}
-	for i, d := range diag {
-		if d == 0 {
-			return Result{}, fmt.Errorf("solver: zero diagonal at row %d", i)
-		}
-	}
-	r, err := matrix.NewCOO(a.Rows, a.Cols, offEntries)
-	if err != nil {
-		return Result{}, err
-	}
-
-	x := vector.NewDense(n)
-	for it := 1; it <= maxIters; it++ {
-		rx, err := m.SpMV(r, x, nil)
-		if err != nil {
-			return Result{}, fmt.Errorf("solver: iteration %d: %w", it, err)
-		}
-		next := vector.NewDense(n)
-		var delta float64
-		for i := range next {
-			next[i] = (b[i] - rx[i]) / diag[i]
-			delta += math.Abs(next[i] - x[i])
-		}
-		x = next
-		if delta <= tol {
-			res, err := residualNorm(m, a, x, b)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{X: x, Iterations: it, Residual: res, Converged: true}, nil
-		}
-	}
-	res, err := residualNorm(m, a, x, b)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: x, Iterations: maxIters, Residual: res, Converged: false}, nil
 }
 
 // CG solves A·x = b for symmetric positive-definite A by conjugate
@@ -163,20 +71,6 @@ func CG(m Multiplier, a *matrix.COO, b vector.Dense, tol float64, maxIters int) 
 		rs = rsNew
 	}
 	return Result{X: x, Iterations: maxIters, Residual: math.Sqrt(rs) / bNorm, Converged: false}, nil
-}
-
-// residualNorm returns ‖b − A·x‖₂.
-func residualNorm(m Multiplier, a *matrix.COO, x, b vector.Dense) (float64, error) {
-	ax, err := m.SpMV(a, x, nil)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range b {
-		d := b[i] - ax[i]
-		s += d * d
-	}
-	return math.Sqrt(s), nil
 }
 
 func dot(a, b vector.Dense) float64 {

@@ -27,99 +27,6 @@ func engine(t *testing.T) *core.Engine {
 	return e
 }
 
-func TestPowerIterationDiagonal(t *testing.T) {
-	// Diagonal matrix: dominant eigenvalue = max diagonal entry.
-	entries := []matrix.Entry{
-		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 5}, {Row: 2, Col: 2, Val: 3},
-	}
-	a, _ := matrix.NewCOO(3, 3, entries)
-	lambda, res, err := PowerIteration(engine(t), a, 1e-12, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	if math.Abs(lambda-5) > 1e-6 {
-		t.Errorf("dominant eigenvalue %g, want 5", lambda)
-	}
-	// Eigenvector concentrates on index 1.
-	if math.Abs(math.Abs(res.X[1])-1) > 1e-4 {
-		t.Errorf("eigenvector %v", res.X)
-	}
-}
-
-func TestPowerIterationRejectsRectangular(t *testing.T) {
-	a, _ := matrix.NewCOO(2, 3, []matrix.Entry{{Row: 0, Col: 0, Val: 1}})
-	if _, _, err := PowerIteration(engine(t), a, 1e-9, 10); err == nil {
-		t.Error("rectangular matrix accepted")
-	}
-}
-
-// diagDominant builds a random strictly diagonally dominant system.
-func diagDominant(t *testing.T, n uint64, seed int64) (*matrix.COO, vector.Dense) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var entries []matrix.Entry
-	rowAbs := make([]float64, n)
-	for i := uint64(0); i < n; i++ {
-		for k := 0; k < 3; k++ {
-			j := rng.Uint64() % n
-			if j == i {
-				continue
-			}
-			v := rng.NormFloat64()
-			entries = append(entries, matrix.Entry{Row: i, Col: j, Val: v})
-			rowAbs[i] += math.Abs(v)
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		entries = append(entries, matrix.Entry{Row: i, Col: i, Val: rowAbs[i] + 1 + rng.Float64()})
-	}
-	a, err := matrix.NewCOO(n, n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := vector.NewDense(int(n))
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	return a, b
-}
-
-func TestJacobiSolves(t *testing.T) {
-	a, b := diagDominant(t, 500, 1)
-	eng := engine(t)
-	res, err := Jacobi(eng, a, b, 1e-12, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("Jacobi did not converge (residual %g)", res.Residual)
-	}
-	if res.Residual > 1e-8 {
-		t.Errorf("residual %g", res.Residual)
-	}
-	if eng.Traffic().Total() == 0 {
-		t.Error("solve left no traffic on the accelerator ledger")
-	}
-}
-
-func TestJacobiRejectsZeroDiagonal(t *testing.T) {
-	a, _ := matrix.NewCOO(2, 2, []matrix.Entry{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 1, Val: 2}})
-	b := vector.Dense{1, 1}
-	if _, err := Jacobi(engine(t), a, b, 1e-9, 10); err == nil {
-		t.Error("zero diagonal accepted")
-	}
-}
-
-func TestJacobiRejectsBadB(t *testing.T) {
-	a, _ := matrix.NewCOO(2, 2, []matrix.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}})
-	if _, err := Jacobi(engine(t), a, vector.Dense{1}, 1e-9, 10); err == nil {
-		t.Error("wrong b dimension accepted")
-	}
-}
-
 func TestCGSolvesLaplacianSystem(t *testing.T) {
 	g, err := graph.ErdosRenyi(800, 4, 2)
 	if err != nil {

@@ -18,9 +18,6 @@ type Dense []float64
 // NewDense returns a zeroed dense vector of dimension n.
 func NewDense(n int) Dense { return make(Dense, n) }
 
-// Dim returns the dimension of the vector.
-func (d Dense) Dim() int { return len(d) }
-
 // Clone returns a copy of d.
 func (d Dense) Clone() Dense {
 	c := make(Dense, len(d))
@@ -37,17 +34,6 @@ func (d Dense) Fill(v float64) {
 
 // Zero clears the vector.
 func (d Dense) Zero() { d.Fill(0) }
-
-// Add accumulates o into d element-wise. Dimensions must match.
-func (d Dense) Add(o Dense) error {
-	if len(d) != len(o) {
-		return fmt.Errorf("vector: dimension mismatch %d != %d", len(d), len(o))
-	}
-	for i, v := range o {
-		d[i] += v
-	}
-	return nil
-}
 
 // Scale multiplies every element by s.
 func (d Dense) Scale(s float64) {

@@ -12,9 +12,6 @@ import (
 
 func TestDenseBasics(t *testing.T) {
 	d := NewDense(4)
-	if d.Dim() != 4 {
-		t.Fatalf("Dim = %d", d.Dim())
-	}
 	if d.NNZ() != 0 {
 		t.Fatalf("fresh dense vector has %d nonzeros", d.NNZ())
 	}
@@ -29,21 +26,6 @@ func TestDenseBasics(t *testing.T) {
 	d.Zero()
 	if d.NNZ() != 0 {
 		t.Fatalf("after Zero: %v", d)
-	}
-}
-
-func TestDenseAdd(t *testing.T) {
-	a := Dense{1, 2, 3}
-	b := Dense{10, 20, 30}
-	if err := a.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	want := Dense{11, 22, 33}
-	if a.MaxAbsDiff(want) != 0 {
-		t.Errorf("Add = %v, want %v", a, want)
-	}
-	if err := a.Add(Dense{1}); err == nil {
-		t.Error("dimension mismatch not reported")
 	}
 }
 

@@ -13,8 +13,11 @@
 //   - an off-chip traffic ledger and calibrated analytic performance/energy
 //     models for the paper's ASIC and FPGA design points;
 //   - synthetic graph generators matching the paper's datasets; and
-//   - a benchmark harness regenerating every table and figure of the
-//     paper's evaluation (see cmd/spmvbench).
+//   - a conjugate-gradient solver that runs its multiplies on the engine.
+//
+// The programs are the commands under cmd/: cmd/spmvbench regenerates
+// every table and figure of the paper's evaluation, and cmd/spmvd serves
+// the engine over HTTP.
 //
 // Quick start:
 //
@@ -30,7 +33,6 @@ package mwmerge
 import (
 	"io"
 
-	"mwmerge/internal/bench"
 	"mwmerge/internal/core"
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
@@ -70,18 +72,13 @@ type (
 	PRaPConfig = prap.Config
 )
 
-// Block (multi-vector) SpMV types (DESIGN.md §11): one matrix pass
-// applied to k right-hand sides, charging the matrix stream once per
-// batch while vector-side traffic scales with k.
+// Block (multi-vector) SpMV (DESIGN.md §11): one matrix pass applied to
+// k right-hand sides, charging the matrix stream once per batch while
+// vector-side traffic scales with k.
 type (
 	// BlockResult reports Engine.SpMVBlock: the k outputs and the
 	// per-column ledger deltas the batch splits into.
 	BlockResult = core.BlockResult
-	// IterateBlockResult reports Engine.IterateBlock.
-	IterateBlockResult = core.IterateBlockResult
-	// PageRankBlockResult reports Engine.PageRankBlock: per-column ranks
-	// and convergence iterations for multi-source runs.
-	PageRankBlockResult = core.PageRankBlockResult
 )
 
 // Observability types (see DESIGN.md §8). Attach a RunRecorder via
@@ -206,16 +203,11 @@ var (
 	FPGA2Design = perfmodel.FPGA2Design
 )
 
-// Iterative solvers on the engine (the "scientific applications" of §1).
+// An iterative solver on the engine (the "scientific applications" of
+// §1; examples/laplacian runs it).
 var (
-	// PowerIteration finds the dominant eigenpair.
-	PowerIteration = solver.PowerIteration
-	// Jacobi solves A·x = b by diagonal relaxation.
-	Jacobi = solver.Jacobi
 	// CG solves symmetric positive-definite systems.
 	CG = solver.CG
-	// BiCGSTAB solves general non-symmetric systems.
-	BiCGSTAB = solver.BiCGSTAB
 	// SPDLaplacian builds an SPD graph-Laplacian test system.
 	SPDLaplacian = solver.SPDLaplacian
 )
@@ -225,13 +217,3 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return matrix.ReadMatrixMa
 
 // WriteMatrixMarket emits a matrix in MatrixMarket format.
 func WriteMatrixMarket(w io.Writer, m *Matrix) error { return matrix.WriteMatrixMarket(w, m) }
-
-// RunExperiment executes one named evaluation experiment (e.g. "fig17");
-// see cmd/spmvbench -list for the catalogue.
-func RunExperiment(id string, w io.Writer, scale uint64, seed int64) error {
-	e, err := bench.Lookup(id)
-	if err != nil {
-		return err
-	}
-	return e.Run(w, bench.Options{Scale: scale, Seed: seed})
-}

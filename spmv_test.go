@@ -127,19 +127,6 @@ func TestFacadeDatasetLookup(t *testing.T) {
 	}
 }
 
-func TestRunExperimentFacade(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunExperiment("tab2", &buf, 1<<12, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "TS_ASIC") {
-		t.Error("experiment output incomplete")
-	}
-	if err := RunExperiment("no-such", &buf, 1<<12, 1); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
 func TestFacadeIterateOverlap(t *testing.T) {
 	a, _ := ErdosRenyi(20_000, 3, 5)
 	eng, _ := NewEngine(DefaultEngineConfig())
