@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-1cpu race bench-selftest cover bench experiments golden report serve-smoke examples fuzz clean
+.PHONY: all build vet fmt test test-1cpu race bench-selftest bench-smoke cover bench experiments golden report serve-smoke examples fuzz clean
 
 all: build vet fmt test test-1cpu race bench-selftest golden examples
 
@@ -42,6 +42,12 @@ race:
 bench-selftest:
 	$(GO) -C benchmarks vet ./...
 	$(GO) -C benchmarks test ./...
+
+# One pass of the PageRank-vs-Iterate iteration benchmark (a few
+# seconds), so it keeps building and running; its pagerank/iterate
+# metric is the per-iteration cost of PageRank's vector work.
+bench-smoke:
+	$(GO) test -run '^$$' -bench PageRankIteration -benchtime=1x .
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -9,6 +9,7 @@ import (
 	"io"
 	"sort"
 	"testing"
+	"time"
 
 	"mwmerge/internal/bench"
 	"mwmerge/internal/bitonic"
@@ -92,6 +93,56 @@ func BenchmarkSpMVEndToEnd(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(a.NNZ()), "edges/op")
+}
+
+// BenchmarkPageRankIteration times one PageRank iteration against one
+// damped Iterate iteration on a hyper-sparse ER(2^20, 0.125) graph with
+// the default engine: the two run the same multiply, so the ratio is
+// the cost of PageRank's per-iteration vector work (the convergence
+// check and the dangling mass). Each op runs PageRank to tolerance and
+// eight damped Iterate iterations; both are warmed first, so the plans
+// are built outside the timer.
+func BenchmarkPageRankIteration(b *testing.B) {
+	const damping, tol, maxIters, iters = 0.85, 1e-6, 200, 8
+	a, err := ErdosRenyi(1<<20, 0.125, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngine(DefaultEngineConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := NewDense(int(a.Cols))
+	x.Fill(1 / float64(a.Cols))
+	opt := IterateOptions{Iterations: iters, Damping: damping}
+	if _, _, err := eng.PageRank(a, damping, tol, maxIters, false); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Iterate(a, x, opt); err != nil {
+		b.Fatal(err)
+	}
+	var pageRank, iterate time.Duration
+	prIters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		_, n, err := eng.PageRank(a, damping, tol, maxIters, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pageRank += time.Since(start)
+		prIters += n
+		start = time.Now()
+		if _, err := eng.Iterate(a, x, opt); err != nil {
+			b.Fatal(err)
+		}
+		iterate += time.Since(start)
+	}
+	prMs := pageRank.Seconds() * 1e3 / float64(prIters)
+	itMs := iterate.Seconds() * 1e3 / float64(b.N*iters)
+	b.ReportMetric(prMs, "pagerank_ms/iter")
+	b.ReportMetric(itMs, "iterate_ms/iter")
+	b.ReportMetric(prMs/itMs, "pagerank/iterate")
 }
 
 // BenchmarkSpMVReference is the dense-oracle counterpart of the end-to-end

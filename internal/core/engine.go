@@ -285,7 +285,7 @@ func (e *Engine) runPlan(p *enginePlan, rows uint64, xs, yIns, ys []vector.Dense
 	bank := e.nextBank()
 	e.step1Compute(p, xs, nil, bank)
 	for c := range xs {
-		e.runStep2Into(e.commit(p, bank, c), &p.cover, rows, blockYIn(yIns, c), ys[c], nil)
+		e.runStep2Into(e.commit(p, bank, c), &p.cover, rows, blockYIn(yIns, c), ys[c], blockFinish{})
 		if deltas != nil {
 			cur := e.Counters()
 			deltas[c] = cur.Sub(prev)

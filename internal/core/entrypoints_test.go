@@ -343,7 +343,11 @@ func checkEntryPoints(t *testing.T, a *matrix.COO, cfg Config) []engineBooks {
 		x.Fill(1.0 / eqDim)
 		for it := 1; ; it++ {
 			y := ref(norm, x, nil)
-			dampSegment(y, damping, teleportBase(x, dangling, damping, eqDim))
+			mass := 0.0
+			for _, j := range dangling {
+				mass += x[j]
+			}
+			dampSegment(y, damping, (1-damping)/eqDim+damping*mass/eqDim)
 			delta := l1Delta(y, x)
 			x = y
 			if delta < tol || it == maxIters {

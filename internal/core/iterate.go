@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"mwmerge/internal/matrix"
@@ -99,8 +100,7 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 	var h loopHooks
 	if damping != 0 {
 		base := (1 - damping) / float64(a.Rows)
-		damp := func(seg vector.Dense) { dampSegment(seg, damping, base) }
-		h.update = func(vector.Dense) func(vector.Dense) { return damp }
+		h.update = func(blk vector.Dense) { dampSegment(blk, damping, base) }
 	}
 	x, _, saved := e.loop(p, a.Rows, x0.Clone(), opt.Iterations, opt.Overlap, h)
 	return IterateResult{X: x, Iterations: opt.Iterations, TransitionBytesSaved: saved}, nil
@@ -115,8 +115,7 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 // correction: their rank mass is redistributed uniformly each iteration,
 // so the returned vector always sums to 1. Inter-iteration transitions
 // are accounted exactly as in Iterate, and overlap runs the ITS pipeline
-// with the teleport update applied streaming per published segment —
-// bit-identical to the sequential schedule. The column-normalized
+// — bit-identical to the sequential schedule. The column-normalized
 // operand is derived once from the matrix's cached plan and kept with
 // it, so repeated calls, and SpMV calls in between, never plan again.
 func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, overlap bool) (vector.Dense, int, error) {
@@ -144,17 +143,22 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 	if err != nil {
 		return nil, 0, err
 	}
-	x := vector.NewDense(int(n))
+	x := e.getDense(int(n))
 	x.Fill(1 / float64(n))
 	norm := p.pageRankPlan(n)
-	var base float64
-	damp := func(seg vector.Dense) { dampSegment(seg, damping, base) }
+	// mass is the dangling mass of the loop's current x: x0's here, then
+	// each y's, summed beside the convergence check once step 2 ends, for
+	// the iteration that reads y as its x. The loop asks converged only
+	// between two step 2s, so mass is fixed while any block reads it.
+	mass := danglingMass(x, norm.dangling)
+	sums := workerCount(e.cfg.Merge.MergeWorkers, 2)
 	h := loopHooks{
-		update: func(x vector.Dense) func(vector.Dense) {
-			base = teleportBase(x, norm.dangling, damping, n)
-			return damp
+		update: func(blk vector.Dense) { dampSegment(blk, damping, teleportBase(mass, damping, n)) },
+		converged: func(y, x vector.Dense) bool {
+			var delta float64
+			delta, mass = convergenceSums(sums, y, x, norm.dangling)
+			return delta < tol
 		},
-		converged: func(y, x vector.Dense) bool { return l1Delta(y, x) < tol },
 	}
 	ranks, iters, _ := e.loop(norm, n, x, maxIters, overlap, h)
 	return ranks, iters, nil
@@ -162,15 +166,49 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 
 // teleportBase evaluates the iteration-dependent part of the update
 // y = damping·A·x + base: teleport plus the dangling mass of the
-// iteration's source vector, summed in index order on every schedule —
-// the summation-order anchor of the schedules' bit-identity contract.
-// Dangling columns (sinks) push no mass through A, so ‖A·x‖₁ < 1 and
-// rank mass would leak every iteration; redistributing their mass
-// uniformly here keeps ‖x‖₁ = 1 exactly (up to rounding).
-func teleportBase(x vector.Dense, dangling []uint64, damping float64, n uint64) float64 {
-	mass := 0.0
-	for _, j := range dangling {
-		mass += x[j]
-	}
+// iteration's source vector. Dangling columns (sinks) push no mass
+// through A, so ‖A·x‖₁ < 1 and rank mass would leak every iteration;
+// redistributing their mass uniformly here keeps ‖x‖₁ = 1 exactly (up
+// to rounding).
+func teleportBase(mass, damping float64, n uint64) float64 {
 	return (1-damping)/float64(n) + damping*mass/float64(n)
+}
+
+// danglingMass sums x over the set bits of the dangling bitmap in
+// ascending index order on every schedule — the summation-order anchor
+// of the schedules' bit-identity contract, since the mass reaches y
+// through teleportBase.
+func danglingMass(x vector.Dense, dangling []uint64) float64 {
+	mass := 0.0
+	for w, word := range dangling {
+		for ; word != 0; word &= word - 1 {
+			mass += x[w<<6|bits.TrailingZeros64(word)]
+		}
+	}
+	return mass
+}
+
+// convergenceSums returns PageRank's two ordered sums over an
+// iteration's output y and source x: l1Delta(y, x), and y's dangling
+// mass, which the next iteration's base needs. With w > 1 they run on
+// two goroutines; neither is re-associated, so the bits do not depend
+// on w.
+func convergenceSums(w int, y, x vector.Dense, dangling []uint64) (delta, mass float64) {
+	if w < 2 {
+		return l1Delta(y, x), danglingMass(y, dangling)
+	}
+	return parallelConvergenceSums(y, x, dangling)
+}
+
+// parallelConvergenceSums is convergenceSums on two goroutines, kept
+// apart so that the one-goroutine path allocates nothing.
+func parallelConvergenceSums(y, x vector.Dense, dangling []uint64) (delta, mass float64) {
+	fanOut(2, func(g int) {
+		if g == 0 {
+			delta = l1Delta(y, x)
+		} else {
+			mass = danglingMass(y, dangling)
+		}
+	})
+	return delta, mass
 }

@@ -5,18 +5,19 @@ package core
 // producer vector to one consumer vector. Sequentially, step 1 of
 // iteration i+1 runs after step 2 of iteration i. Under ITS it runs
 // alongside it: step 2 publishes the dense result segment by segment in
-// ascending key order (runStep2Into), the update is applied to each
-// segment as it is published, and the next iteration's stripe workers
-// block per stripe until the x-segment they read is final. The handoff
-// is bounded at two segments — the software analogue of the paper's
-// halved-capacity constraint, under which the transition vector never
-// round-trips through DRAM. Both schedules share every commit, step 2,
-// update, convergence check, transition charge and snapshot, and every
-// element receives the same float64 operations in the same order, so
-// the two agree bit for bit and book for book at any Workers/MergeWorkers
-// setting.
+// ascending key order (runStep2Into), and the next iteration's stripe
+// workers block per stripe until the x-segment they read is final. The
+// handoff is bounded at two segments — the software analogue of the
+// paper's halved-capacity constraint, under which the transition vector
+// never round-trips through DRAM. On both schedules step 2 applies the
+// element-wise update to each block right after accumulating it
+// (blockFinish), and both share every commit, convergence check,
+// transition charge and snapshot: every element receives the same
+// float64 operations in the same order, so the two agree bit for bit
+// and book for book at any Workers/MergeWorkers setting.
 
 import (
+	"math"
 	"strconv"
 	"sync"
 
@@ -89,10 +90,9 @@ func (g *segmentGate) consume() {
 }
 
 // dampSegment applies the damped update y := damping·y + base to one
-// segment. Both schedules funnel the update through this helper — the
-// same two per-element statements, in element order — so applying it
-// streaming per published segment is bit-identical to applying it to
-// the whole vector after step 2.
+// segment: the same two per-element statements wherever the segment is
+// cut, so applying it per step-2 block is bit-identical to applying it
+// to the whole vector after step 2.
 func dampSegment(seg vector.Dense, damping, base float64) {
 	for i := range seg {
 		seg[i] *= damping
@@ -101,15 +101,12 @@ func dampSegment(seg vector.Dense, damping, base float64) {
 }
 
 // l1Delta returns ‖y − x‖₁, accumulated in index order so every
-// schedule computes the identical float sum.
+// schedule computes the identical float sum. A NaN difference makes the
+// sum NaN, which compares false against any tolerance.
 func l1Delta(y, x vector.Dense) float64 {
 	delta := 0.0
 	for i := range y {
-		d := y[i] - x[i]
-		if d < 0 {
-			d = -d
-		}
-		delta += d
+		delta += math.Abs(y[i] - x[i])
 	}
 	return delta
 }
@@ -117,12 +114,10 @@ func l1Delta(y, x vector.Dense) float64 {
 // loopHooks parameterizes loop for its two workloads (damped iteration;
 // PageRank with convergence).
 type loopHooks struct {
-	// update, when non-nil, returns the element-wise post-step-2 update
-	// of an iteration given its source vector x: applied to the whole y
-	// sequentially and to each published segment under ITS. loop is
-	// done with the returned func before it calls update again, so the
-	// func may be reused.
-	update func(x vector.Dense) func(seg vector.Dense)
+	// update, when non-nil, is the element-wise post-step-2 update of
+	// every iteration. Step 2 applies it to each block of y as it
+	// finishes the block (blockFinish), on both schedules.
+	update func(blk vector.Dense)
 	// converged, when non-nil, reports whether the iteration stops before
 	// maxIters given its output y and its source x. Under ITS the step 1
 	// speculatively running against y is then discarded uncommitted.
@@ -163,20 +158,13 @@ func (e *Engine) loop(p *enginePlan, rows uint64, x vector.Dense, maxIters int, 
 		e.chargeDetector(p)
 		overlapped = overlap && it < maxIters-1
 		lists := e.commit(p, bank, 0)
-		var update func(vector.Dense)
-		if h.update != nil {
-			update = h.update(x)
-		}
 		y := e.getDense(int(rows))
 		var nextStart, lo, hi uint64
 		if overlapped {
 			bank = e.nextBank()
-			nextStart, lo, hi = e.overlapStep2(p, lists, rows, y, update, bank)
+			nextStart, lo, hi = e.overlapStep2(p, lists, rows, y, h.update, bank)
 		} else {
-			e.runStep2Into(lists, &p.cover, rows, nil, y, nil)
-			if update != nil {
-				update(y)
-			}
+			e.runStep2Into(lists, &p.cover, rows, nil, y, blockFinish{update: h.update})
 		}
 
 		// x is dead: its step 1 was committed above, and a speculative
@@ -205,8 +193,8 @@ func (e *Engine) loop(p *enginePlan, rows uint64, x vector.Dense, maxIters int, 
 // overlapStep2 is step 2 of one ITS iteration: it launches step 1 of the
 // next iteration against y, the vector under construction, into bank —
 // its stripes gate on the segment publishes — and runs step 2 into y,
-// applying update (when non-nil) to each segment before
-// publishing it. It returns once both have finished, with the time the
+// which applies update (when non-nil) to each block before publishing
+// it. It returns once both have finished, with the time the
 // next step 1 started and the measured overlap window [lo, hi): the
 // intersection of this step 2 with that step 1. Exactly one step-1 run
 // is ever in flight, so the recycled gate and handoff channel are
@@ -227,16 +215,12 @@ func (e *Engine) overlapStep2(p *enginePlan, lists [][]types.Record, rows uint64
 		ch <- r
 	}()
 
-	width := e.cfg.SegmentWidth()
 	if e.rec != nil {
 		lo = e.rec.Now()
 	}
-	e.runStep2Into(lists, &p.cover, rows, nil, y, func(seg int) {
-		if update != nil {
-			off := uint64(seg) * width
-			update(y[off:min(off+width, rows)])
-		}
-		gate.publish()
+	e.runStep2Into(lists, &p.cover, rows, nil, y, blockFinish{
+		update:  update,
+		publish: func(int) { gate.publish() },
 	})
 	if e.rec != nil {
 		hi = e.rec.Now()

@@ -200,31 +200,113 @@ func TestSegmentGateBound(t *testing.T) {
 	g.wait(2)
 }
 
+// stripeOrderSpMV is the reference multiply y = A·x in the engine's
+// summation order (DESIGN.md §12): each row's products within one
+// stripe of the given width summed in entry order from the first
+// product, and the stripe sums added onto +0.0 in stripe order. NewCOO
+// sorts the entries row-major, so a row's stripes come in ascending
+// order and each stripe's entries are contiguous.
+func stripeOrderSpMV(a *matrix.COO, x vector.Dense, width uint64) vector.Dense {
+	y := vector.NewDense(int(a.Rows))
+	es := a.Entries
+	for i := 0; i < len(es); {
+		row, stripe := es[i].Row, es[i].Col/width
+		sum := float64(es[i].Val * x[es[i].Col])
+		for i++; i < len(es) && es[i].Row == row && es[i].Col/width == stripe; i++ {
+			sum += float64(es[i].Val * x[es[i].Col])
+		}
+		y[row] += sum
+	}
+	return y
+}
+
+// oracleDamp is the damped update y = damping·y + base, per element.
+func oracleDamp(y vector.Dense, damping, base float64) {
+	for i := range y {
+		y[i] = float64(damping*y[i]) + base
+	}
+}
+
+// oracleIterate is damped Iterate written out serially: n multiplies in
+// stripes of the given width, each followed by oracleDamp.
+func oracleIterate(a *matrix.COO, width uint64, x0 vector.Dense, n int, damping float64) vector.Dense {
+	x := x0
+	for it := 0; it < n; it++ {
+		x = stripeOrderSpMV(a, x, width)
+		if damping != 0 {
+			oracleDamp(x, damping, (1-damping)/float64(a.Rows))
+		}
+	}
+	return x
+}
+
+// oraclePageRank is PageRank written out serially: each multiply by the
+// normalized matrix is followed by oracleDamp, whose base takes the
+// dangling mass of the iteration's source vector from pageRankSetup's
+// list, and it stops on ‖y − x‖₁ < tol, summed in index order, or at
+// maxIters.
+func oraclePageRank(a *matrix.COO, width uint64, damping, tol float64, maxIters int) (vector.Dense, int) {
+	norm, dangling := pageRankSetup(a)
+	n := float64(a.Rows)
+	x := vector.NewDense(int(a.Rows))
+	x.Fill(1 / n)
+	for it := 1; ; it++ {
+		mass := 0.0
+		for _, j := range dangling {
+			mass += x[j]
+		}
+		y := stripeOrderSpMV(norm, x, width)
+		oracleDamp(y, damping, (1-damping)/n+damping*mass/n)
+		delta := 0.0
+		for i := range y {
+			d := y[i] - x[i]
+			if d < 0 {
+				d = -d
+			}
+			delta += d
+		}
+		x = y
+		if delta < tol || it == maxIters {
+			return x, it
+		}
+	}
+}
+
 // FuzzIterateSchedulesAgree fuzzes small hostile square matrices — 1×1,
-// empty rows and columns, explicit zeros, dimensions off the segment
-// width, a single iteration — with the damping and the tolerance, and
-// holds both ITS entry points to the sequential schedule: Iterate and
-// PageRank with overlap return the same bits (or the same error) and
-// iteration counts, and book the sequential ledger and statistics less
-// the transitions ITS kept on chip. The first two bytes pick the
-// dimension; each further three bytes are one entry (row, column,
-// value).
+// empty rows and columns, explicit zeros, NaN values, dimensions off the
+// segment width, a single iteration — with the damping and the
+// tolerance, and holds both ITS entry points to the sequential schedule:
+// Iterate and PageRank with overlap return the same bits (or the same
+// error) and iteration counts, and book the sequential ledger and
+// statistics less the transitions ITS kept on chip. Both schedules apply
+// the update inside step 2 and sum PageRank's vector passes the same
+// way, so a third arm holds the sequential schedule, on step-2 and
+// vector-sum goroutines of its own, to oracleIterate and oraclePageRank
+// by bits and iteration count. The first two bytes pick the dimension; each further
+// three bytes are one entry (row, column, value; a value byte 0x7f is
+// NaN).
 func FuzzIterateSchedulesAgree(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 3}, 0.85, 1e-9, uint8(0))                          // 1×1, one iteration
 	f.Add([]byte{1, 44, 3, 7, 16, 9, 200, 250, 40, 40, 0}, 0.5, 1e-3, uint8(4)) // 301: partial segment, empty rows
 	f.Add([]byte{0, 127, 1, 2, 3, 4, 5, 6}, 0.0, 0.0, uint8(7))                 // 128: one full segment
 	f.Add([]byte{2, 88, 255, 0, 128, 0, 255, 1}, 1.0, 1e-12, uint8(2))          // 601: sign flips, sinks
+	f.Add([]byte{0, 9, 1, 2, 0x7f, 3, 4, 5}, 0.85, 1e-6, uint8(5))              // 10: a NaN value, never converges
 	f.Fuzz(func(t *testing.T, data []byte, damping, tol float64, iters uint8) {
 		if len(data) < 2 {
 			return
 		}
 		dim := (uint64(data[0])<<8|uint64(data[1]))%700 + 1
 		var entries []matrix.Entry
+		hasNaN := false
 		for data = data[2:]; len(data) >= 3; data = data[3:] {
+			val := float64(int8(data[2])) / 16
+			if data[2] == 0x7f {
+				val, hasNaN = math.NaN(), true
+			}
 			entries = append(entries, matrix.Entry{
 				Row: uint64(data[0]) * 7 % dim,
 				Col: uint64(data[1]) * 5 % dim,
-				Val: float64(int8(data[2])) / 16,
+				Val: val,
 			})
 		}
 		a, err := matrix.NewCOO(dim, dim, entries)
@@ -280,6 +362,29 @@ func FuzzIterateSchedulesAgree(f *testing.F) {
 		agree("PageRank", func(e *Engine, overlap bool) (vector.Dense, int, error) {
 			return e.PageRank(a, damping, tol, n, overlap)
 		})
+
+		// The oracle arm: one engine with two step-2 and two vector-sum
+		// goroutines, on the sequential schedule.
+		cfg := pipelineConfig()
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := cfg.SegmentWidth()
+		if r, err := e.Iterate(a, x0, IterateOptions{Iterations: n, Damping: damping}); err == nil {
+			if want := oracleIterate(a, width, x0, n, damping); !sameFloatBits(r.X, want) {
+				t.Fatalf("Iterate differs from the serial oracle in its bits")
+			}
+		}
+		if ranks, its, err := e.PageRank(a, damping, tol, n, false); err == nil {
+			want, wantIts := oraclePageRank(a, width, damping, tol, n)
+			if its != wantIts || !sameFloatBits(ranks, want) {
+				t.Fatalf("PageRank (%d iterations) differs from the serial oracle (%d) in its bits", its, wantIts)
+			}
+			if hasNaN && its != n {
+				t.Fatalf("PageRank over a NaN value stopped after %d iterations, want all %d", its, n)
+			}
+		}
 	})
 }
 

@@ -50,7 +50,8 @@ type enginePlan struct {
 	lpt []int
 	// pr is the PageRank sibling (pageRankPlan), built on the first
 	// PageRank call against the matrix and nil until then. dangling is
-	// set in a sibling only: the columns whose values sum to exactly 0.
+	// set in a sibling only: a bitmap with bit j set when column j's
+	// values sum to exactly 0.
 	pr       *enginePlan
 	dangling []uint64
 }
@@ -211,7 +212,7 @@ func (e *Engine) buildPlan(a *matrix.COO, w int) (*enginePlan, error) {
 // sibling plan whose values are column-normalized (every column whose
 // values do not sum to exactly 0 sums to 1; one that does keeps its
 // values), with those zero-sum columns — the dangling ones, which push
-// no rank mass through A — listed ascending. Normalizing changes only
+// no rank mass through A — marked in a bitmap. Normalizing changes only
 // values, so the sibling shares p's row runs, columns, books, step-2
 // cover, detector and LPT order and owns one new value slab. It is built on first use
 // and kept in p, so it lives exactly as long as the plain plan; the
@@ -251,9 +252,10 @@ func (p *enginePlan) pageRankPlan(n uint64) *enginePlan {
 		s.vals = norm
 		pr.stripes[k] = s
 	}
+	pr.dangling = make([]uint64, (n+63)/64)
 	for j, sum := range colSum {
 		if sum == 0 {
-			pr.dangling = append(pr.dangling, uint64(j))
+			pr.dangling[j>>6] |= 1 << (j & 63)
 		}
 	}
 	p.pr = &pr

@@ -106,7 +106,7 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 	e.noteStripeSkew(p)
 	e.book(&books, true)
 	y := vector.NewDense(int(a.Rows))
-	e.runStep2Into(bank.lists, e.listCover(bank.lists, a.Rows), a.Rows, nil, y, nil)
+	e.runStep2Into(bank.lists, e.listCover(bank.lists, a.Rows), a.Rows, nil, y, blockFinish{})
 	e.snapshot("spmspv")
 	return y, st, nil
 }

@@ -127,19 +127,32 @@ type step2Scratch struct {
 	cursor []int
 }
 
+// blockFinish is what step 2 does with each SegmentWidth-wide block of
+// y once the block is accumulated, on the goroutine that built it,
+// while the block is in cache. The zero value does nothing.
+type blockFinish struct {
+	// update, when non-nil, runs on the block first. It is the
+	// iteration loop's element-wise update, so the goroutine it runs on
+	// cannot move its bits.
+	update func(blk vector.Dense)
+	// publish, when non-nil, is called with the block's index after
+	// update, and one goroutine then walks every block in ascending
+	// order: the producer side of the ITS pipeline's bounded segment
+	// handoff, whose consumer holds the other cores.
+	publish func(seg int)
+}
+
 // runStep2Into is the host's step 2: it writes y = yIn + Σ lists into
-// the caller-provided y (length dim, never aliasing yIn), books cover's
-// statistics and the result traffic — the lists' DRAM round trips were
-// booked with their writes (chargeRoundTrip) — and, with a non-nil
-// publish, calls publish(s) once per SegmentWidth-wide segment s in
-// ascending order, after every write into it: the producer side of the
-// ITS pipeline's bounded segment handoff. Every key of every list must
-// be below dim and each list sorted by key, which step 1 guarantees.
-func (e *Engine) runStep2Into(lists [][]types.Record, cover *keyCover, dim uint64, yIn, y vector.Dense, publish func(seg int)) {
+// the caller-provided y (length dim, never aliasing yIn), finishing each
+// block with fin, and books cover's statistics and the result traffic —
+// the lists' DRAM round trips were booked with their writes
+// (chargeRoundTrip). Every key of every list must be below dim and each
+// list sorted by key, which step 1 guarantees.
+func (e *Engine) runStep2Into(lists [][]types.Record, cover *keyCover, dim uint64, yIn, y vector.Dense, fin blockFinish) {
 	if e.rec != nil {
 		defer e.rec.StartSpan("phase", "s2").End()
 	}
-	e.accumulate(lists, cover.touched, dim, yIn, y, publish)
+	e.accumulate(lists, cover.touched, dim, yIn, y, fin)
 	e.stats.MergeStats.Accumulate(cover.stats)
 	yBytes := dim * uint64(e.cfg.ValueBytes)
 	e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y streamed out
@@ -149,16 +162,17 @@ func (e *Engine) runStep2Into(lists [][]types.Record, cover *keyCover, dim uint6
 }
 
 // accumulate computes y = yIn + Σ lists block by block, each block one
-// SegmentWidth-wide key range of y. MergeWorkers goroutines take
-// contiguous block ranges of about equal work; under publish one
-// goroutine walks every block in ascending order, since the next
-// iteration's step 1 holds the other cores. Each goroutine writes only
-// its own blocks of y, so every element keeps one summation order.
-func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64, yIn, y vector.Dense, publish func(seg int)) {
+// SegmentWidth-wide key range of y, and finishes each block with fin.
+// MergeWorkers goroutines take contiguous block ranges of about equal
+// work; under fin.publish one goroutine walks every block in ascending
+// order, since the next iteration's step 1 holds the other cores. Each
+// goroutine writes only its own blocks of y, so every element keeps one
+// summation order.
+func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64, yIn, y vector.Dense, fin blockFinish) {
 	width := e.cfg.SegmentWidth()
 	nb := int((dim + width - 1) / width)
 	w := 1
-	if publish == nil {
+	if fin.publish == nil {
 		w = workerCount(e.cfg.Merge.MergeWorkers, nb)
 	}
 	sc := &e.step2
@@ -177,9 +191,13 @@ func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64
 		for b := sc.bounds[g]; b < sc.bounds[g+1]; b++ {
 			lo := uint64(b) * width
 			hi := min(lo+width, dim)
-			accumulateBlock(lists, cur, touched, lo, yIn, y[lo:hi])
-			if publish != nil {
-				publish(b)
+			blk := y[lo:hi]
+			accumulateBlock(lists, cur, touched, lo, yIn, blk)
+			if fin.update != nil {
+				fin.update(blk)
+			}
+			if fin.publish != nil {
+				fin.publish(b)
 			}
 		}
 	}

@@ -162,7 +162,7 @@ func checkStep2(t *testing.T, c step2Case) {
 			}
 		}
 	}
-	e.runStep2Into(c.lists, e.listCover(c.lists, c.dim), c.dim, c.yIn, got, publish)
+	e.runStep2Into(c.lists, e.listCover(c.lists, c.dim), c.dim, c.yIn, got, blockFinish{publish: publish})
 
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {

@@ -97,18 +97,14 @@ type (
 // NewRunRecorder starts a run recorder; its wall clock begins now.
 func NewRunRecorder() *RunRecorder { return report.NewRecorder() }
 
-// Serving types (see cmd/spmvd and DESIGN.md §10): warmed per-matrix
-// engine pools behind an HTTP surface with capacity/deadline/queue
+// Serving types (see DESIGN.md §10): a warmed per-matrix engine pool,
+// the unit cmd/spmvd serves over HTTP with capacity/deadline/queue
 // admission control and the aggregated pool ledger live on /metrics.
 type (
 	// EnginePool is a warmed, fixed-size set of engines serving one matrix.
 	EnginePool = serve.Pool
 	// EnginePoolConfig describes one matrix pool.
 	EnginePoolConfig = serve.PoolConfig
-	// Server mounts SpMV/SpMSpV/Iterate/PageRank over HTTP on EnginePools.
-	Server = serve.Server
-	// ServerConfig parameterizes a Server.
-	ServerConfig = serve.Config
 )
 
 // NewEnginePool builds and warms a fixed-size engine pool for one matrix.
@@ -116,11 +112,6 @@ type (
 // whose members serve at once should set Workers and Merge.MergeWorkers
 // to a share of GOMAXPROCS, as cmd/spmvd does.
 func NewEnginePool(cfg EnginePoolConfig) (*EnginePool, error) { return serve.NewPool(cfg) }
-
-// NewServer assembles the HTTP serving surface over the given pools.
-func NewServer(cfg ServerConfig, pools ...*EnginePool) (*Server, error) {
-	return serve.NewServer(cfg, pools...)
-}
 
 // Model types.
 type (
