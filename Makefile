@@ -16,9 +16,9 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
-# Includes the root invariants tests (invariants_test.go: snapshot
-# aliasing, numeric-package determinism, package docs); DESIGN.md §7
-# maps every invariant to its guard.
+# Includes the root invariants tests (invariants_test.go:
+# numeric-package determinism, package docs); DESIGN.md §7 maps every
+# invariant to its guard.
 test:
 	$(GO) test ./...
 
@@ -97,32 +97,23 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; \
 	done
 
-# Short fuzz pass (CI's fuzz job) over the VLDI codec (round trip; the
-# streaming sizer equal to the encoder, which the plan's once-per-plan
-# VLDI sizes rest on; a bit reader that never panics on garbage), the
-# three matrix file readers spmvd loads from outside the program (Matrix
-# Market, binary, edge list), the PRaP routing (sentinel rejection and
-# agreement with the bitonic pre-sorter), the Merge Path kernel against
-# both reference mergers, the sparse vs dense store-queue drains, and the
-# engine's step 2 (the ordered segment accumulator) against the PRaP
-# network it replaces on the host, bit for bit and statistic for
-# statistic, the engine's plan built from several ranges of the entries
-# against the one-range build, plan for plan and error for error, and
-# the ITS schedule of Iterate and PageRank against the sequential one,
-# bit for bit and ledger for ledger less the transitions kept on chip.
+# Short fuzz pass (CI's fuzz job): every Fuzz target of every package,
+# 10 s each, found with go test -list, so a new target cannot be left
+# out. Among them: the VLDI codec (round trip; the streaming sizer equal
+# to the encoder, which the plan's once-per-plan VLDI sizes rest on), the
+# three matrix file readers spmvd loads from outside the program, the
+# PRaP routing and drains, the Merge Path kernel, the engine's step 2
+# against the PRaP network it replaces on the host, the plan built from
+# several ranges of the entries against the one-range build, and the ITS
+# schedule of Iterate and PageRank against the sequential one.
 fuzz:
-	$(GO) test -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/vldi/
-	$(GO) test -fuzz=FuzzSizeMatchesEncode -fuzztime=10s ./internal/vldi/
-	$(GO) test -fuzz=FuzzBitReaderNeverPanics -fuzztime=10s ./internal/vldi/
-	$(GO) test -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/matrix/
-	$(GO) test -fuzz=FuzzReadBinary -fuzztime=10s ./internal/matrix/
-	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/matrix/
-	$(GO) test -fuzz=FuzzRouteLists -fuzztime=10s ./internal/prap/
-	$(GO) test -fuzz=FuzzDrainModes -fuzztime=10s ./internal/prap/
-	$(GO) test -fuzz=FuzzMergeKernels -fuzztime=10s ./internal/merge/
-	$(GO) test -fuzz=FuzzStep2MatchesMergeInto -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzPlanBuild -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzIterateSchedulesAgree -fuzztime=10s ./internal/core/
+	for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for f in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "== $$pkg $$f"; \
+			$(GO) test -fuzz="^$$f\$$" -fuzztime=10s $$pkg || exit 1; \
+		done; \
+	done
 
 clean:
 	rm -rf out test_output.txt bench_output.txt

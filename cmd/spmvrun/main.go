@@ -177,16 +177,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tr := eng.Traffic()
 	fmt.Fprintf(stdout, "\nStripes: %d   Products: %d   Intermediate records: %d\n",
 		st.Stripes, st.Products, st.IntermediateRecords)
-	fmt.Fprintf(stdout, "Merge cores: %d   Injected keys: %d   Load imbalance: %.3f\n",
-		cfg.Merge.Cores(), st.MergeStats.Injected, st.MergeStats.LoadImbalance())
-	if cfg.VectorCodec != nil && st.UncompressedVecBytes > 0 {
+	fmt.Fprintf(stdout, "Merge cores: %d   Injected keys: %d   Injected ratio: %.3f\n",
+		cfg.Merge.Cores(), st.MergeInjected, st.InjectedRatio())
+	if cfg.VectorCodec != nil && st.VecUncompressedBytes > 0 {
 		fmt.Fprintf(stdout, "VLDI: vector meta %.1f%% of raw, matrix meta %.1f%% of raw\n",
-			100*float64(st.CompressedVecBytes)/float64(st.UncompressedVecBytes),
-			100*float64(st.CompressedMatBytes)/float64(st.UncompressedMatBytes))
+			100*float64(st.VecCompressedBytes)/float64(st.VecUncompressedBytes),
+			100*float64(st.MatCompressedBytes)/float64(st.MatUncompressedBytes))
 	}
 	if cfg.HDN != nil {
 		fmt.Fprintf(stdout, "HDN pipeline: %d records (%d false-routed), filter %d bytes\n",
-			st.HDN.HDNRecords, st.HDN.FalseRouted, st.HDNFilterBytes)
+			st.HDNRecords, st.HDNFalseRouted, st.HDNFilterBytes)
 	}
 	fmt.Fprintf(stdout, "\nOff-chip traffic: %s\n", tr)
 	fmt.Fprintf(stdout, "  payload %s, wastage %s\n", mem.FormatBytes(tr.Payload()), mem.FormatBytes(tr.WastageBytes))

@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -251,4 +253,70 @@ func TestRunOneDampedIteration(t *testing.T) {
 			t.Errorf("%v: max error %g (%v) vs the damped reference", extra, maxErr, err)
 		}
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite the report goldens in testdata/")
+
+// TestReportGolden holds the JSON report and the Prometheus exposition
+// of one small fixed run to the files in testdata/, with what the wall
+// clock and the scheduler decide masked: the JSON's wall_ns, at_ns and
+// lanes, and the exposition's wall-clock gauge and lane lines. Every
+// counter, its name and its order must match. Rewrite the goldens with
+// go test ./cmd/spmvrun -run TestReportGolden -update.
+func TestReportGolden(t *testing.T) {
+	goldJSON := filepath.Join("testdata", "report.golden.json")
+	goldProm := strings.TrimSuffix(goldJSON, ".json") + ".prom"
+	dir := t.TempDir()
+	var out, errOut strings.Builder
+	code := run([]string{
+		"-gen", "zipf", "-nodes", "4000", "-degree", "8", "-seed", "1", "-scratch", "8",
+		"-iters", "3", "-damping", "0.85", "-overlap", "-vldi", "8", "-hdn", "50",
+		"-report", filepath.Join(dir, "run.json"), "-prom", filepath.Join(dir, "run.prom"),
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	mask := []struct {
+		file, gold string
+		rules      []maskRule
+	}{
+		{"run.json", goldJSON, []maskRule{
+			// The workload line names the output paths.
+			{regexp.MustCompile(regexp.QuoteMeta(dir + string(filepath.Separator))), ``},
+			{regexp.MustCompile(`"(wall_ns|at_ns)": \d+`), `"$1": 0`},
+			{regexp.MustCompile(`(?s)"lanes": (\[.*?\n  \]|null)`), `"lanes": []`},
+		}},
+		{"run.prom", goldProm, []maskRule{
+			{regexp.MustCompile(`(?m)^mwmerge_wall_seconds .*$`), `mwmerge_wall_seconds 0`},
+			{regexp.MustCompile(`(?m)^mwmerge_lane_.*\n`), ``},
+		}},
+	}
+	for _, m := range mask {
+		got, err := os.ReadFile(filepath.Join(dir, m.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range m.rules {
+			got = r.re.ReplaceAll(got, []byte(r.repl))
+		}
+		if *update {
+			if err := os.WriteFile(m.gold, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(m.gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s differs from %s:\n%s", m.file, filepath.Base(m.gold), got)
+		}
+	}
+}
+
+// maskRule replaces every match of re with repl.
+type maskRule struct {
+	re   *regexp.Regexp
+	repl string
 }

@@ -47,7 +47,7 @@ func main() {
 
 	st := eng.Stats()
 	fmt.Printf("HDN pipeline handled %d of %d products (filter: %d bytes, %d false-routed)\n",
-		st.HDN.HDNRecords, st.Products, st.HDNFilterBytes, st.HDN.FalseRouted)
+		st.HDNRecords, st.Products, st.HDNFilterBytes, st.HDNFalseRouted)
 
 	// Top-5 ranked nodes.
 	type nodeRank struct {
@@ -72,7 +72,7 @@ func main() {
 		Overlap: true,
 	})
 	fmt.Printf("\nRun report: %d iterations, %d span lanes, %s of traffic\n",
-		len(rep.Iterations), len(rep.Lanes), fmt.Sprintf("%.1f MiB", float64(rep.Totals.Traffic.TotalBytes)/(1<<20)))
+		len(rep.Iterations), len(rep.Lanes), fmt.Sprintf("%.1f MiB", float64(rep.Totals.Traffic.Total())/(1<<20)))
 	if err := rep.WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -52,6 +52,6 @@ func main() {
 	// streaming, zero cache-line wastage.
 	st := eng.Stats()
 	fmt.Printf("Stripes: %d, intermediate records: %d, injected keys: %d\n",
-		st.Stripes, st.IntermediateRecords, st.MergeStats.Injected)
+		st.Stripes, st.IntermediateRecords, st.MergeInjected)
 	fmt.Printf("Off-chip traffic: %v\n", eng.Traffic())
 }

@@ -78,8 +78,8 @@ func main() {
 		st := e2.Stats()
 		fmt.Printf("  block %2d bits: vector meta %5.1f%%  matrix meta %5.1f%% of %d raw bytes\n",
 			b,
-			100*float64(st.CompressedVecBytes)/float64(st.UncompressedVecBytes),
-			100*float64(st.CompressedMatBytes)/float64(st.UncompressedMatBytes),
+			100*float64(st.VecCompressedBytes)/float64(st.VecUncompressedBytes),
+			100*float64(st.MatCompressedBytes)/float64(st.MatUncompressedBytes),
 			raw)
 	}
 }

@@ -121,8 +121,8 @@ func RunAblationVLDIMeasured(w io.Writer, opt Options) error {
 			bestBlock, bestTraffic = b, tr
 		}
 		t.add(fmt.Sprintf("%d", b),
-			fmt.Sprintf("%.1f%%", 100*float64(st.CompressedVecBytes)/float64(st.UncompressedVecBytes)),
-			fmt.Sprintf("%.1f%%", 100*float64(st.CompressedMatBytes)/float64(st.UncompressedMatBytes)),
+			fmt.Sprintf("%.1f%%", 100*float64(st.VecCompressedBytes)/float64(st.VecUncompressedBytes)),
+			fmt.Sprintf("%.1f%%", 100*float64(st.MatCompressedBytes)/float64(st.MatUncompressedBytes)),
 			fmt.Sprintf("%.2f", float64(tr)/1e6))
 	}
 	if err := t.write(w); err != nil {

@@ -80,8 +80,8 @@ func RunFunctional(w io.Writer, opt Options) error {
 		}
 		st := engVC.Stats()
 		saved := "-"
-		if st.UncompressedVecBytes > 0 {
-			saved = fmt.Sprintf("%.0f%%", 100*(1-float64(st.CompressedVecBytes)/float64(st.UncompressedVecBytes)))
+		if st.VecUncompressedBytes > 0 {
+			saved = fmt.Sprintf("%.0f%%", 100*(1-float64(st.VecCompressedBytes)/float64(st.VecUncompressedBytes)))
 		}
 		t.add(id,
 			fmt.Sprintf("%d", m.Rows),

@@ -143,6 +143,7 @@ func TestSpMVBlockMatchesSequential(t *testing.T) {
 		wantLedger.Traffic.MatrixBytes -= (k - 1) * single.Traffic.MatrixBytes
 		wantLedger.MatCompressedBytes -= (k - 1) * single.MatCompressedBytes
 		wantLedger.MatUncompressedBytes -= (k - 1) * single.MatUncompressedBytes
+		wantLedger.HDNFilterBytes -= (k - 1) * single.HDNFilterBytes
 		if blk.Counters() != wantLedger {
 			t.Errorf("%s: block ledger violates the once-per-batch rule:\n got  %+v\n want %+v", name, blk.Counters(), wantLedger)
 		}

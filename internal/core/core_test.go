@@ -195,11 +195,11 @@ func TestSpMVWithVLDI(t *testing.T) {
 		t.Errorf("VLDI engine max diff %g", d)
 	}
 	st := e.Stats()
-	if st.CompressedVecBytes >= st.UncompressedVecBytes {
-		t.Errorf("VLDI did not compress vectors: %d >= %d", st.CompressedVecBytes, st.UncompressedVecBytes)
+	if st.VecCompressedBytes >= st.VecUncompressedBytes {
+		t.Errorf("VLDI did not compress vectors: %d >= %d", st.VecCompressedBytes, st.VecUncompressedBytes)
 	}
-	if st.CompressedMatBytes >= st.UncompressedMatBytes {
-		t.Errorf("VLDI did not compress matrix meta: %d >= %d", st.CompressedMatBytes, st.UncompressedMatBytes)
+	if st.MatCompressedBytes >= st.MatUncompressedBytes {
+		t.Errorf("VLDI did not compress matrix meta: %d >= %d", st.MatCompressedBytes, st.MatUncompressedBytes)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestSpMVWithHDN(t *testing.T) {
 		t.Errorf("HDN engine max diff %g", d)
 	}
 	st := e.Stats()
-	if st.HDN.HDNRecords == 0 {
+	if st.HDNRecords == 0 {
 		t.Error("no records routed to HDN pipeline on a Zipf graph")
 	}
 	if st.HDNFilterBytes == 0 {

@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"strconv"
 
-	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
-	"mwmerge/internal/prap"
 	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
-// Engine executes Two-Step SpMV while keeping the off-chip traffic ledger.
-// Every byte the evaluation reports enters the ledger through
-// mem.Ledger.Charge; its counters are unexported, so no other write
-// compiles.
+// Engine executes Two-Step SpMV while keeping the off-chip traffic ledger
+// and the execution statistics in one account, acct. Every counter the
+// evaluation reports enters it through report.Ledger.Charge; its total
+// is unexported, so no other write compiles.
 type Engine struct {
-	cfg    Config
-	ledger mem.Ledger
-	stats  RunStats
+	cfg  Config
+	acct report.Ledger
 
 	// Observability state, live only when rec is non-nil. lastSnap is
 	// the cumulative counter state at the previous iteration boundary
@@ -51,57 +48,10 @@ type Engine struct {
 // oneCols holds the k=1 column-set headers, one slot per driver operand.
 type oneCols struct{ x, yIn, y [1]vector.Dense }
 
-// RunStats aggregates execution statistics across calls: every field
+// RunStats is the engine's account as Stats returns it: every counter
 // accumulates monotonically from engine construction (or the last
 // ResetCounters) over all SpMV/Iterate/PageRank/SpMSpV invocations.
-type RunStats struct {
-	Stripes              int
-	Products             uint64
-	IntermediateRecords  uint64
-	MergeStats           prap.Stats
-	HDN                  hdn.RouteStats
-	HDNFilterBytes       uint64
-	CompressedVecBytes   uint64 // intermediate meta+val bytes after VLDI
-	UncompressedVecBytes uint64
-	CompressedMatBytes   uint64 // matrix meta bytes after VLDI (values excluded)
-	UncompressedMatBytes uint64
-	// TransitionBytesSaved is the inter-iteration y round-trip traffic
-	// that ITS overlap eliminated (Iterate and PageRank).
-	TransitionBytesSaved uint64
-	// Step-1 load-skew counters (DESIGN.md §13): one step-1 run charges
-	// its stripe count into Stripes, its total nonzeros into StripeNNZ,
-	// and its heaviest stripe's nonzeros into StripeNNZMax, with
-	// Step1Runs counting the runs. All three are monotone sums, so they
-	// aggregate across engines (Add) and difference per iteration like
-	// every other counter; StripeImbalance derives the max/mean ratio.
-	Step1Runs    uint64
-	StripeNNZ    uint64
-	StripeNNZMax uint64
-}
-
-// StripeImbalance returns the average ratio between a step-1 run's
-// heaviest stripe and the mean stripe weight (max/mean, ≥ 1 when any
-// nonzeros were processed) — the straggler exposure the LPT dispatch
-// mitigates. Zero when no stripes have been processed.
-func (s RunStats) StripeImbalance() float64 {
-	if s.Step1Runs == 0 || s.Stripes == 0 || s.StripeNNZ == 0 {
-		return 0
-	}
-	meanMax := float64(s.StripeNNZMax) / float64(s.Step1Runs)
-	meanStripe := float64(s.StripeNNZ) / float64(s.Stripes)
-	return meanMax / meanStripe
-}
-
-// InjectedRatio returns the fraction of store-queue output elements that
-// were injected missing keys rather than merged records — the measure
-// of how drain-bound (output-sparse) the resident workload is. Zero
-// when nothing has been emitted.
-func (s RunStats) InjectedRatio() float64 {
-	if s.MergeStats.Emitted == 0 {
-		return 0
-	}
-	return float64(s.MergeStats.Injected) / float64(s.MergeStats.Emitted)
-}
+type RunStats = report.Counters
 
 // New builds an engine from cfg.
 func New(cfg Config) (*Engine, error) {
@@ -112,78 +62,22 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Traffic returns the accumulated off-chip traffic ledger.
-func (e *Engine) Traffic() mem.Traffic { return e.ledger.Traffic() }
+func (e *Engine) Traffic() mem.Traffic { return e.acct.Counters().Traffic }
 
-// Stats returns a snapshot of the accumulated execution statistics; the
-// per-core merge slices are copied so later calls cannot mutate it.
-func (e *Engine) Stats() RunStats {
-	st := e.stats
-	st.MergeStats = e.stats.MergeStats.Clone()
-	return st
-}
+// Stats returns the accumulated execution statistics: the whole account,
+// as Counters does.
+func (e *Engine) Stats() RunStats { return e.acct.Counters() }
 
-// ResetCounters clears the traffic ledger and statistics.
+// Counters returns the engine's cumulative account, the state the
+// report and Prometheus surfaces render (DESIGN.md §8). Like every
+// engine method it must be called from the goroutine driving the engine.
+func (e *Engine) Counters() report.Counters { return e.acct.Counters() }
+
+// ResetCounters clears the account.
 func (e *Engine) ResetCounters() {
-	e.ledger = mem.Ledger{}
-	e.stats = RunStats{}
+	e.acct = report.Ledger{}
 	e.lastSnap = report.Counters{}
 }
-
-// Counters assembles the observability counter snapshot for a ledger and
-// statistics pair — the mapping between the engine's accounting state and
-// the report/Prometheus metrics surface (DESIGN.md §8). The serving
-// layer uses it to render aggregated pool ledgers through the same
-// exposition the per-run reports use.
-func (s RunStats) Counters(tr mem.Traffic) report.Counters {
-	return report.Counters{
-		Traffic:              tr,
-		TransitionBytesSaved: s.TransitionBytesSaved,
-		Products:             s.Products,
-		IntermediateRecords:  s.IntermediateRecords,
-		HDNRecords:           s.HDN.HDNRecords,
-		HDNFalseRouted:       s.HDN.FalseRouted,
-		VecCompressedBytes:   s.CompressedVecBytes,
-		VecUncompressedBytes: s.UncompressedVecBytes,
-		MatCompressedBytes:   s.CompressedMatBytes,
-		MatUncompressedBytes: s.UncompressedMatBytes,
-		MergeInjected:        s.MergeStats.Injected,
-		MergeEmitted:         s.MergeStats.Emitted,
-		Step1Runs:            s.Step1Runs,
-		StripeNNZ:            s.StripeNNZ,
-		StripeNNZMax:         s.StripeNNZMax,
-	}
-}
-
-// Add returns the component-wise sum of two statistics snapshots without
-// aliasing either operand's per-core merge slices. It is the documented
-// way to aggregate RunStats across engines — the serving layer's pool
-// ledger sums each member's Stats() through it.
-func (s RunStats) Add(o RunStats) RunStats {
-	sum := s
-	sum.MergeStats = s.MergeStats.Clone()
-	sum.MergeStats.Accumulate(o.MergeStats)
-	sum.Stripes += o.Stripes
-	sum.Products += o.Products
-	sum.IntermediateRecords += o.IntermediateRecords
-	sum.HDN.HDNRecords += o.HDN.HDNRecords
-	sum.HDN.GeneralRecords += o.HDN.GeneralRecords
-	sum.HDN.FalseRouted += o.HDN.FalseRouted
-	sum.HDNFilterBytes += o.HDNFilterBytes
-	sum.CompressedVecBytes += o.CompressedVecBytes
-	sum.UncompressedVecBytes += o.UncompressedVecBytes
-	sum.CompressedMatBytes += o.CompressedMatBytes
-	sum.UncompressedMatBytes += o.UncompressedMatBytes
-	sum.TransitionBytesSaved += o.TransitionBytesSaved
-	sum.Step1Runs += o.Step1Runs
-	sum.StripeNNZ += o.StripeNNZ
-	sum.StripeNNZMax += o.StripeNNZMax
-	return sum
-}
-
-// Counters assembles the engine's cumulative observability counter state
-// from the ledger and statistics. Read-only on both; like every engine
-// method it must be called from the goroutine driving the engine.
-func (e *Engine) Counters() report.Counters { return e.stats.Counters(e.ledger.Traffic()) }
 
 // snapshot books the counter delta since the previous snapshot into the
 // recorder as one iteration boundary. Because every entry point
@@ -310,8 +204,10 @@ func (e *Engine) chargeDetector(p *enginePlan) {
 	if p.det == nil {
 		return
 	}
-	e.stats.HDNFilterBytes += p.det.SizeBytes()
-	e.ledger.Charge(mem.Traffic{MatrixBytes: p.nnz * uint64(e.cfg.MetaBytes)})
+	e.acct.Charge(report.Counters{
+		Traffic:        mem.Traffic{MatrixBytes: p.nnz * uint64(e.cfg.MetaBytes)},
+		HDNFilterBytes: p.det.SizeBytes(),
+	})
 }
 
 // step1Compute executes the per-stripe partial SpMV across Workers
@@ -396,13 +292,15 @@ func (e *Engine) commit(p *enginePlan, bank *stripeBank, c int) [][]types.Record
 
 // noteStripeSkew books one step-1 run's load-skew counters alongside
 // its stripe count: the total and per-run-maximum stripe nonzeros
-// behind RunStats.StripeImbalance. Every entry point books them, once
+// behind Counters.StripeImbalance. Every entry point books them, once
 // per column. The charge depends only on the stripe partition, never on
 // dispatch order, so LPT scheduling and the gated ascending schedule
 // book identical statistics.
 func (e *Engine) noteStripeSkew(p *enginePlan) {
-	e.stats.Stripes += len(p.stripes)
-	e.stats.Step1Runs++
-	e.stats.StripeNNZ += p.nnz
-	e.stats.StripeNNZMax += p.maxNNZ
+	e.acct.Charge(report.Counters{
+		Stripes:      uint64(len(p.stripes)),
+		Step1Runs:    1,
+		StripeNNZ:    p.nnz,
+		StripeNNZMax: p.maxNNZ,
+	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
+	"mwmerge/internal/report"
 	"mwmerge/internal/vector"
 )
 
@@ -49,10 +50,10 @@ type IterateResult struct {
 func (e *Engine) accountTransition(rows uint64, overlap bool) uint64 {
 	transition := rows * uint64(e.cfg.ValueBytes) // y re-read as the next x
 	if !overlap {
-		e.ledger.Charge(mem.Traffic{ResultBytes: transition})
+		e.acct.Charge(report.Counters{Traffic: mem.Traffic{ResultBytes: transition}})
 		return 0
 	}
-	e.stats.TransitionBytesSaved += transition
+	e.acct.Charge(report.Counters{TransitionBytesSaved: transition})
 	return transition
 }
 

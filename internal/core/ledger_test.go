@@ -120,7 +120,7 @@ func TestPageRankLedgerAccountsTransitions(t *testing.T) {
 // TestRunStatsAccumulateAcrossCalls pins the documented RunStats
 // semantics: every field accumulates across calls, so running the same
 // SpMV twice exactly doubles each statistic — including the previously
-// overwritten Stripes, HDNFilterBytes and MergeStats.
+// overwritten Stripes, HDNFilterBytes and merge counters.
 func TestRunStatsAccumulateAcrossCalls(t *testing.T) {
 	cfg := testConfig()
 	h := hdn.DefaultConfig()
@@ -158,20 +158,13 @@ func TestRunStatsAccumulateAcrossCalls(t *testing.T) {
 		t.Errorf("HDNFilterBytes = %d, want %d (nonzero)",
 			second.HDNFilterBytes, 2*first.HDNFilterBytes)
 	}
-	if second.MergeStats.Emitted != 2*first.MergeStats.Emitted ||
-		second.MergeStats.Injected != 2*first.MergeStats.Injected ||
-		second.MergeStats.PresortBatches != 2*first.MergeStats.PresortBatches {
-		t.Errorf("MergeStats did not accumulate: %+v vs %+v",
-			second.MergeStats, first.MergeStats)
-	}
-	for r := range first.MergeStats.PerCoreInput {
-		if second.MergeStats.PerCoreInput[r] != 2*first.MergeStats.PerCoreInput[r] ||
-			second.MergeStats.PerCoreOutput[r] != 2*first.MergeStats.PerCoreOutput[r] {
-			t.Errorf("per-core merge stats did not accumulate at core %d", r)
-		}
+	if second.MergeEmitted != 2*first.MergeEmitted ||
+		second.MergeInjected != 2*first.MergeInjected ||
+		second.MergePresortBatches != 2*first.MergePresortBatches {
+		t.Errorf("merge counters did not accumulate: %+v vs %+v", second, first)
 	}
 	e.ResetCounters()
-	if s := e.Stats(); s.Stripes != 0 || s.MergeStats.Emitted != 0 {
+	if s := e.Stats(); s.Stripes != 0 || s.MergeEmitted != 0 {
 		t.Error("ResetCounters did not clear stats")
 	}
 }
@@ -210,8 +203,8 @@ func TestSpMVMergeWorkersIdentical(t *testing.T) {
 			t.Errorf("merge workers=%d: ledger differs", workers)
 		}
 		gs, ws := eng.Stats(), ref.Stats()
-		if gs.MergeStats.Emitted != ws.MergeStats.Emitted ||
-			gs.MergeStats.Injected != ws.MergeStats.Injected {
+		if gs.MergeEmitted != ws.MergeEmitted ||
+			gs.MergeInjected != ws.MergeInjected {
 			t.Errorf("merge workers=%d: merge stats differ", workers)
 		}
 	}

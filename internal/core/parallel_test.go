@@ -50,7 +50,7 @@ func TestWorkersProduceIdenticalResults(t *testing.T) {
 		gs := eng.Stats()
 		if gs.Products != wantStats.Products ||
 			gs.IntermediateRecords != wantStats.IntermediateRecords ||
-			gs.CompressedVecBytes != wantStats.CompressedVecBytes {
+			gs.VecCompressedBytes != wantStats.VecCompressedBytes {
 			t.Errorf("workers=%d: stats differ", workers)
 		}
 	}

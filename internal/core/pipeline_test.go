@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -340,11 +339,6 @@ func FuzzIterateSchedulesAgree(f *testing.F) {
 				t.Fatalf("%s: overlap (%d iterations) differs from sequential (%d) in its bits", name, ito, its)
 			}
 			saved := uint64(its-1) * transition
-			wantStats := seq.Stats()
-			wantStats.TransitionBytesSaved += saved
-			if got := ovl.Stats(); !reflect.DeepEqual(got, wantStats) {
-				t.Fatalf("%s: overlap statistics %+v, want %+v", name, got, wantStats)
-			}
 			want := seq.Counters()
 			want.Traffic.ResultBytes -= saved
 			want.TransitionBytesSaved += saved

@@ -21,6 +21,7 @@ import (
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/mem"
+	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vldi"
 )
@@ -84,67 +85,42 @@ func (s *runStripe) nnz() uint64 { return uint64(len(s.vals)) }
 // (bookStripe). SpMSpV, whose records depend on the frontier, fills one
 // per call.
 type stripeBooks struct {
-	products, records uint64
-	hdn               hdn.RouteStats
-	source            uint64   // x bytes streamed on chip
-	vec               vecBooks // the intermediate list
-	// The matrix share: the stripe stream's bytes (values plus
-	// meta-data) and its meta-data bytes after and before VLDI. A k-wide
-	// run books it for column 0 only.
-	matrix             uint64
-	compMat, uncompMat uint64
+	// column is what every column books: products, records, HDN
+	// routing, the x stream and the intermediate list's round trip.
+	column report.Counters
+	// matrix is the matrix share: the stripe stream's bytes (values
+	// plus meta-data) and its meta-data bytes after and before VLDI. A
+	// k-wide run books it for column 0 only.
+	matrix report.Counters
 }
 
 // add sums o into b.
 func (b *stripeBooks) add(o *stripeBooks) {
-	b.products += o.products
-	b.records += o.records
-	b.hdn.HDNRecords += o.hdn.HDNRecords
-	b.hdn.GeneralRecords += o.hdn.GeneralRecords
-	b.hdn.FalseRouted += o.hdn.FalseRouted
-	b.source += o.source
-	b.vec.add(o.vec)
-	b.matrix += o.matrix
-	b.compMat += o.compMat
-	b.uncompMat += o.uncompMat
+	b.column = b.column.Add(o.column)
+	b.matrix = b.matrix.Add(o.matrix)
 }
 
-// vecBooks is one intermediate list's DRAM footprint, with the
-// compressed and uncompressed byte counts behind the statistics.
-type vecBooks struct{ footprint, compressed, uncompressed uint64 }
-
-func (v *vecBooks) add(o vecBooks) {
-	v.footprint += o.footprint
-	v.compressed += o.compressed
-	v.uncompressed += o.uncompressed
-}
-
-// book adds books — one stripe's, or a plan's summed — to the ledger and
-// the statistics, with the matrix share when this column streamed the
-// stripes (column 0 of a k-wide run; DESIGN.md §9).
+// book charges books — one stripe's, or a plan's summed — with the
+// matrix share when this column streamed the stripes (column 0 of a
+// k-wide run; DESIGN.md §9).
 func (e *Engine) book(b *stripeBooks, matrixShare bool) {
-	t := mem.Traffic{SourceVectorBytes: b.source}
+	e.acct.Charge(b.column)
 	if matrixShare {
-		t.MatrixBytes = b.matrix
-		e.stats.CompressedMatBytes += b.compMat
-		e.stats.UncompressedMatBytes += b.uncompMat
+		e.acct.Charge(b.matrix)
 	}
-	e.ledger.Charge(t)
-	e.chargeRoundTrip(b.vec)
-	e.stats.Products += b.products
-	e.stats.IntermediateRecords += b.records
-	e.stats.HDN.HDNRecords += b.hdn.HDNRecords
-	e.stats.HDN.GeneralRecords += b.hdn.GeneralRecords
-	e.stats.HDN.FalseRouted += b.hdn.FalseRouted
 }
 
-// chargeRoundTrip books one intermediate list's DRAM round trip. Every
-// list is read back exactly once, by the step 2 that consumes it, so its
-// read is booked together with its write.
-func (e *Engine) chargeRoundTrip(v vecBooks) {
-	e.ledger.Charge(mem.Traffic{IntermediateWrite: v.footprint, IntermediateRead: v.footprint})
-	e.stats.CompressedVecBytes += 2 * v.compressed
-	e.stats.UncompressedVecBytes += 2 * v.uncompressed
+// roundTrip is the books of one intermediate list's DRAM round trip:
+// footprint bytes (VLDI-compressed when configured) written and read
+// back, of raw bytes uncompressed. Every list is read back exactly
+// once, by the step 2 that consumes it, so its read is booked together
+// with its write.
+func roundTrip(footprint, raw uint64) report.Counters {
+	return report.Counters{
+		Traffic:              mem.Traffic{IntermediateWrite: footprint, IntermediateRead: footprint},
+		VecCompressedBytes:   2 * footprint,
+		VecUncompressedBytes: 2 * raw,
+	}
 }
 
 // planFor returns the cached plan for a, rebuilding it when the matrix
@@ -698,7 +674,7 @@ func (e *Engine) finishPlan(b *runAssembler, det *hdn.Detector, w int) (*engineP
 // at least the stripe's run count when a VectorCodec is set.
 func (e *Engine) bookStripe(s *runStripe, rows uint64, det *hdn.Detector, keys []types.Record, bw *vldi.BitWriter) error {
 	nnz := s.nnz()
-	b := stripeBooks{products: nnz, records: uint64(len(s.rows)), source: s.width * uint64(e.cfg.ValueBytes)}
+	var hdnRecs, general, falseRouted uint64
 	if det != nil {
 		// Every product of a run goes down its row's pipeline.
 		start := uint32(0)
@@ -706,29 +682,40 @@ func (e *Engine) bookStripe(s *runStripe, rows uint64, det *hdn.Detector, keys [
 			n := uint64(s.ends[r] - start)
 			start = s.ends[r]
 			if !det.IsHDN(row) {
-				b.hdn.GeneralRecords += n
+				general += n
 				continue
 			}
-			b.hdn.HDNRecords += n
+			hdnRecs += n
 			if !det.IsHDNExact(row) {
-				b.hdn.FalseRouted += n
+				falseRouted += n
 			}
 		}
+	}
+	col := report.Counters{
+		Traffic:             mem.Traffic{SourceVectorBytes: s.width * uint64(e.cfg.ValueBytes)},
+		Products:            nnz,
+		IntermediateRecords: uint64(len(s.rows)),
+		HDNRecords:          hdnRecs,
+		HDNFalseRouted:      falseRouted,
+		HDNGeneralRecords:   general,
 	}
 
 	// The matrix stream: values plus (possibly VLDI-compressed)
 	// meta-data, with CSR vs RM-COO chosen by the §3.1 hypersparsity rule.
-	_, meta := matrix.BestStripeFormat(rows, nnz, e.cfg.MetaBytes)
-	b.uncompMat = meta
+	_, rawMeta := matrix.BestStripeFormat(rows, nnz, e.cfg.MetaBytes)
+	meta := rawMeta
 	if e.cfg.MatrixCodec != nil {
 		meta = (e.stripeMetaBits(s) + 7) / 8
 	}
-	b.compMat = meta
-	b.matrix = nnz*uint64(e.cfg.ValueBytes) + meta
+	mat := report.Counters{
+		Traffic:              mem.Traffic{MatrixBytes: nnz*uint64(e.cfg.ValueBytes) + meta},
+		MatCompressedBytes:   meta,
+		MatUncompressedBytes: rawMeta,
+	}
 
 	if e.cfg.VectorCodec == nil {
 		raw := e.rawVecBytes(len(s.rows))
-		b.vec = vecBooks{raw, raw, raw}
+		col = col.Add(roundTrip(raw, raw))
 	} else {
 		recs := keys[:len(s.rows)]
 		for r, row := range s.rows {
@@ -737,9 +724,9 @@ func (e *Engine) bookStripe(s *runStripe, rows uint64, det *hdn.Detector, keys [
 		if err := e.cfg.VectorCodec.RoundTripRecords(recs, bw); err != nil {
 			return fmt.Errorf("core: VLDI round trip failed: %w", err)
 		}
-		b.vec = e.vecBytes(recs)
+		col = col.Add(e.vecBytes(recs))
 	}
-	s.books = b
+	s.books = stripeBooks{column: col, matrix: mat}
 	return nil
 }
 
@@ -765,27 +752,25 @@ func (e *Engine) stripeMetaBits(s *runStripe) uint64 {
 	return sizer.Bits()
 }
 
-// vecBytes returns the DRAM footprint of an intermediate record stream at
-// the engine's precision (VLDI-compressed when configured) together with
-// the compressed/uncompressed byte counts for the statistics. The
+// vecBytes returns the round-trip books of an intermediate record stream
+// at the engine's precision (VLDI-compressed when configured). The
 // compressed size comes from the streaming sizer — exactly
 // EncodeDeltas(DeltasFromKeys(keys)).Bytes(), with zero intermediate
 // slices.
-func (e *Engine) vecBytes(recs []types.Record) vecBooks {
+func (e *Engine) vecBytes(recs []types.Record) report.Counters {
 	n := len(recs)
 	raw := e.rawVecBytes(n)
 	if e.cfg.VectorCodec == nil || n == 0 {
-		return vecBooks{raw, raw, raw}
+		return roundTrip(raw, raw)
 	}
 	sizer := e.cfg.VectorCodec.NewSizer()
 	for _, r := range recs {
 		if err := sizer.AddKey(r.Key); err != nil {
 			// Sorted invariant violated upstream; charge uncompressed.
-			return vecBooks{raw, raw, raw}
+			return roundTrip(raw, raw)
 		}
 	}
-	b := sizer.Bytes() + uint64(n)*uint64(e.cfg.ValueBytes)
-	return vecBooks{b, b, raw}
+	return roundTrip(sizer.Bytes()+uint64(n)*uint64(e.cfg.ValueBytes), raw)
 }
 
 // rawVecBytes is the uncompressed footprint of n intermediate records.

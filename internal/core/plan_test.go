@@ -9,6 +9,8 @@ import (
 	"mwmerge/internal/graph"
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
+	"mwmerge/internal/mem"
+	"mwmerge/internal/report"
 	"mwmerge/internal/vldi"
 )
 
@@ -78,31 +80,31 @@ func TestPlanBooksMatchPerCallAccounting(t *testing.T) {
 			for k, s := range stripes {
 				recs, _ := laneStep1(t, s, x[s.ColStart:s.ColStart+s.Width], 1)
 				nnz := uint64(s.NNZ())
-				want := stripeBooks{
-					products: nnz,
-					records:  uint64(len(recs)),
-					source:   s.Width * uint64(cfg.ValueBytes),
-					vec:      e.vecBytes(recs),
+				col := report.Counters{
+					Traffic:             mem.Traffic{SourceVectorBytes: s.Width * uint64(cfg.ValueBytes)},
+					Products:            nnz,
+					IntermediateRecords: uint64(len(recs)),
 				}
 				for _, ent := range s.Entries {
 					switch {
 					case p.det == nil:
 					case !p.det.IsHDN(ent.Row):
-						want.hdn.GeneralRecords++
+						col.HDNGeneralRecords++
 					case p.det.IsHDNExact(ent.Row):
-						want.hdn.HDNRecords++
+						col.HDNRecords++
 					default:
-						want.hdn.HDNRecords++
-						want.hdn.FalseRouted++
+						col.HDNRecords++
+						col.HDNFalseRouted++
 					}
 				}
 				_, meta := matrix.BestStripeFormat(s.Rows, nnz, cfg.MetaBytes)
-				want.uncompMat = meta
+				mat := report.Counters{MatUncompressedBytes: meta}
 				if cfg.MatrixCodec != nil {
 					meta = cfg.MatrixCodec.EncodeDeltas(stripeDeltas(s)).Bytes()
 				}
-				want.compMat = meta
-				want.matrix = nnz*uint64(cfg.ValueBytes) + meta
+				mat.MatCompressedBytes = meta
+				mat.Traffic.MatrixBytes = nnz*uint64(cfg.ValueBytes) + meta
+				want := stripeBooks{column: col.Add(e.vecBytes(recs)), matrix: mat}
 				if got := p.stripes[k].books; got != want {
 					t.Fatalf("%s: stripe %d books\n got  %+v\n want %+v", name, k, got, want)
 				}

@@ -5,6 +5,8 @@ import (
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
+	"mwmerge/internal/mem"
+	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vldi"
 )
@@ -49,8 +51,8 @@ func TestStripeMetaBitsMatchesEncoding(t *testing.T) {
 		if got := e.stripeMetaBits(rs); got != enc.Bits {
 			t.Fatalf("stripe %d: stripeMetaBits %d != encoded %d", s.Index, got, enc.Bits)
 		}
-		if rs.books.compMat != enc.Bytes() {
-			t.Fatalf("stripe %d: booked meta %d != encoded %d", s.Index, rs.books.compMat, enc.Bytes())
+		if rs.books.matrix.MatCompressedBytes != enc.Bytes() {
+			t.Fatalf("stripe %d: booked meta %d != encoded %d", s.Index, rs.books.matrix.MatCompressedBytes, enc.Bytes())
 		}
 	}
 }
@@ -81,8 +83,8 @@ func TestCompressedStripeMetaMemoized(t *testing.T) {
 		if b != fresh.stripes[k].books {
 			t.Fatalf("stripe %d: cached books %+v != fresh %+v", k, b, fresh.stripes[k].books)
 		}
-		if want := (e.stripeMetaBits(&plan.stripes[k]) + 7) / 8; b.compMat != want {
-			t.Fatalf("stripe %d: booked meta %d != direct %d", k, b.compMat, want)
+		if want := (e.stripeMetaBits(&plan.stripes[k]) + 7) / 8; b.matrix.MatCompressedBytes != want {
+			t.Fatalf("stripe %d: booked meta %d != direct %d", k, b.matrix.MatCompressedBytes, want)
 		}
 		sum.add(&b)
 	}
@@ -107,13 +109,22 @@ func TestVecBytesMatchesEncoding(t *testing.T) {
 	}
 	wantComp := e.cfg.VectorCodec.EncodeDeltas(deltas).Bytes() + uint64(len(recs))*uint64(e.cfg.ValueBytes)
 	wantRaw := uint64(len(recs)) * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
+	// trip is a list's round trip: footprint bytes written and read back,
+	// each leg counted in the compressed and uncompressed statistics.
+	trip := func(footprint, raw uint64) report.Counters {
+		return report.Counters{
+			Traffic:              mem.Traffic{IntermediateWrite: footprint, IntermediateRead: footprint},
+			VecCompressedBytes:   2 * footprint,
+			VecUncompressedBytes: 2 * raw,
+		}
+	}
 
-	if got, want := e.vecBytes(recs), (vecBooks{wantComp, wantComp, wantRaw}); got != want {
+	if got, want := e.vecBytes(recs), trip(wantComp, wantRaw); got != want {
 		t.Fatalf("vecBytes = %+v, want %+v", got, want)
 	}
 
 	// Empty stream: raw zero on every leg.
-	if got := e.vecBytes(nil); got != (vecBooks{}) {
+	if got := e.vecBytes(nil); got != (report.Counters{}) {
 		t.Fatalf("vecBytes(nil) = %+v, want zeros", got)
 	}
 
@@ -121,7 +132,7 @@ func TestVecBytesMatchesEncoding(t *testing.T) {
 	// three legs fall back to the uncompressed footprint.
 	bad := []types.Record{{Key: 9}, {Key: 9}}
 	badRaw := uint64(len(bad)) * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)
-	if got := e.vecBytes(bad); got != (vecBooks{badRaw, badRaw, badRaw}) {
+	if got := e.vecBytes(bad); got != trip(badRaw, badRaw) {
 		t.Fatalf("vecBytes(unsorted) = %+v, want all %d", got, badRaw)
 	}
 
@@ -130,7 +141,7 @@ func TestVecBytesMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plain.vecBytes(recs); got != (vecBooks{wantRaw, wantRaw, wantRaw}) {
+	if got := plain.vecBytes(recs); got != trip(wantRaw, wantRaw) {
 		t.Fatalf("vecBytes(no codec) = %+v, want all %d", got, wantRaw)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/prap"
 )
 
 // TestSpMVStripesParallelIdentical pins SpMVStripes to the shared
@@ -146,7 +145,7 @@ func TestSkewRatiosZeroSafe(t *testing.T) {
 	if st.StripeImbalance() != 0 || st.InjectedRatio() != 0 {
 		t.Error("zero stats must yield zero ratios")
 	}
-	st.MergeStats = prap.Stats{Injected: 3, Emitted: 4}
+	st.MergeInjected, st.MergeEmitted = 3, 4
 	if got := st.InjectedRatio(); got != 0.75 {
 		t.Errorf("InjectedRatio = %g, want 0.75", got)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"mwmerge/internal/matrix"
+	"mwmerge/internal/mem"
+	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
@@ -90,14 +92,13 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 		st.EntriesVisited += visited
 		st.EntriesSkipped += skipped
 		books.add(&stripeBooks{
-			products: visited,
-			records:  uint64(len(recs)),
-			// Only the x nonzeros stream on chip for a sparse vector.
-			source:    fr.nnz[k] * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes),
-			vec:       e.vecBytes(recs),
-			matrix:    s.books.matrix,
-			compMat:   s.books.compMat,
-			uncompMat: s.books.uncompMat,
+			column: e.vecBytes(recs).Add(report.Counters{
+				// Only the x nonzeros stream on chip for a sparse vector.
+				Traffic:             mem.Traffic{SourceVectorBytes: fr.nnz[k] * uint64(e.cfg.MetaBytes+e.cfg.ValueBytes)},
+				Products:            visited,
+				IntermediateRecords: uint64(len(recs)),
+			}),
+			matrix: s.books.matrix,
 		})
 	}
 	// The scatter segments are dead once the stripe loop finishes.

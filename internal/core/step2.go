@@ -19,6 +19,7 @@ import (
 
 	"mwmerge/internal/mem"
 	"mwmerge/internal/prap"
+	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
@@ -144,21 +145,25 @@ type blockFinish struct {
 
 // runStep2Into is the host's step 2: it writes y = yIn + Σ lists into
 // the caller-provided y (length dim, never aliasing yIn), finishing each
-// block with fin, and books cover's statistics and the result traffic —
-// the lists' DRAM round trips were booked with their writes
-// (chargeRoundTrip). Every key of every list must be below dim and each
+// block with fin, and books cover's merge counters and the result
+// traffic — the lists' DRAM round trips were booked with their writes
+// (roundTrip). Every key of every list must be below dim and each
 // list sorted by key, which step 1 guarantees.
 func (e *Engine) runStep2Into(lists [][]types.Record, cover *keyCover, dim uint64, yIn, y vector.Dense, fin blockFinish) {
 	if e.rec != nil {
 		defer e.rec.StartSpan("phase", "s2").End()
 	}
 	e.accumulate(lists, cover.touched, dim, yIn, y, fin)
-	e.stats.MergeStats.Accumulate(cover.stats)
-	yBytes := dim * uint64(e.cfg.ValueBytes)
-	e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y streamed out
+	yBytes := dim * uint64(e.cfg.ValueBytes) // y streamed out
 	if yIn != nil {
-		e.ledger.Charge(mem.Traffic{ResultBytes: yBytes}) // y-in streamed in
+		yBytes *= 2 // and y-in streamed in
 	}
+	e.acct.Charge(report.Counters{
+		Traffic:             mem.Traffic{ResultBytes: yBytes},
+		MergeInjected:       cover.stats.Injected,
+		MergeEmitted:        cover.stats.Emitted,
+		MergePresortBatches: cover.stats.PresortBatches,
+	})
 }
 
 // accumulate computes y = yIn + Σ lists block by block, each block one

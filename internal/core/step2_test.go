@@ -162,7 +162,8 @@ func checkStep2(t *testing.T, c step2Case) {
 			}
 		}
 	}
-	e.runStep2Into(c.lists, e.listCover(c.lists, c.dim), c.dim, c.yIn, got, blockFinish{publish: publish})
+	cover := e.listCover(c.lists, c.dim)
+	e.runStep2Into(c.lists, cover, c.dim, c.yIn, got, blockFinish{publish: publish})
 
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
@@ -170,8 +171,13 @@ func checkStep2(t *testing.T, c step2Case) {
 				math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
 		}
 	}
-	if gotSt := e.Stats().MergeStats; !reflect.DeepEqual(gotSt, wantSt) {
-		t.Fatalf("stats %+v, MergeInto %+v", gotSt, wantSt)
+	if !reflect.DeepEqual(cover.stats, wantSt) {
+		t.Fatalf("stats %+v, MergeInto %+v", cover.stats, wantSt)
+	}
+	if st := e.Stats(); st.MergeInjected != wantSt.Injected || st.MergeEmitted != wantSt.Emitted ||
+		st.MergePresortBatches != wantSt.PresortBatches {
+		t.Fatalf("booked merge counters %d/%d/%d, MergeInto %+v",
+			st.MergeInjected, st.MergeEmitted, st.MergePresortBatches, wantSt)
 	}
 	if c.publish {
 		segs := int((c.dim + c.width - 1) / c.width)

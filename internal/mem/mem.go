@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"mwmerge/internal/types"
@@ -15,12 +16,22 @@ import (
 // Wastage is bytes moved because of cache-line granularity but never used
 // (the latency-bound algorithm's overhead Two-Step eliminates).
 type Traffic struct {
-	MatrixBytes       uint64 // streaming reads of A's stripes
-	SourceVectorBytes uint64 // streaming reads of x segments
-	IntermediateWrite uint64 // v_k round trip: store to DRAM
-	IntermediateRead  uint64 // v_k round trip: load for merge
-	ResultBytes       uint64 // y writes (and y-in reads)
-	WastageBytes      uint64 // fetched-but-unused cache-line bytes
+	MatrixBytes       uint64 `json:"matrix_bytes"`             // streaming reads of A's stripes
+	SourceVectorBytes uint64 `json:"source_vector_bytes"`      // streaming reads of x segments
+	IntermediateWrite uint64 `json:"intermediate_write_bytes"` // v_k round trip: store to DRAM
+	IntermediateRead  uint64 `json:"intermediate_read_bytes"`  // v_k round trip: load for merge
+	ResultBytes       uint64 `json:"result_bytes"`             // y writes (and y-in reads)
+	WastageBytes      uint64 `json:"wastage_bytes"`            // fetched-but-unused cache-line bytes
+}
+
+// MarshalJSON renders the ledger's categories followed by their total,
+// total_bytes. Decoding ignores total_bytes, which is derived.
+func (t Traffic) MarshalJSON() ([]byte, error) {
+	type categories Traffic // drops this method, so Marshal does not recurse
+	return json.Marshal(struct {
+		categories
+		TotalBytes uint64 `json:"total_bytes"`
+	}{categories(t), t.Total()})
 }
 
 // Payload returns bytes that take part in actual computation.
@@ -57,18 +68,6 @@ func (t Traffic) Sub(o Traffic) Traffic {
 		WastageBytes:      t.WastageBytes - o.WastageBytes,
 	}
 }
-
-// Ledger is a persistent, append-only Traffic account. Its counters are
-// unexported, so code outside this package can only add to them through
-// Charge; the zero value is an empty ledger, and assigning Ledger{}
-// resets one.
-type Ledger struct{ t Traffic }
-
-// Charge books delta into the ledger.
-func (l *Ledger) Charge(delta Traffic) { l.t = l.t.Add(delta) }
-
-// Traffic returns the accumulated ledger.
-func (l *Ledger) Traffic() Traffic { return l.t }
 
 func (t Traffic) String() string {
 	return fmt.Sprintf("traffic{A=%s x=%s vW=%s vR=%s y=%s waste=%s total=%s}",

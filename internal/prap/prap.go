@@ -220,38 +220,6 @@ type Stats struct {
 	PresortBatches uint64   // p-record batches the hardware pre-sorter would take: Σ ⌈len/p⌉ per list
 }
 
-// Clone returns a deep copy of s, per-core slices included, so callers
-// can snapshot accumulating statistics without aliasing later updates.
-func (s Stats) Clone() Stats {
-	c := s
-	c.PerCoreInput = append([]uint64(nil), s.PerCoreInput...)
-	c.PerCoreOutput = append([]uint64(nil), s.PerCoreOutput...)
-	return c
-}
-
-// Accumulate adds o into s, growing the per-core slices if needed, so
-// engine-level statistics can aggregate merge runs across calls.
-func (s *Stats) Accumulate(o Stats) {
-	s.PerCoreInput = addCounts(s.PerCoreInput, o.PerCoreInput)
-	s.PerCoreOutput = addCounts(s.PerCoreOutput, o.PerCoreOutput)
-	s.Injected += o.Injected
-	s.Emitted += o.Emitted
-	s.PresortBatches += o.PresortBatches
-}
-
-func addCounts(dst, src []uint64) []uint64 {
-	if len(dst) < len(src) {
-		// Grow-once per-core counters; the steady state accumulates into already-sized slices.
-		grown := make([]uint64, len(src))
-		copy(grown, dst)
-		dst = grown
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
-}
-
 // Network is a PRaP step-2 merge network instance.
 type Network struct {
 	cfg     Config

@@ -339,21 +339,6 @@ func TestConfigRejectsNegativeMergeWorkers(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	var s Stats
-	s.Accumulate(Stats{PerCoreInput: []uint64{1, 2}, PerCoreOutput: []uint64{3, 4},
-		Injected: 5, Emitted: 6, PresortBatches: 7})
-	s.Accumulate(Stats{PerCoreInput: []uint64{10, 20}, PerCoreOutput: []uint64{30, 40},
-		Injected: 50, Emitted: 60, PresortBatches: 70})
-	if s.PerCoreInput[0] != 11 || s.PerCoreInput[1] != 22 ||
-		s.PerCoreOutput[0] != 33 || s.PerCoreOutput[1] != 44 {
-		t.Errorf("per-core sums wrong: %+v", s)
-	}
-	if s.Injected != 55 || s.Emitted != 66 || s.PresortBatches != 77 {
-		t.Errorf("scalar sums wrong: %+v", s)
-	}
-}
-
 func TestStoreQueueOrderingIsDense(t *testing.T) {
 	// The store queue must deliver strictly consecutive dense elements;
 	// an internal invariant violation would surface as an error.

@@ -30,65 +30,6 @@ type Meta struct {
 	HostAllocBytes uint64 `json:"host_alloc_bytes,omitempty"`
 }
 
-// TrafficJSON is the stable JSON shape of one off-chip traffic ledger.
-type TrafficJSON struct {
-	MatrixBytes       uint64 `json:"matrix_bytes"`
-	SourceVectorBytes uint64 `json:"source_vector_bytes"`
-	IntermediateWrite uint64 `json:"intermediate_write_bytes"`
-	IntermediateRead  uint64 `json:"intermediate_read_bytes"`
-	ResultBytes       uint64 `json:"result_bytes"`
-	WastageBytes      uint64 `json:"wastage_bytes"`
-	TotalBytes        uint64 `json:"total_bytes"`
-}
-
-// CountersJSON is the stable JSON shape of a Counters snapshot; see
-// DESIGN.md §8 for the unit and paper-figure mapping of each field.
-type CountersJSON struct {
-	Traffic              TrafficJSON `json:"traffic"`
-	TransitionBytesSaved uint64      `json:"transition_bytes_saved"`
-	Products             uint64      `json:"products"`
-	IntermediateRecords  uint64      `json:"intermediate_records"`
-	HDNRecords           uint64      `json:"hdn_records"`
-	HDNFalseRouted       uint64      `json:"hdn_false_routed"`
-	VecCompressedBytes   uint64      `json:"vldi_vector_compressed_bytes"`
-	VecUncompressedBytes uint64      `json:"vldi_vector_uncompressed_bytes"`
-	MatCompressedBytes   uint64      `json:"vldi_matrix_compressed_bytes"`
-	MatUncompressedBytes uint64      `json:"vldi_matrix_uncompressed_bytes"`
-	MergeInjected        uint64      `json:"merge_injected"`
-	MergeEmitted         uint64      `json:"merge_emitted"`
-	Step1Runs            uint64      `json:"step1_runs"`
-	StripeNNZ            uint64      `json:"stripe_nnz"`
-	StripeNNZMax         uint64      `json:"stripe_nnz_max"`
-}
-
-func countersJSON(c Counters) CountersJSON {
-	return CountersJSON{
-		Traffic: TrafficJSON{
-			MatrixBytes:       c.Traffic.MatrixBytes,
-			SourceVectorBytes: c.Traffic.SourceVectorBytes,
-			IntermediateWrite: c.Traffic.IntermediateWrite,
-			IntermediateRead:  c.Traffic.IntermediateRead,
-			ResultBytes:       c.Traffic.ResultBytes,
-			WastageBytes:      c.Traffic.WastageBytes,
-			TotalBytes:        c.Traffic.Total(),
-		},
-		TransitionBytesSaved: c.TransitionBytesSaved,
-		Products:             c.Products,
-		IntermediateRecords:  c.IntermediateRecords,
-		HDNRecords:           c.HDNRecords,
-		HDNFalseRouted:       c.HDNFalseRouted,
-		VecCompressedBytes:   c.VecCompressedBytes,
-		VecUncompressedBytes: c.VecUncompressedBytes,
-		MatCompressedBytes:   c.MatCompressedBytes,
-		MatUncompressedBytes: c.MatUncompressedBytes,
-		MergeInjected:        c.MergeInjected,
-		MergeEmitted:         c.MergeEmitted,
-		Step1Runs:            c.Step1Runs,
-		StripeNNZ:            c.StripeNNZ,
-		StripeNNZMax:         c.StripeNNZMax,
-	}
-}
-
 // Lane summarizes one timeline lane: how much of the run's makespan it
 // spent busy. The per-worker step1/ and merge/ lanes make the Fig. 11
 // load-balance story measurable on a real run.
@@ -101,26 +42,20 @@ type Lane struct {
 
 // Iteration is one recorded iteration boundary with its counter deltas.
 type Iteration struct {
-	Index    int          `json:"index"`
-	Label    string       `json:"label"`
-	AtNS     uint64       `json:"at_ns"`
-	Counters CountersJSON `json:"counters"`
+	Index    int      `json:"index"`
+	Label    string   `json:"label"`
+	AtNS     uint64   `json:"at_ns"`
+	Counters Counters `json:"counters"`
 }
 
 // Report is one run's complete observability surface, ready to render.
 type Report struct {
-	Meta       Meta         `json:"meta"`
-	WallNS     uint64       `json:"wall_ns"`
-	Lanes      []Lane       `json:"lanes"`
-	Iterations []Iteration  `json:"iterations"`
-	Totals     CountersJSON `json:"totals"`
-
-	totals Counters // un-marshalled form, for programmatic checks
+	Meta       Meta        `json:"meta"`
+	WallNS     uint64      `json:"wall_ns"`
+	Lanes      []Lane      `json:"lanes"`
+	Iterations []Iteration `json:"iterations"`
+	Totals     Counters    `json:"totals"`
 }
-
-// TotalCounters returns the summed per-iteration deltas in their
-// arithmetic form, for tests that compare against an engine's ledger.
-func (rep *Report) TotalCounters() Counters { return rep.totals }
 
 // NewReport assembles a report directly from an aggregated counter
 // snapshot, without a recorder: no span lanes, no iteration axis, just
@@ -128,7 +63,7 @@ func (rep *Report) TotalCounters() Counters { return rep.totals }
 // per-request counter deltas through it, reusing the exact JSON and
 // Prometheus expositions of the recorded reports.
 func NewReport(meta Meta, totals Counters) *Report {
-	return &Report{Meta: meta, Totals: countersJSON(totals), totals: totals}
+	return &Report{Meta: meta, Totals: totals}
 }
 
 // Build assembles the report: per-lane busy time and utilization over
@@ -137,7 +72,6 @@ func NewReport(meta Meta, totals Counters) *Report {
 func (r *Recorder) Build(meta Meta) *Report {
 	rep := &Report{Meta: meta}
 	if r == nil {
-		rep.Totals = countersJSON(Counters{})
 		return rep
 	}
 	spans := r.tl.Spans()
@@ -167,20 +101,11 @@ func (r *Recorder) Build(meta Meta) *Report {
 	}
 
 	r.mu.Lock()
-	iters := append([]iteration(nil), r.iters...)
+	rep.Iterations = append([]Iteration(nil), r.iters...)
 	r.mu.Unlock()
-	var totals Counters
-	for i, it := range iters {
-		totals = totals.Add(it.delta)
-		rep.Iterations = append(rep.Iterations, Iteration{
-			Index:    i,
-			Label:    it.label,
-			AtNS:     it.at,
-			Counters: countersJSON(it.delta),
-		})
+	for _, it := range rep.Iterations {
+		rep.Totals = rep.Totals.Add(it.Counters)
 	}
-	rep.totals = totals
-	rep.Totals = countersJSON(totals)
 	return rep
 }
 

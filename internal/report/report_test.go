@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -83,10 +84,10 @@ func TestIterationDeltasSumToTotals(t *testing.T) {
 		t.Fatalf("%d iterations recorded", len(rep.Iterations))
 	}
 	want := a.Add(b)
-	if got := rep.TotalCounters(); got != want {
+	if got := rep.Totals; got != want {
 		t.Errorf("totals = %+v, want %+v", got, want)
 	}
-	if rep.Totals.Traffic.MatrixBytes != 150 || rep.Totals.Traffic.TotalBytes != 180 {
+	if rep.Totals.Traffic.MatrixBytes != 150 || rep.Totals.Traffic.Total() != 180 {
 		t.Errorf("marshalled totals = %+v", rep.Totals.Traffic)
 	}
 	if rep.Iterations[1].Counters.TransitionBytesSaved != 40 {
@@ -104,8 +105,32 @@ func TestCountersSubAddRoundTrip(t *testing.T) {
 		MergeInjected: 17, MergeEmitted: 18,
 	}
 	b := Counters{Traffic: mem.Traffic{MatrixBytes: 2}, Products: 1, MergeEmitted: 9}
-	if got := a.Add(b).Sub(b); got != a {
-		t.Errorf("Add/Sub round trip: %+v != %+v", got, a)
+	// every holds a distinct nonzero value in every counter, so a field
+	// that Add or Sub leaves out cannot round-trip.
+	var every Counters
+	next := uint64(100)
+	fillDistinct(t, reflect.ValueOf(&every).Elem(), &next)
+	for _, c := range []struct{ a, b Counters }{{a, b}, {every, b}, {a, every}} {
+		if got := c.a.Add(c.b).Sub(c.b); got != c.a {
+			t.Errorf("Add/Sub round trip: %+v != %+v", got, c.a)
+		}
+	}
+}
+
+// fillDistinct sets every uint64 field of the struct v, nested structs
+// included, to the next value of *next; a field of any other kind fails
+// the test, since it would stay zero.
+func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), next)
+		}
+	case reflect.Uint64:
+		v.SetUint(*next)
+		*next++
+	default:
+		t.Fatalf("cannot fill a %s counter", v.Type())
 	}
 }
 
@@ -206,7 +231,7 @@ func TestConcurrentRecorder(t *testing.T) {
 	}
 	wg.Wait()
 	rep := r.Build(Meta{})
-	if got := rep.TotalCounters().Products; got != goroutines*perG {
+	if got := rep.Totals.Products; got != goroutines*perG {
 		t.Errorf("products total %d, want %d", got, goroutines*perG)
 	}
 	if got := len(r.Timeline().Spans()); got != goroutines*perG {

@@ -122,7 +122,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	if _, err := ref.SpMVBlock(a, xs, nil); err != nil {
 		t.Fatal(err)
 	}
-	ledger, _, served := p.Ledger()
+	ledger, served := p.Ledger()
 	if served != k {
 		t.Errorf("served = %d, want %d", served, k)
 	}
@@ -235,7 +235,7 @@ func TestBatchDeadlineMidWindow(t *testing.T) {
 	if st.Flushes != 1 || st.Requests != live {
 		t.Errorf("flushes=%d requests=%d, want one flush of %d live requests", st.Flushes, st.Requests, live)
 	}
-	_, _, served := p.Ledger()
+	_, served := p.Ledger()
 	if served != live {
 		t.Errorf("ledger served=%d, want %d (the expired request must not count)", served, live)
 	}
@@ -460,7 +460,7 @@ func TestServeSoakBatched(t *testing.T) {
 		}
 	}
 
-	ledger, _, served := p.Ledger()
+	ledger, served := p.Ledger()
 	if served != clients*rounds {
 		t.Fatalf("served = %d, want %d", served, clients*rounds)
 	}

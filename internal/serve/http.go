@@ -454,7 +454,7 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 func (s *Server) AggregatedLedger() report.Counters {
 	var c report.Counters
 	for _, name := range s.names {
-		pc, _, _ := s.pools[name].Ledger()
+		pc, _ := s.pools[name].Ledger()
 		c = c.Add(pc)
 	}
 	return c
@@ -462,9 +462,16 @@ func (s *Server) AggregatedLedger() report.Counters {
 
 // handleMetrics renders the aggregated pool ledger in the Prometheus
 // text exposition the run reports use, followed by the serving layer's
-// own request/rejection gauges.
+// own request/rejection gauges. It takes each pool's Ledger once, so
+// every series of one pool in one scrape comes from the same instant.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c := s.AggregatedLedger()
+	ledgers := make([]report.Counters, len(s.names))
+	requests := make([]uint64, len(s.names))
+	var c report.Counters
+	for i, name := range s.names {
+		ledgers[i], requests[i] = s.pools[name].Ledger()
+		c = c.Add(ledgers[i])
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rep := report.NewReport(report.Meta{Workload: "spmvd"}, c)
 	if err := rep.WritePrometheus(w); err != nil {
@@ -474,9 +481,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	served, rq, rd, rc := s.served, s.rejQueue, s.rejDeadline, s.rejCapacity
 	s.mu.Unlock()
 	fmt.Fprintf(w, "# HELP mwmerge_serve_requests_total Completed compute requests by pool.\n# TYPE mwmerge_serve_requests_total counter\n")
-	for _, name := range s.names {
-		_, _, n := s.pools[name].Ledger()
-		fmt.Fprintf(w, "mwmerge_serve_requests_total{pool=%q} %d\n", name, n)
+	for i, name := range s.names {
+		fmt.Fprintf(w, "mwmerge_serve_requests_total{pool=%q} %d\n", name, requests[i])
 	}
 	fmt.Fprintf(w, "# HELP mwmerge_serve_served_total Requests answered 200.\n# TYPE mwmerge_serve_served_total counter\nmwmerge_serve_served_total %d\n", served)
 	fmt.Fprintf(w, "# HELP mwmerge_serve_rejected_total Admission rejections by reason.\n# TYPE mwmerge_serve_rejected_total counter\n")
@@ -492,14 +498,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// the sparse drain's regime); a high stripe imbalance says step 1 is
 	// straggler-bound on a skewed partition.
 	fmt.Fprintf(w, "# HELP mwmerge_serve_pool_injected_ratio Fraction of store-queue output injected as missing keys.\n# TYPE mwmerge_serve_pool_injected_ratio gauge\n")
-	for _, name := range s.names {
-		_, st, _ := s.pools[name].Ledger()
-		fmt.Fprintf(w, "mwmerge_serve_pool_injected_ratio{pool=%q} %g\n", name, st.InjectedRatio())
+	for i, name := range s.names {
+		fmt.Fprintf(w, "mwmerge_serve_pool_injected_ratio{pool=%q} %g\n", name, ledgers[i].InjectedRatio())
 	}
 	fmt.Fprintf(w, "# HELP mwmerge_serve_pool_stripe_imbalance Mean heaviest-stripe / mean-stripe nonzero ratio per step-1 run.\n# TYPE mwmerge_serve_pool_stripe_imbalance gauge\n")
-	for _, name := range s.names {
-		_, st, _ := s.pools[name].Ledger()
-		fmt.Fprintf(w, "mwmerge_serve_pool_stripe_imbalance{pool=%q} %g\n", name, st.StripeImbalance())
+	for i, name := range s.names {
+		fmt.Fprintf(w, "mwmerge_serve_pool_stripe_imbalance{pool=%q} %g\n", name, ledgers[i].StripeImbalance())
 	}
 	s.writeBatchMetrics(w)
 }
@@ -508,39 +512,42 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // pool: flush and batched-request totals plus the requests-per-flush
 // occupancy histogram, which is how the matrix amortization — one A
 // stream serving many requests — stays observable in production, not
-// just in benches. Pools without batching emit nothing.
+// just in benches. It takes each pool's BatchStats once, so a pool's
+// flush total equals its histogram count in every scrape. Pools without
+// batching emit nothing.
 func (s *Server) writeBatchMetrics(w io.Writer) {
-	var batching []string
+	type batchPool struct {
+		name string
+		bs   BatchStats
+	}
+	var batching []batchPool
 	for _, name := range s.names {
-		if s.pools[name].Batching() {
-			batching = append(batching, name)
+		if bs, ok := s.pools[name].BatchStats(); ok {
+			batching = append(batching, batchPool{name, bs})
 		}
 	}
 	if len(batching) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "# HELP mwmerge_serve_batch_flushes_total Coalesced SpMVBlock flushes by pool.\n# TYPE mwmerge_serve_batch_flushes_total counter\n")
-	for _, name := range batching {
-		bs, _ := s.pools[name].BatchStats()
-		fmt.Fprintf(w, "mwmerge_serve_batch_flushes_total{pool=%q} %d\n", name, bs.Flushes)
+	for _, p := range batching {
+		fmt.Fprintf(w, "mwmerge_serve_batch_flushes_total{pool=%q} %d\n", p.name, p.bs.Flushes)
 	}
 	fmt.Fprintf(w, "# HELP mwmerge_serve_batched_requests_total Requests served through coalesced flushes by pool.\n# TYPE mwmerge_serve_batched_requests_total counter\n")
-	for _, name := range batching {
-		bs, _ := s.pools[name].BatchStats()
-		fmt.Fprintf(w, "mwmerge_serve_batched_requests_total{pool=%q} %d\n", name, bs.Requests)
+	for _, p := range batching {
+		fmt.Fprintf(w, "mwmerge_serve_batched_requests_total{pool=%q} %d\n", p.name, p.bs.Requests)
 	}
 	fmt.Fprintf(w, "# HELP mwmerge_serve_batch_occupancy Requests coalesced per flush.\n# TYPE mwmerge_serve_batch_occupancy histogram\n")
-	for _, name := range batching {
-		bs, _ := s.pools[name].BatchStats()
+	for _, p := range batching {
 		cum := uint64(0)
 		for i, ub := range occupancyBuckets {
-			cum += bs.Occupancy[i]
-			fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_bucket{pool=%q,le=\"%d\"} %d\n", name, ub, cum)
+			cum += p.bs.Occupancy[i]
+			fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_bucket{pool=%q,le=\"%d\"} %d\n", p.name, ub, cum)
 		}
-		cum += bs.Occupancy[len(occupancyBuckets)]
-		fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_bucket{pool=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_sum{pool=%q} %d\n", name, bs.Requests)
-		fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_count{pool=%q} %d\n", name, bs.Flushes)
+		cum += p.bs.Occupancy[len(occupancyBuckets)]
+		fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_bucket{pool=%q,le=\"+Inf\"} %d\n", p.name, cum)
+		fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_sum{pool=%q} %d\n", p.name, p.bs.Requests)
+		fmt.Fprintf(w, "mwmerge_serve_batch_occupancy_count{pool=%q} %d\n", p.name, p.bs.Flushes)
 	}
 }
 
@@ -563,7 +570,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{Status: "ok"}
 	for _, name := range s.names {
 		p := s.pools[name]
-		_, _, n := p.Ledger()
+		_, n := p.Ledger()
 		resp.Pools = append(resp.Pools, healthPool{
 			Matrix:   name,
 			Rows:     p.a.Rows,

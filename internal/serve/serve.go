@@ -5,7 +5,7 @@
 // engine: each core.Engine's scratch state is confined to the goroutine
 // driving its public methods, so a request checks an engine out, runs on
 // it exclusively, and returns it. Engines publish their cumulative
-// ledger/statistics on every return, and the pool's aggregated ledger —
+// account on every return, and the pool's aggregated ledger —
 // the sum of those published snapshots — is rendered live on /metrics
 // through the same Prometheus exposition the run reports use.
 package serve
@@ -68,43 +68,37 @@ type PoolConfig struct {
 	BatchWindow time.Duration
 }
 
-// member is one pool engine plus its last published accounting snapshot.
-// The engine itself is only ever touched by the goroutine that checked
-// it out; the snapshot is the cross-goroutine view. published is named
-// only in publish and last, both of which hold mu, so aggregation never
-// races with an in-flight request (go test -race ./internal/serve is
-// the detector: TestServeSoak scrapes Ledger() concurrently).
+// member is one pool engine plus its last published account. The engine
+// itself is only ever touched by the goroutine that checked it out; the
+// published account is the cross-goroutine view. It is named only in
+// publish and last, both of which hold mu, so aggregation never races
+// with an in-flight request (go test -race ./internal/serve is the
+// detector: TestServeSoak scrapes Ledger() concurrently).
 type member struct {
 	eng *core.Engine
 
 	mu        sync.Mutex
-	published snapshot
+	published report.Counters
+	requests  uint64
 }
 
-// snapshot is the published accounting state of one member: cumulative
-// counters and statistics over its completed requests.
-type snapshot struct {
-	counters report.Counters
-	stats    core.RunStats
-	requests uint64
-}
-
-// publish refreshes the member's snapshot from its engine, crediting n
+// publish refreshes the member's account from its engine, crediting n
 // completed requests. Called by the goroutine holding the engine,
 // immediately before returning it.
 func (m *member) publish(n uint64) {
 	c := m.eng.Counters()
-	st := m.eng.Stats()
 	m.mu.Lock()
-	m.published = snapshot{counters: c, stats: st, requests: m.published.requests + n}
+	m.published = c
+	m.requests += n
 	m.mu.Unlock()
 }
 
-// last returns the member's most recently published snapshot.
-func (m *member) last() snapshot {
+// last returns the member's most recently published account and its
+// completed-request count.
+func (m *member) last() (report.Counters, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.published
+	return m.published, m.requests
 }
 
 // Pool is a warmed, fixed-size set of engines serving one matrix.
@@ -248,20 +242,18 @@ func (p *Pool) CheckCapacity(overlap bool) error {
 	return p.cfg.CheckIterativeCapacity(p.a.Rows, overlap)
 }
 
-// Ledger returns the aggregated pool ledger — the component-wise sum of
-// every member's last published counters and statistics — plus the
-// number of completed requests. In-flight requests are invisible until
-// their engine returns, so the aggregate is always a consistent sum of
-// whole requests.
-func (p *Pool) Ledger() (report.Counters, core.RunStats, uint64) {
+// Ledger returns the aggregated pool account — the component-wise sum
+// of every member's last published counters — plus the number of
+// completed requests. In-flight requests are invisible until their
+// engine returns, so the aggregate is always a consistent sum of whole
+// requests.
+func (p *Pool) Ledger() (report.Counters, uint64) {
 	var c report.Counters
-	var st core.RunStats
 	var n uint64
 	for _, m := range p.members {
-		snap := m.last()
-		c = c.Add(snap.counters)
-		st = st.Add(snap.stats)
-		n += snap.requests
+		mc, mn := m.last()
+		c = c.Add(mc)
+		n += mn
 	}
-	return c, st, n
+	return c, n
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,7 +170,9 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 
 	// A concurrent scraper: /metrics (every member's snapshot plus the
 	// flush counters) must stay consistent and race-free while requests
-	// are in flight.
+	// are in flight. Each scrape takes the batcher's counters once, so
+	// within one exposition the flush and request totals equal the
+	// occupancy histogram's count and sum.
 	scrapeStop := make(chan struct{})
 	scrapeExit := make(chan struct{})
 	go func() {
@@ -185,8 +188,16 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 				errs <- fmt.Errorf("scrape: %v", err)
 				return
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
+			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if err != nil {
+				errs <- fmt.Errorf("scrape: %v", err)
+				return
+			}
+			if err := batchSeriesAgree(string(body), "g"); err != nil {
+				errs <- fmt.Errorf("scrape: %v", err)
+				return
+			}
 		}
 	}()
 
@@ -204,7 +215,7 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 	if len(p.idle) != size {
 		t.Fatalf("%d of %d members back in the pool", len(p.idle), size)
 	}
-	got, _, served := p.Ledger()
+	got, served := p.Ledger()
 	if served != uint64(len(ops)) {
 		t.Fatalf("ledger counted %d requests, want %d", served, len(ops))
 	}
@@ -222,6 +233,32 @@ func soakOnce(t *testing.T, workers, mergeWorkers int) {
 	if got != wantLedger {
 		t.Fatalf("aggregated ledger diverged from sequential reference:\ngot  %+v\nwant %+v", got, wantLedger)
 	}
+}
+
+// batchSeriesAgree checks one /metrics exposition for the batcher's
+// internal consistency on pool: flushes_total equals the occupancy
+// histogram's count, and batched_requests_total its sum.
+func batchSeriesAgree(exposition, pool string) error {
+	values := map[string]string{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if name, v, ok := strings.Cut(line, "{pool=\""+pool+"\"} "); ok {
+			values[name] = v
+		}
+	}
+	for _, pair := range [][2]string{
+		{"mwmerge_serve_batch_flushes_total", "mwmerge_serve_batch_occupancy_count"},
+		{"mwmerge_serve_batched_requests_total", "mwmerge_serve_batch_occupancy_sum"},
+	} {
+		a, okA := values[pair[0]]
+		b, okB := values[pair[1]]
+		if !okA || !okB {
+			return fmt.Errorf("exposition lacks %s or %s for pool %q", pair[0], pair[1], pool)
+		}
+		if a != b {
+			return fmt.Errorf("one exposition reads %s %s but %s %s", pair[0], a, pair[1], b)
+		}
+	}
+	return nil
 }
 
 // soakFrontier deterministically builds an 8-nonzero frontier whose keys

@@ -163,7 +163,7 @@ func TestFacadeRunRecorder(t *testing.T) {
 	}
 
 	rep := rec.Build(ReportMeta{Workload: "facade-test", Rows: a.Rows, Cols: a.Cols})
-	if got := rep.TotalCounters().Traffic; got != eng.Traffic() {
+	if got := rep.Totals.Traffic; got != eng.Traffic() {
 		t.Errorf("report traffic %+v != ledger %+v", got, eng.Traffic())
 	}
 	var buf bytes.Buffer
