@@ -4,7 +4,8 @@ GO ?= go
 
 .PHONY: all build vet fmt test test-1cpu race bench-selftest bench-smoke cover bench experiments golden report serve-smoke examples fuzz clean
 
-all: build vet fmt test test-1cpu race bench-selftest golden examples
+# Every CI verify step that writes nothing into out/.
+all: build vet fmt test test-1cpu race bench-selftest bench-smoke golden examples
 
 build:
 	$(GO) build ./...
@@ -24,7 +25,7 @@ test:
 
 # The engine's worker counts default to GOMAXPROCS, and CI runners have
 # at least two cores: run the engine, serving and CLI tests on one, so
-# the one-worker default (and ITS with one step-1 worker beside step 2)
+# the one-worker default of step 1, step 2 and PageRank's vector sums
 # stays tested. -count=1: the test cache does not key on GOMAXPROCS, so
 # a cached multi-core result would stand in for the one-core run.
 test-1cpu:
@@ -104,8 +105,9 @@ examples:
 # three matrix file readers spmvd loads from outside the program, the
 # PRaP routing and drains, the Merge Path kernel, the engine's step 2
 # against the PRaP network it replaces on the host, the plan built from
-# several ranges of the entries against the one-range build, and the ITS
-# schedule of Iterate and PageRank against the sequential one.
+# several ranges of the entries against the one-range build, and Iterate
+# and PageRank with overlap against the sequential run (the same bits,
+# the books less the transitions ITS keeps on chip).
 fuzz:
 	for pkg in $$($(GO) list ./...); do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \

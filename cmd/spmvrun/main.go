@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vldiBits   = fs.Int("vldi", 0, "VLDI block bits (0 = no compression)")
 		hdnThresh  = fs.Uint64("hdn", 0, "HDN degree threshold (0 = disabled)")
 		iters      = fs.Int("iters", 1, "SpMV iterations")
-		overlap    = fs.Bool("overlap", false, "iteration-overlapped Two-Step (ITS): pipeline each step 2 with the next iteration's step 1 over a bounded segment handoff (halved capacity, bit-identical result)")
+		overlap    = fs.Bool("overlap", false, "iteration-overlapped Two-Step (ITS): halve the capacity and book each transition as kept on chip (transition bytes saved) instead of as traffic; bit-identical result")
 		damping    = fs.Float64("damping", 0, "PageRank damping applied after each iteration (0 = plain)")
 		reportPath = fs.String("report", "", `write the JSON run report to FILE ("-" = stdout)`)
 		tracePath  = fs.String("trace", "", `write the span-lane Gantt chart to FILE ("-" = stdout)`)

@@ -1,8 +1,10 @@
 // PageRank on a power-law graph: the iterative-SpMV workload of the
 // paper's §5.2-§5.3. Demonstrates Iteration-overlapped Two-Step (ITS),
-// which removes the y→x DRAM round trip between iterations, the
-// Bloom-filter High-Degree-Node pipeline for the graph's hubs, and the
-// observability run report (DESIGN.md §8) capturing the whole run.
+// booked as on the chip: the y→x DRAM round trip between iterations
+// leaves the traffic ledger and the capacity halves, while the ranks are
+// those of the sequential run. Also shows the Bloom-filter
+// High-Degree-Node pipeline for the graph's hubs, and the observability
+// run report (DESIGN.md §8) capturing the whole run.
 package main
 
 import (
@@ -64,8 +66,9 @@ func main() {
 		fmt.Printf("  node %6d  rank %.6f\n", nr.node, nr.rank)
 	}
 
-	// The run report: per-iteration traffic and the ITS overlap windows,
-	// written as a JSON document plus an ASCII Gantt of the span lanes.
+	// The run report: per-iteration traffic, with every transition
+	// booked as saved, written as a JSON document plus an ASCII Gantt of
+	// the span lanes.
 	rep := rec.Build(mwmerge.ReportMeta{
 		Workload: "examples/pagerank",
 		Rows:     a.Rows, Cols: a.Cols, NNZ: uint64(a.NNZ()),

@@ -11,26 +11,25 @@ import (
 	"testing"
 
 	"mwmerge/internal/graph"
-	"mwmerge/internal/prap"
 	"mwmerge/internal/vector"
 )
 
 // steadyAllocBudget is the documented allocation ceiling for one warmed
 // matrix-vector product at Workers=1/MergeWorkers=1 (DESIGN.md §9). The
-// measured steady state is ~7–9 allocs per product — the returned
-// result vector's bookkeeping, the per-call Stats slices, the fan-out
-// closures, and (with overlap) the pipeline goroutine — against ~1800
-// before the arenas landed. The ceiling leaves headroom for
-// runtime/version noise while still failing loudly if a per-record,
-// per-batch or per-stripe allocation ever creeps back in.
+// measured steady state is a few allocs per product — the returned
+// result vector and the fan-out closures — against ~1800 before the
+// arenas landed. The ceiling leaves headroom for runtime/version noise
+// while still failing loudly if a per-record, per-batch or per-stripe
+// allocation ever creeps back in.
 const steadyAllocBudget = 16
 
 // TestIterateSteadyStateAllocs is the allocation-freedom guard for the
-// whole steady state: it warms one engine per merge kernel, then holds
-// every dense entry point — SpMV, SpMVBlock, Iterate on both schedules,
-// PageRank — to the budget per matrix-vector product. Nothing else
-// polices the hot path's allocations, so an entry point added to the
-// engine gets a row here.
+// whole steady state: it warms one engine, then holds every dense entry
+// point — SpMV, SpMVBlock, Iterate with and without overlap, PageRank —
+// to the budget per matrix-vector product, and Iterate with overlap to
+// exactly the allocations of Iterate without: overlap only moves the
+// books. Nothing else polices the hot path's allocations, so an entry
+// point added to the engine gets a row here.
 func TestIterateSteadyStateAllocs(t *testing.T) {
 	const n, iters, k = 2048, 4, 4
 	a, err := graph.ErdosRenyi(n, 4, 7)
@@ -74,50 +73,50 @@ func TestIterateSteadyStateAllocs(t *testing.T) {
 			return its, err
 		}, maxBytes: uint64(a.NNZ()) * 8},
 	}
-	for _, kernel := range []prap.MergeKernel{prap.KernelLoserTree, prap.KernelMergePath} {
-		cfg := testConfig()
-		cfg.Workers = 1
-		cfg.Merge.MergeWorkers = 1
-		cfg.Merge.Kernel = kernel
-		e, err := New(cfg)
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.Merge.MergeWorkers = 1
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCallOf := map[string]float64{}
+	for _, en := range entries {
+		// Warm-up: grow every arena to its steady-state capacity.
+		products, err := en.call(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, en := range entries {
-			// Warm-up: grow every arena to its steady-state capacity.
-			products, err := en.call(e)
-			if err != nil {
+		perCall := testing.AllocsPerRun(10, func() {
+			if _, err := en.call(e); err != nil {
 				t.Fatal(err)
 			}
-			perCall := testing.AllocsPerRun(10, func() {
-				if _, err := en.call(e); err != nil {
-					t.Fatal(err)
-				}
-			})
-			perProduct := perCall / float64(products)
-			t.Logf("%s/%s: %.1f allocs/call, %.2f allocs/product", kernel, en.name, perCall, perProduct)
-			if perProduct > steadyAllocBudget {
-				t.Errorf("%s/%s: %.2f allocs per product exceeds budget %d",
-					kernel, en.name, perProduct, steadyAllocBudget)
-			}
-			if en.maxBytes == 0 {
-				continue
-			}
-			const runs = 10
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				if _, err := en.call(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			perCallBytes := (after.TotalAlloc - before.TotalAlloc) / runs
-			t.Logf("%s/%s: %d bytes/call (ceiling %d)", kernel, en.name, perCallBytes, en.maxBytes)
-			if perCallBytes >= en.maxBytes {
-				t.Errorf("%s/%s: %d bytes per warmed call, want under %d",
-					kernel, en.name, perCallBytes, en.maxBytes)
+		})
+		perCallOf[en.name] = perCall
+		perProduct := perCall / float64(products)
+		t.Logf("%s: %.1f allocs/call, %.2f allocs/product", en.name, perCall, perProduct)
+		if perProduct > steadyAllocBudget {
+			t.Errorf("%s: %.2f allocs per product exceeds budget %d", en.name, perProduct, steadyAllocBudget)
+		}
+		if en.maxBytes == 0 {
+			continue
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := en.call(e); err != nil {
+				t.Fatal(err)
 			}
 		}
+		runtime.ReadMemStats(&after)
+		perCallBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes/call (ceiling %d)", en.name, perCallBytes, en.maxBytes)
+		if perCallBytes >= en.maxBytes {
+			t.Errorf("%s: %d bytes per warmed call, want under %d", en.name, perCallBytes, en.maxBytes)
+		}
+	}
+	if ovl, seq := perCallOf["IterateOverlap"], perCallOf["Iterate"]; ovl != seq {
+		t.Errorf("IterateOverlap: %.1f allocs/call, Iterate %.1f: overlap must add no work", ovl, seq)
 	}
 }

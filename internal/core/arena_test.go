@@ -15,8 +15,8 @@ import (
 // traffic ledger and the statistics bit-for-bit against fresh
 // single-shot engines. Results returned earlier in the sequence are
 // re-verified at the end, proving arena recycling never aliases a live
-// result. Run under -race this also exercises the pipelined handoff
-// recycling (gate, channel, banks) across iterations.
+// result. Run under -race this also exercises the step-1 bank and the
+// step-2 scratch recycled across iterations.
 func TestArenaReuseHammer(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, mergeWorkers := range []int{1, 4} {

@@ -66,7 +66,7 @@ type Config struct {
 	Workers int
 	// Recorder, when non-nil, collects the observability run report:
 	// wall-clock spans for step-1 stripe workers, the step-2 key-range
-	// workers, and ITS overlap windows, plus per-iteration
+	// workers and each iteration, plus per-iteration
 	// ledger-counter snapshots (see internal/report and DESIGN.md §8).
 	// Recording never changes results or the ledger; nil (the default)
 	// disables every instrumentation hook.

@@ -26,15 +26,11 @@ type Engine struct {
 	lastSnap report.Counters
 
 	// Steady-state memory reuse (scratch.go): the cached matrix plan
-	// (plan.go), the two rotating step-1 banks, the dense free list, and
-	// the recycled pipeline handoff primitives. All are confined to the
-	// goroutine driving the engine's public methods.
+	// (plan.go), the step-1 bank and the dense free list. All are
+	// confined to the goroutine driving the engine's public methods.
 	plan      *enginePlan
-	banks     [2]stripeBank
-	bankIdx   int
+	bank      stripeBank
 	denseFree []vector.Dense
-	gate      *segmentGate
-	nextCh    chan step1Result
 	frontier  frontierScratch
 	step2     step2Scratch
 
@@ -176,10 +172,9 @@ func (e *Engine) runPlan(p *enginePlan, rows uint64, xs, yIns, ys []vector.Dense
 		prev = e.Counters()
 	}
 	e.chargeDetector(p)
-	bank := e.nextBank()
-	e.step1Compute(p, xs, nil, bank)
+	e.step1Compute(p, xs)
 	for c := range xs {
-		e.runStep2Into(e.commit(p, bank, c), &p.cover, rows, blockYIn(yIns, c), ys[c], blockFinish{})
+		e.runStep2Into(e.commit(p, c), &p.cover, rows, blockYIn(yIns, c), ys[c], nil)
 		if deltas != nil {
 			cur := e.Counters()
 			deltas[c] = cur.Sub(prev)
@@ -210,32 +205,23 @@ func (e *Engine) chargeDetector(p *enginePlan) {
 	})
 }
 
-// step1Compute executes the per-stripe partial SpMV across Workers
-// goroutines (workerCount) without touching persistent engine state
-// (recorder spans aside), which is what lets the ITS pipeline run it
-// concurrently with the previous iteration's step 2. A worker holding
-// stripe s runs it against all k source vectors before moving on — the
-// stripe stays resident while every column consumes it, which is exactly
-// why only column 0 books the matrix stream (commit). Column c's records
-// for stripe s land in their own span of the bank's arena and its list
-// header in slot c·n + s, so parallel runs stay race-free and
-// deterministic. With a non-nil gate, stripe s first waits until
-// segment s of x has been published and releases its handoff slot when
-// done.
+// step1Compute executes the per-stripe partial SpMV into the engine's
+// bank across Workers goroutines (workerCount), booking nothing: commit
+// books the run. A worker holding stripe s runs it against all k source
+// vectors before moving on — the stripe stays resident while every
+// column consumes it, which is exactly why only column 0 books the
+// matrix stream (commit). Column c's records for stripe s land in their
+// own span of the bank's arena and its list header in slot c·n + s, so
+// parallel runs stay race-free and deterministic.
 //
 // The workers are one fork-join (fanOut) over an atomic claim counter:
 // worker w takes claim w first, so every worker runs at least one
 // stripe, then claims the next unclaimed index until none is left.
-// Without a gate every stripe is ready at once and claim i is the plan's
-// i-th heaviest stripe (LPT order), which cuts the straggler tail on
-// skewed partitions. Under a gate claim i is stripe i: claims ascend,
-// and that is load-bearing. Every stripe below the next claim is held or
-// done, so whenever the producer is blocked on the handoff bound, the
-// lowest published-but-unconsumed stripe is already held by some worker
-// (or is the next claim of a worker between stripes), and the pipeline
-// always advances.
-func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense, gate *segmentGate, bank *stripeBank) {
+// Claim i is the plan's i-th heaviest stripe (LPT order), which cuts the
+// straggler tail on skewed partitions.
+func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense) {
 	n := len(p.stripes)
+	bank := &e.bank
 	bank.sized(n*len(xs), p.runs*len(xs))
 	var s1 report.Span
 	if e.rec != nil {
@@ -245,16 +231,7 @@ func (e *Engine) step1Compute(p *enginePlan, xs []vector.Dense, gate *segmentGat
 	bank.claims.Store(int64(workers))
 	fanOut(workers, func(w int) {
 		for i := w; i < n; i = int(bank.claims.Add(1) - 1) {
-			s := i
-			if gate == nil {
-				s = p.lpt[i]
-			} else {
-				gate.wait(s)
-			}
-			e.step1Stripe(p, xs, bank, w, s)
-			if gate != nil {
-				gate.consume()
-			}
+			e.step1Stripe(p, xs, bank, w, p.lpt[i])
 		}
 	})
 	if e.rec != nil {
@@ -281,21 +258,19 @@ func (e *Engine) step1Stripe(p *enginePlan, xs []vector.Dense, bank *stripeBank,
 // commit books column c's step 1 — the plan's precomputed books, with
 // the matrix share on column 0 only — and returns the column's sorted
 // intermediate lists (headers and records owned by the bank, live until
-// the consuming step 2 finishes, which the two-bank rotation
-// guarantees).
-func (e *Engine) commit(p *enginePlan, bank *stripeBank, c int) [][]types.Record {
+// the next step-1 run refills it).
+func (e *Engine) commit(p *enginePlan, c int) [][]types.Record {
 	e.noteStripeSkew(p)
 	e.book(&p.books, c == 0)
 	n := len(p.stripes)
-	return bank.lists[c*n : (c+1)*n]
+	return e.bank.lists[c*n : (c+1)*n]
 }
 
 // noteStripeSkew books one step-1 run's load-skew counters alongside
 // its stripe count: the total and per-run-maximum stripe nonzeros
 // behind Counters.StripeImbalance. Every entry point books them, once
 // per column. The charge depends only on the stripe partition, never on
-// dispatch order, so LPT scheduling and the gated ascending schedule
-// book identical statistics.
+// dispatch order.
 func (e *Engine) noteStripeSkew(p *enginePlan) {
 	e.acct.Charge(report.Counters{
 		Stripes:      uint64(len(p.stripes)),

@@ -8,7 +8,6 @@ import (
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/prap"
 	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
@@ -67,29 +66,22 @@ func exactX(n uint64, seed int64) vector.Dense {
 // entryPointConfigs spans the configurations no output may depend on
 // (blockTestConfigs, with two step-1 workers so that four stripes leave
 // LPT dispatch an order to choose). Every row but vldi and hdn must
-// also leave the books where plain has them; the kernel and drain rows
-// each carry a different Workers x MergeWorkers x other-knob
-// combination, so the knobs are also checked against each other and not
-// only one at a time. Merge Path is the default kernel, so drainDense is
-// the row that runs the loser tree. plain leaves both worker counts at
-// 0, GOMAXPROCS, so sequential is the row that runs both steps on one
-// goroutine whatever the host.
+// also leave the books where plain has them. The wNmwM rows each carry
+// a different Workers x MergeWorkers mix (N step-1 and M step-2
+// workers, 0 for GOMAXPROCS), so the two counts are also checked
+// against each other and not only one at a time. plain leaves both
+// worker counts at 0, GOMAXPROCS, so sequential is the row that runs
+// both steps on one goroutine whatever the host.
 func entryPointConfigs(t *testing.T) map[string]Config {
 	cfgs := blockTestConfigs(t)
 	w, m := cfgs["workers"], cfgs["mergeWorkers"]
 	w.Workers, m.Merge.MergeWorkers = 2, 2
 	cfgs["workers"], cfgs["mergeWorkers"] = w, m
-	seq := testConfig()
-	seq.Workers, seq.Merge.MergeWorkers = 1, 1
-	cfgs["sequential"] = seq
-
-	mp := testConfig()
-	mp.Merge.Kernel, mp.Workers, mp.Merge.MergeWorkers = prap.KernelMergePath, 2, 3
-	dd := testConfig()
-	dd.Merge.Drain, dd.Merge.Kernel, dd.Merge.MergeWorkers = prap.DrainDense, prap.KernelLoserTree, 2
-	ds := testConfig()
-	ds.Merge.Drain, ds.Workers, ds.Merge.MergeWorkers = prap.DrainSparse, 2, 1
-	cfgs["mergepath"], cfgs["drainDense"], cfgs["drainSparse"] = mp, dd, ds
+	for name, mix := range map[string][2]int{"sequential": {1, 1}, "w2mw3": {2, 3}, "w0mw2": {0, 2}, "w2mw1": {2, 1}} {
+		c := testConfig()
+		c.Workers, c.Merge.MergeWorkers = mix[0], mix[1]
+		cfgs[name] = c
+	}
 	return cfgs
 }
 
@@ -124,7 +116,7 @@ func TestEntryPointEquivalence(t *testing.T) {
 		for name, cfg := range entryPointConfigs(t) {
 			t.Run(m.name+"/"+name, func(t *testing.T) { books[name] = checkEntryPoints(t, m.a, cfg) })
 		}
-		for _, knob := range []string{"sequential", "workers", "mergeWorkers", "mergepath", "drainDense", "drainSparse"} {
+		for _, knob := range []string{"sequential", "workers", "mergeWorkers", "w2mw3", "w0mw2", "w2mw1"} {
 			if !reflect.DeepEqual(books[knob], books["plain"]) {
 				t.Errorf("%s: %s moved the books of some entry point:\n got  %+v\n want %+v", m.name, knob, books[knob], books["plain"])
 			}

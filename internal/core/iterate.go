@@ -17,13 +17,13 @@ import (
 type IterateOptions struct {
 	// Iterations is the number of SpMV applications.
 	Iterations int
-	// Overlap enables Iteration-overlapped Two-Step (ITS): step 2 of
-	// iteration i runs concurrently with step 1 of iteration i+1
-	// through a bounded segment handoff (see pipeline.go), the
-	// y_i = x_{i+1} DRAM round trip between iterations disappears, and
-	// the engine needs two source-vector segment buffers, halving the
-	// maximum dimension. The result is bit-identical to the sequential
-	// schedule.
+	// Overlap books the run as Iteration-overlapped Two-Step (ITS),
+	// where step 2 of iteration i runs on the chip alongside step 1 of
+	// iteration i+1: the engine needs two source-vector segment buffers,
+	// halving the maximum dimension, and the y_i = x_{i+1} DRAM round
+	// trip between iterations is booked as TransitionBytesSaved instead
+	// of as traffic. The host runs one schedule either way, so the
+	// result is bit-identical; internal/sim models the overlap's cycles.
 	Overlap bool
 	// Damping, when non-zero, applies the PageRank update
 	// x' = Damping·A·x + (1-Damping)/N after each multiplication. A NaN
@@ -43,8 +43,8 @@ type IterateResult struct {
 // the freshly produced y must be streamed back in as the next source
 // vector. runStep2Into already charged the y stream-out of every SpMV call,
 // so only the x re-read is charged here — charging both would count the
-// y-out bytes twice per transition. With ITS overlap the segment stays
-// on chip in the second buffer and the bytes are recorded as saved
+// y-out bytes twice per transition. With ITS overlap the segment would
+// stay on chip in the second buffer, so the bytes are recorded as saved
 // instead. Returns the bytes saved: the transition under overlap, 0
 // when it is charged.
 func (e *Engine) accountTransition(rows uint64, overlap bool) uint64 {
@@ -58,10 +58,8 @@ func (e *Engine) accountTransition(rows uint64, overlap bool) uint64 {
 }
 
 // recordIteration closes the observability record of one loop iteration:
-// an "iter" lane span covering it and a counter-delta snapshot. Under
-// the ITS pipeline an iteration's span starts when its step 1 starts —
-// inside the previous iteration's span — so consecutive spans on the
-// lane genuinely overlap. No-op without a recorder.
+// an "iter" lane span covering it and a counter-delta snapshot. No-op
+// without a recorder.
 func (e *Engine) recordIteration(it int, start uint64) {
 	if e.rec == nil {
 		return
@@ -72,11 +70,11 @@ func (e *Engine) recordIteration(it int, start uint64) {
 
 // Iterate runs iterative SpMV. With Overlap set, the engine verifies the
 // halved-capacity constraint (two segments must fit in the scratchpad)
-// and then executes the software ITS pipeline: step 2 of each iteration
-// streams its result segments to step 1 of the next, which runs
-// concurrently. Overlap and non-overlap produce bit-identical vectors —
-// the differences are wall-clock, the traffic ledger and the capacity
-// bound, exactly as in the paper's Table 2.
+// and books every transition as kept on chip (ITS). Overlap and
+// non-overlap run the same schedule and produce bit-identical vectors —
+// the differences are the traffic ledger and the capacity bound, as in
+// the paper's Table 2; the wall-clock gain is the chip's, modelled by
+// internal/sim.
 func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (IterateResult, error) {
 	if opt.Iterations < 1 {
 		return IterateResult{}, fmt.Errorf("core: iteration count must be positive")
@@ -115,8 +113,8 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 // Dangling (all-zero) columns get the standard damped-PageRank
 // correction: their rank mass is redistributed uniformly each iteration,
 // so the returned vector always sums to 1. Inter-iteration transitions
-// are accounted exactly as in Iterate, and overlap runs the ITS pipeline
-// — bit-identical to the sequential schedule. The column-normalized
+// are accounted exactly as in Iterate: overlap halves the capacity and
+// books them as saved, with bit-identical ranks. The column-normalized
 // operand is derived once from the matrix's cached plan and kept with
 // it, so repeated calls, and SpMV calls in between, never plan again.
 func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, overlap bool) (vector.Dense, int, error) {
@@ -176,9 +174,8 @@ func teleportBase(mass, damping float64, n uint64) float64 {
 }
 
 // danglingMass sums x over the set bits of the dangling bitmap in
-// ascending index order on every schedule — the summation-order anchor
-// of the schedules' bit-identity contract, since the mass reaches y
-// through teleportBase.
+// ascending index order — the summation-order anchor of PageRank's
+// bit-identity contract, since the mass reaches y through teleportBase.
 func danglingMass(x vector.Dense, dangling []uint64) float64 {
 	mass := 0.0
 	for w, word := range dangling {

@@ -3,16 +3,15 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/matrix"
-	"mwmerge/internal/report"
 	"mwmerge/internal/vector"
 )
 
-// pipelineConfig returns the small engine with enough step-1 and merge
-// parallelism that the pipelined schedule genuinely interleaves.
+// pipelineConfig returns the small engine with several step-1 and
+// step-2 workers, so that the overlapped runs are held to the
+// sequential ones across worker counts as well.
 func pipelineConfig() Config {
 	cfg := testConfig()
 	cfg.Workers = 4
@@ -20,11 +19,10 @@ func pipelineConfig() Config {
 	return cfg
 }
 
-// TestPipelinedIterateBitIdentical is the -race hammer for the ITS
-// pipeline: across seeds, workloads and damping settings, Overlap must
-// produce byte-identical vectors to the sequential schedule. Run with
-// -race this also exercises the segment-gate synchronization under real
-// goroutine interleavings.
+// TestPipelinedIterateBitIdentical holds ITS to the sequential run:
+// across seeds, workloads and damping settings, Overlap must produce
+// byte-identical vectors and book every transition as saved. Run with
+// -race it also exercises the step-1 and step-2 workers.
 func TestPipelinedIterateBitIdentical(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303, 404} {
 		a, err := graph.Zipf(3000, 5, 1.8, seed)
@@ -62,9 +60,9 @@ func TestPipelinedIterateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelinedPageRankBitIdentical hammers the PageRank flavor of the
-// pipeline — streaming teleport update plus early convergence — against
-// the sequential loop.
+// TestPipelinedPageRankBitIdentical holds PageRank with overlap — the
+// blockwise teleport update plus early convergence — to the sequential
+// run.
 func TestPipelinedPageRankBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 19, 31} {
 		a, err := graph.Zipf(2000, 6, 1.9, seed)
@@ -98,8 +96,8 @@ func TestPipelinedPageRankBitIdentical(t *testing.T) {
 
 // TestPageRankDanglingMassConserved is the sink-graph regression: a
 // chain whose last node has no outgoing edges leaks rank mass unless
-// the dangling correction redistributes it, so ‖x‖₁ must stay ≈ 1 on
-// both schedules.
+// the dangling correction redistributes it, so ‖x‖₁ must stay ≈ 1 with
+// and without overlap.
 func TestPageRankDanglingMassConserved(t *testing.T) {
 	const n = 600
 	entries := make([]matrix.Entry, 0, n-1)
@@ -135,68 +133,6 @@ func TestPageRankDanglingMassConserved(t *testing.T) {
 	if d := ranks[0].MaxAbsDiff(ranks[1]); d != 0 {
 		t.Errorf("sink-graph PageRank: pipelined diverged by %g", d)
 	}
-}
-
-// TestItsLaneMeasuresOverlap asserts the "its" lane records genuinely
-// measured overlap windows: one span per committed transition (N-1 for
-// N iterations) and a nonzero total width.
-func TestItsLaneMeasuresOverlap(t *testing.T) {
-	rec := report.NewRecorder()
-	cfg := pipelineConfig()
-	cfg.Recorder = rec
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	a, err := graph.ErdosRenyi(3000, 6, 51)
-	if err != nil {
-		t.Fatalf("ErdosRenyi: %v", err)
-	}
-	if _, err := eng.Iterate(a, randomX(a.Rows, 52), IterateOptions{Iterations: 4, Overlap: true}); err != nil {
-		t.Fatalf("Iterate: %v", err)
-	}
-	rep := rec.Build(report.Meta{})
-	found := false
-	for _, l := range rep.Lanes {
-		if l.Lane != "its" {
-			continue
-		}
-		found = true
-		if l.Spans != 3 {
-			t.Errorf("its lane has %d spans, want 3 (one per committed transition)", l.Spans)
-		}
-		if l.BusyNS == 0 {
-			t.Error("its lane measured zero overlap width")
-		}
-	}
-	if !found {
-		t.Fatal("no its lane in the report")
-	}
-}
-
-// TestSegmentGateBound verifies the producer stalls at the two-segment
-// handoff bound and resumes when the consumer frees a slot.
-func TestSegmentGateBound(t *testing.T) {
-	g := newSegmentGate(2)
-	g.publish()
-	g.publish()
-	done := make(chan struct{})
-	go func() {
-		g.publish()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("third publish did not block at the two-segment bound")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.consume()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("publish still blocked after a consume")
-	}
-	g.wait(2)
 }
 
 // stripeOrderSpMV is the reference multiply y = A·x in the engine's
@@ -274,14 +210,12 @@ func oraclePageRank(a *matrix.COO, width uint64, damping, tol float64, maxIters 
 // FuzzIterateSchedulesAgree fuzzes small hostile square matrices — 1×1,
 // empty rows and columns, explicit zeros, NaN values, dimensions off the
 // segment width, a single iteration — with the damping and the
-// tolerance, and holds both ITS entry points to the sequential schedule:
+// tolerance, and holds both ITS entry points to the sequential run:
 // Iterate and PageRank with overlap return the same bits (or the same
 // error) and iteration counts, and book the sequential ledger and
-// statistics less the transitions ITS kept on chip. Both schedules apply
-// the update inside step 2 and sum PageRank's vector passes the same
-// way, so a third arm holds the sequential schedule, on step-2 and
-// vector-sum goroutines of its own, to oracleIterate and oraclePageRank
-// by bits and iteration count. The first two bytes pick the dimension; each further
+// statistics less the transitions ITS kept on chip. A third arm holds
+// the sequential run, on step-2 and vector-sum goroutines of its own,
+// to oracleIterate and oraclePageRank by bits and iteration count. The first two bytes pick the dimension; each further
 // three bytes are one entry (row, column, value; a value byte 0x7f is
 // NaN).
 func FuzzIterateSchedulesAgree(f *testing.F) {
@@ -382,7 +316,9 @@ func FuzzIterateSchedulesAgree(f *testing.F) {
 	})
 }
 
-func benchmarkIterate(b *testing.B, overlap bool) {
+// BenchmarkIterateSequential measures damped Iterate on a power-law
+// workload.
+func BenchmarkIterateSequential(b *testing.B) {
 	a, err := graph.Zipf(4000, 8, 1.9, 7)
 	if err != nil {
 		b.Fatalf("Zipf: %v", err)
@@ -395,7 +331,7 @@ func benchmarkIterate(b *testing.B, overlap bool) {
 		b.Fatalf("New: %v", err)
 	}
 	x0 := randomX(a.Rows, 8)
-	opt := IterateOptions{Iterations: 8, Overlap: overlap, Damping: 0.85}
+	opt := IterateOptions{Iterations: 8, Damping: 0.85}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -404,9 +340,3 @@ func benchmarkIterate(b *testing.B, overlap bool) {
 		}
 	}
 }
-
-// BenchmarkIterateSequential / BenchmarkIteratePipelined compare the
-// wall-clock of the two schedules on a power-law workload; the pipeline
-// should win by overlapping step 2 with the next step 1.
-func BenchmarkIterateSequential(b *testing.B) { benchmarkIterate(b, false) }
-func BenchmarkIteratePipelined(b *testing.B)  { benchmarkIterate(b, true) }

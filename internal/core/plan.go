@@ -27,7 +27,7 @@ import (
 )
 
 // enginePlan is one matrix prepared for step 1. It is immutable once
-// built, so concurrent step-1 runs of the ITS pipeline share it freely.
+// built, so step 1's workers share it freely.
 type enginePlan struct {
 	matrix  *matrix.COO // the cache key; nil for a plan built per call
 	stripes []runStripe
@@ -45,7 +45,7 @@ type enginePlan struct {
 	// dense x their keys are the run rows, so the merge statistics and
 	// the keys some list holds are plan constants.
 	cover keyCover
-	// lpt is the ungated dispatch order: stripe indices heaviest first
+	// lpt is step 1's dispatch order: stripe indices heaviest first
 	// (longest processing time), ties toward the lower index, so a skewed
 	// stripe starts first instead of landing on a busy worker at the tail.
 	lpt []int

@@ -10,20 +10,17 @@ package core
 //     values sibling. The cache is keyed by matrix pointer
 //     identity — a *matrix.COO handed to the engine is treated as
 //     immutable for as long as it is reused.
-//   - two stripeBanks hold step-1 state (the record arena and the list
-//     headers). Two banks, rotated per step-1 run, are required and
-//     sufficient: the ITS pipeline keeps iteration i's lists alive
-//     (draining through step 2) while iteration i+1's step 1 fills the
-//     other bank.
+//   - one stripeBank holds step-1 state (the record arena and the list
+//     headers). One bank is enough: every step 2 consumes its lists
+//     before the next step-1 run refills the bank, so at most one list
+//     generation is ever live.
 //   - a small dense free list recycles iteration-transition vectors.
 //     Buffers handed back to callers (SpMV results, IterateResult.X)
 //     are detached: they never re-enter the free list, so a result the
 //     user holds can never be overwritten by a later call.
 //
 // The engine is a single-caller object (one goroutine drives its public
-// methods); the arenas inherit that contract and need no locking. The
-// ITS schedule's second goroutine (overlapStep2) only ever touches the
-// bank it was handed, and is joined before the bank rotates back.
+// methods); the arenas inherit that contract and need no locking.
 
 import (
 	"sync/atomic"
@@ -55,16 +52,6 @@ func (b *stripeBank) sized(n, recs int) {
 	}
 	b.lists = b.lists[:n]
 	b.recs = b.recs[:recs]
-}
-
-// nextBank rotates to the other bank. At most one step-1 run is in
-// flight at a time, and a bank's lists are dead once the step 2 that
-// consumed them returns, so alternating two banks can never hand out
-// live memory.
-func (e *Engine) nextBank() *stripeBank {
-	b := &e.banks[e.bankIdx]
-	e.bankIdx ^= 1
-	return b
 }
 
 // getDense returns a dense vector of the given dimension from the free
@@ -131,26 +118,4 @@ func (f *frontierScratch) release(e *Engine) {
 			f.segs[k] = nil
 		}
 	}
-}
-
-// pipeGate returns the engine's reusable segment gate, reset to the
-// given handoff bound. The previous overlapped step 2 joined its consumer
-// goroutine before returning, so the gate is quiescent here.
-func (e *Engine) pipeGate(ahead int) *segmentGate {
-	if e.gate == nil {
-		e.gate = newSegmentGate(ahead)
-		return e.gate
-	}
-	e.gate.reset(ahead)
-	return e.gate
-}
-
-// pipeNext returns the engine's reusable step-1 handoff channel; every
-// overlapped step 2 drains it before the next send, so a one-slot
-// buffer never carries stale results across iterations.
-func (e *Engine) pipeNext() chan step1Result {
-	if e.nextCh == nil {
-		e.nextCh = make(chan step1Result, 1)
-	}
-	return e.nextCh
 }

@@ -34,7 +34,7 @@ type SpMSpVStats struct {
 // cache and scratch arenas (DESIGN.md §9): the stripe partition is
 // reused across calls against the same matrix, scatter segments come
 // from the dense free list, and the intermediate record buffers live in
-// the rotating step-1 banks. The returned y stays detached from every
+// the engine's step-1 bank. The returned y stays detached from every
 // arena.
 func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVStats, error) {
 	var st SpMSpVStats
@@ -76,7 +76,7 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 	// dense hot loop), into the same bank. Its records depend on the
 	// frontier, so its books are summed per call; the matrix share is the
 	// plan's, booked for every stripe that streamed.
-	bank := e.nextBank()
+	bank := &e.bank
 	bank.sized(len(p.stripes), p.runs)
 	var books stripeBooks
 	for k := range p.stripes {
@@ -107,7 +107,7 @@ func (e *Engine) SpMSpV(a *matrix.COO, x *vector.Sparse) (vector.Dense, SpMSpVSt
 	e.noteStripeSkew(p)
 	e.book(&books, true)
 	y := vector.NewDense(int(a.Rows))
-	e.runStep2Into(bank.lists, e.listCover(bank.lists, a.Rows), a.Rows, nil, y, blockFinish{})
+	e.runStep2Into(bank.lists, e.listCover(bank.lists, a.Rows), a.Rows, nil, y, nil)
 	e.snapshot("spmspv")
 	return y, st, nil
 }

@@ -18,72 +18,60 @@ import (
 	"strconv"
 
 	"mwmerge/internal/mem"
-	"mwmerge/internal/prap"
 	"mwmerge/internal/report"
 	"mwmerge/internal/types"
 	"mwmerge/internal/vector"
 )
 
 // keyCover is what one step 2 needs to know about its lists' keys
-// besides the records themselves: the prap.Stats the network would
-// report, and which keys some list holds. For a dense x both are plan
-// constants (the plan's cover); SpMSpV, whose lists are per call, fills
-// the engine's scratch cover in one pass (listCover).
+// besides the records themselves: which keys some list holds, and the
+// three merge counters the network would book for them. For a dense x
+// both are plan constants (the plan's cover); SpMSpV, whose lists are
+// per call, fills the engine's scratch cover in one pass (listCover).
 type keyCover struct {
-	stats prap.Stats
 	// touched has bit k set when some list holds key k.
 	touched []uint64
+	// injected, emitted and presortBatches are the network's Injected,
+	// Emitted and PresortBatches: keys no list holds, keys drained, and
+	// pre-sorter batches of cores records each.
+	injected, emitted, presortBatches uint64
+	cores                             uint64
 }
 
 // reset prepares c for lists over dim keys routed to p cores, reusing
-// its buffers.
+// its bitmap.
 func (c *keyCover) reset(dim uint64, p int) {
-	c.stats = prap.Stats{
-		PerCoreInput:  resizedZero(c.stats.PerCoreInput, p),
-		PerCoreOutput: resizedZero(c.stats.PerCoreOutput, p),
-	}
-	c.touched = resizedZero(c.touched, int((dim+63)/64))
+	*c = keyCover{touched: resizedZero(c.touched, int((dim+63)/64)), cores: uint64(p)}
 }
 
-// addRows books one list by its keys alone: its records per radix
-// class, its pre-sorter batches, and its keys in touched.
+// addRows books one list by its keys alone: its pre-sorter batches, and
+// its keys in touched.
 func (c *keyCover) addRows(keys []uint64) {
-	p := uint64(len(c.stats.PerCoreInput))
-	perCore, touched := c.stats.PerCoreInput, c.touched
+	touched := c.touched
 	for _, k := range keys {
-		perCore[k&(p-1)]++
 		touched[k>>6] |= 1 << (k & 63)
 	}
-	c.stats.PresortBatches += (uint64(len(keys)) + p - 1) / p
+	c.presortBatches += (uint64(len(keys)) + c.cores - 1) / c.cores
 }
 
 // addRecords is addRows for a list of records.
 func (c *keyCover) addRecords(list []types.Record) {
-	p := uint64(len(c.stats.PerCoreInput))
-	perCore, touched := c.stats.PerCoreInput, c.touched
+	touched := c.touched
 	for _, r := range list {
-		perCore[r.Key&(p-1)]++
 		touched[r.Key>>6] |= 1 << (r.Key & 63)
 	}
-	c.stats.PresortBatches += (uint64(len(list)) + p - 1) / p
+	c.presortBatches += (uint64(len(list)) + c.cores - 1) / c.cores
 }
 
-// finish completes the statistics once every list is added: each core
-// emits its whole residue class below dim, and every key no list holds
-// is one injection.
+// finish completes the counts once every list is added: every key below
+// dim is drained, and every key no list holds is one injection.
 func (c *keyCover) finish(dim uint64) {
-	p := uint64(len(c.stats.PerCoreOutput))
-	for r := range c.stats.PerCoreOutput {
-		if dim > uint64(r) {
-			c.stats.PerCoreOutput[r] = (dim - uint64(r) + p - 1) / p
-		}
-	}
 	var held uint64
 	for _, w := range c.touched {
 		held += uint64(bits.OnesCount64(w))
 	}
-	c.stats.Injected = dim - held
-	c.stats.Emitted = dim
+	c.injected = dim - held
+	c.emitted = dim
 }
 
 // resizedZero returns s resized to n zeroed elements, reusing its
@@ -128,58 +116,42 @@ type step2Scratch struct {
 	cursor []int
 }
 
-// blockFinish is what step 2 does with each SegmentWidth-wide block of
-// y once the block is accumulated, on the goroutine that built it,
-// while the block is in cache. The zero value does nothing.
-type blockFinish struct {
-	// update, when non-nil, runs on the block first. It is the
-	// iteration loop's element-wise update, so the goroutine it runs on
-	// cannot move its bits.
-	update func(blk vector.Dense)
-	// publish, when non-nil, is called with the block's index after
-	// update, and one goroutine then walks every block in ascending
-	// order: the producer side of the ITS pipeline's bounded segment
-	// handoff, whose consumer holds the other cores.
-	publish func(seg int)
-}
-
 // runStep2Into is the host's step 2: it writes y = yIn + Σ lists into
-// the caller-provided y (length dim, never aliasing yIn), finishing each
-// block with fin, and books cover's merge counters and the result
-// traffic — the lists' DRAM round trips were booked with their writes
-// (roundTrip). Every key of every list must be below dim and each
-// list sorted by key, which step 1 guarantees.
-func (e *Engine) runStep2Into(lists [][]types.Record, cover *keyCover, dim uint64, yIn, y vector.Dense, fin blockFinish) {
+// the caller-provided y (length dim, never aliasing yIn) and books
+// cover's merge counters and the result traffic — the lists' DRAM round
+// trips were booked with their writes (roundTrip). update, when non-nil,
+// runs on each SegmentWidth-wide block of y once the block is
+// accumulated, on the goroutine that built it, while the block is in
+// cache; it is the iteration loop's element-wise update, so the
+// goroutine it runs on cannot move its bits. Every key of every list
+// must be below dim and each list sorted by key, which step 1
+// guarantees.
+func (e *Engine) runStep2Into(lists [][]types.Record, cover *keyCover, dim uint64, yIn, y vector.Dense, update func(blk vector.Dense)) {
 	if e.rec != nil {
 		defer e.rec.StartSpan("phase", "s2").End()
 	}
-	e.accumulate(lists, cover.touched, dim, yIn, y, fin)
+	e.accumulate(lists, cover.touched, dim, yIn, y, update)
 	yBytes := dim * uint64(e.cfg.ValueBytes) // y streamed out
 	if yIn != nil {
 		yBytes *= 2 // and y-in streamed in
 	}
 	e.acct.Charge(report.Counters{
 		Traffic:             mem.Traffic{ResultBytes: yBytes},
-		MergeInjected:       cover.stats.Injected,
-		MergeEmitted:        cover.stats.Emitted,
-		MergePresortBatches: cover.stats.PresortBatches,
+		MergeInjected:       cover.injected,
+		MergeEmitted:        cover.emitted,
+		MergePresortBatches: cover.presortBatches,
 	})
 }
 
 // accumulate computes y = yIn + Σ lists block by block, each block one
-// SegmentWidth-wide key range of y, and finishes each block with fin.
-// MergeWorkers goroutines take contiguous block ranges of about equal
-// work; under fin.publish one goroutine walks every block in ascending
-// order, since the next iteration's step 1 holds the other cores. Each
-// goroutine writes only its own blocks of y, so every element keeps one
-// summation order.
-func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64, yIn, y vector.Dense, fin blockFinish) {
+// SegmentWidth-wide key range of y, and runs update (when non-nil) on
+// each finished block. MergeWorkers goroutines take contiguous block
+// ranges of about equal work. Each goroutine writes only its own blocks
+// of y, so every element keeps one summation order.
+func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64, yIn, y vector.Dense, update func(blk vector.Dense)) {
 	width := e.cfg.SegmentWidth()
 	nb := int((dim + width - 1) / width)
-	w := 1
-	if fin.publish == nil {
-		w = workerCount(e.cfg.Merge.MergeWorkers, nb)
-	}
+	w := workerCount(e.cfg.Merge.MergeWorkers, nb)
 	sc := &e.step2
 	sc.bounds = resizedZero(sc.bounds, w+1)
 	sc.cursor = resizedZero(sc.cursor, w*len(lists))
@@ -198,11 +170,8 @@ func (e *Engine) accumulate(lists [][]types.Record, touched []uint64, dim uint64
 			hi := min(lo+width, dim)
 			blk := y[lo:hi]
 			accumulateBlock(lists, cur, touched, lo, yIn, blk)
-			if fin.update != nil {
-				fin.update(blk)
-			}
-			if fin.publish != nil {
-				fin.publish(b)
+			if update != nil {
+				update(blk)
 			}
 		}
 	}

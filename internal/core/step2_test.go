@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"mwmerge/internal/graph"
@@ -16,7 +17,7 @@ import (
 
 // step2Case is one accumulator-vs-network comparison: K sorted lists
 // over dim keys, blocks of width keys, MergeWorkers workers, an optional
-// yIn, and segment publishing on or off.
+// yIn, and an update hook on or off.
 type step2Case struct {
 	lists   [][]types.Record
 	dim     uint64
@@ -24,7 +25,7 @@ type step2Case struct {
 	q       uint
 	workers int
 	yIn     vector.Dense
-	publish bool
+	hook    bool
 }
 
 // step2Ways is the Ways of every comparison, so a case may hold up to 8
@@ -119,9 +120,9 @@ func step2YIn(rng *rand.Rand, lists [][]types.Record, dim uint64, mode int) vect
 }
 
 // checkStep2 runs c through prap.Network.MergeInto and through the
-// engine's step 2 and requires equal output bits and equal statistics;
-// with publishing, every segment must be published once, in ascending
-// order, with its elements already final.
+// engine's step 2 and requires equal output bits and equal booked merge
+// counters; with the hook, step 2 must hand every block to its update
+// once, with the block's elements already final.
 func checkStep2(t *testing.T, c step2Case) {
 	t.Helper()
 	pcfg := prap.Config{Q: c.q, Ways: step2Ways, FIFODepth: 4, DPage: 256, RecordBytes: 16, MergeWorkers: 1}
@@ -147,23 +148,26 @@ func checkStep2(t *testing.T, c step2Case) {
 	for i := range got {
 		got[i] = math.NaN() // step 2 must overwrite every element
 	}
-	var publish func(int)
-	var pubs []int
-	if c.publish {
-		publish = func(seg int) {
-			pubs = append(pubs, seg)
-			lo := uint64(seg) * c.width
-			hi := min(lo+c.width, c.dim)
-			for k := lo; k < hi; k++ {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Errorf("segment %d published before y[%d] was final", seg, k)
+	var update func(vector.Dense)
+	var mu sync.Mutex
+	var blocks []int
+	if c.hook {
+		// A block is got[lo:hi], so its capacity gives lo away.
+		update = func(blk vector.Dense) {
+			lo := cap(got) - cap(blk)
+			mu.Lock()
+			blocks = append(blocks, lo/int(c.width))
+			mu.Unlock()
+			for i := range blk {
+				if k := lo + i; math.Float64bits(blk[i]) != math.Float64bits(want[k]) {
+					t.Errorf("block at %d handed to update before y[%d] was final", lo, k)
 					return
 				}
 			}
 		}
 	}
 	cover := e.listCover(c.lists, c.dim)
-	e.runStep2Into(c.lists, cover, c.dim, c.yIn, got, blockFinish{publish: publish})
+	e.runStep2Into(c.lists, cover, c.dim, c.yIn, got, update)
 
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
@@ -171,45 +175,44 @@ func checkStep2(t *testing.T, c step2Case) {
 				math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
 		}
 	}
-	if !reflect.DeepEqual(cover.stats, wantSt) {
-		t.Fatalf("stats %+v, MergeInto %+v", cover.stats, wantSt)
-	}
 	if st := e.Stats(); st.MergeInjected != wantSt.Injected || st.MergeEmitted != wantSt.Emitted ||
 		st.MergePresortBatches != wantSt.PresortBatches {
 		t.Fatalf("booked merge counters %d/%d/%d, MergeInto %+v",
 			st.MergeInjected, st.MergeEmitted, st.MergePresortBatches, wantSt)
 	}
-	if c.publish {
+	if c.hook {
+		slices.Sort(blocks)
 		segs := int((c.dim + c.width - 1) / c.width)
-		if len(pubs) != segs {
-			t.Fatalf("%d publishes for %d segments: %v", len(pubs), segs, pubs)
+		if len(blocks) != segs {
+			t.Fatalf("%d updates for %d blocks: %v", len(blocks), segs, blocks)
 		}
-		for i, s := range pubs {
-			if s != i {
-				t.Fatalf("publish order %v, want 0…%d ascending", pubs, segs-1)
+		for i, b := range blocks {
+			if b != i {
+				t.Fatalf("updated blocks %v, want each of 0…%d once", blocks, segs-1)
 			}
 		}
 	}
 }
 
 // TestStep2MatchesMergeInto holds the engine's step 2 to the PRaP
-// network it replaces on the host: output bits and prap.Stats, over
-// empty lists, duplicate keys, key dim−1, dimensions below and off the
-// block width, 1 and Ways lists, −0.0/±Inf/NaN/denormal values, the
-// three yIn kinds, MergeWorkers 1–3, and segment publishing.
+// network it replaces on the host: output bits and the merge counters
+// of prap.Stats, over empty lists, duplicate keys, key dim−1, dimensions
+// below and off the block width, 1 and Ways lists, −0.0/±Inf/NaN/denormal
+// values, the three yIn kinds, MergeWorkers 1–3, and each finished block
+// published to an update hook or not (the pub subtests).
 func TestStep2MatchesMergeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for _, dim := range []uint64{1, 5, 16, 37, 100} {
 		for _, k := range []int{0, 1, 3, step2Ways} {
 			for yMode := 0; yMode < 3; yMode++ {
 				for workers := 1; workers <= 3; workers++ {
-					for _, publish := range []bool{false, true} {
+					for _, hook := range []bool{false, true} {
 						lists := randomStep2Lists(rng, k, dim, true)
 						c := step2Case{
 							lists: lists, dim: dim, width: 16, q: uint(workers - 1),
-							workers: workers, yIn: step2YIn(rng, lists, dim, yMode), publish: publish,
+							workers: workers, yIn: step2YIn(rng, lists, dim, yMode), hook: hook,
 						}
-						t.Run(fmt.Sprintf("dim%d/k%d/y%d/w%d/pub%v", dim, k, yMode, workers, publish), func(t *testing.T) {
+						t.Run(fmt.Sprintf("dim%d/k%d/y%d/w%d/pub%v", dim, k, yMode, workers, hook), func(t *testing.T) {
 							checkStep2(t, c)
 						})
 					}
@@ -228,8 +231,8 @@ func TestStep2MatchesMergeInto(t *testing.T) {
 			checkStep2(t, step2Case{lists: lists, dim: 5, width: 2, q: 1, workers: 2, yIn: y})
 		}
 	})
-	// The plan's cover: for a dense x, the statistics and held keys of
-	// the stripes' run rows equal those of the lists step 1 emits.
+	// The plan's cover: for a dense x, the counts and held keys of the
+	// stripes' run rows equal those of the lists step 1 emits.
 	t.Run("plan-cover", func(t *testing.T) {
 		a, err := graph.Zipf(300, 3, 1.8, 5)
 		if err != nil {
@@ -243,14 +246,14 @@ func TestStep2MatchesMergeInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bank := e.nextBank()
-		e.step1Compute(p, []vector.Dense{randomX(a.Cols, 6)}, nil, bank)
-		lists := bank.lists[:len(p.stripes)]
+		e.step1Compute(p, []vector.Dense{randomX(a.Cols, 6)})
+		lists := e.bank.lists[:len(p.stripes)]
 		c := e.listCover(lists, a.Rows)
 		if !reflect.DeepEqual(p.cover, *c) {
-			t.Fatalf("plan cover %+v, list cover %+v", p.cover.stats, c.stats)
+			t.Fatalf("plan cover %d/%d/%d, list cover %d/%d/%d",
+				p.cover.injected, p.cover.emitted, p.cover.presortBatches, c.injected, c.emitted, c.presortBatches)
 		}
-		if p.cover.stats.Injected == 0 {
+		if p.cover.injected == 0 {
 			t.Fatal("want a matrix with empty rows")
 		}
 	})
@@ -258,7 +261,7 @@ func TestStep2MatchesMergeInto(t *testing.T) {
 
 // FuzzStep2MatchesMergeInto is TestStep2MatchesMergeInto over fuzzed
 // list shapes, dimensions, block widths, worker counts, yIn kinds and
-// publishing.
+// the update hook.
 func FuzzStep2MatchesMergeInto(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(16), uint8(2), uint8(0))
 	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint8(1), uint8(5))
@@ -275,7 +278,7 @@ func FuzzStep2MatchesMergeInto(f *testing.F) {
 			q:       uint(workers % 4),
 			workers: int(workers % 4),
 			yIn:     step2YIn(rng, lists, dim, int(mode>>1)%3),
-			publish: mode&8 != 0,
+			hook:    mode&8 != 0,
 		})
 	})
 }

@@ -114,12 +114,24 @@ type iterateRequest struct {
 	Damping    float64   `json:"damping"`
 }
 
+// pagerankRequest's pointer fields take their defaults (damping 0.85,
+// tol 1e-9, max_iters 50) only when omitted: an explicit 0 reaches the
+// engine, where tol 0 runs max_iters iterations and max_iters 0 is
+// rejected.
 type pagerankRequest struct {
 	requestCommon
-	Damping  float64 `json:"damping"`
-	Tol      float64 `json:"tol"`
-	MaxIters int     `json:"max_iters"`
-	Overlap  bool    `json:"overlap"`
+	Damping  *float64 `json:"damping"`
+	Tol      *float64 `json:"tol"`
+	MaxIters *int     `json:"max_iters"`
+	Overlap  bool     `json:"overlap"`
+}
+
+// orDefault returns *p, or def when the field was omitted.
+func orDefault[T any](p *T, def T) T {
+	if p == nil {
+		return def
+	}
+	return *p
 }
 
 // spmspvStatsJSON is the stable JSON shape of core.SpMSpVStats.
@@ -430,17 +442,9 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if req.Damping == 0 {
-		req.Damping = 0.85
-	}
-	if req.Tol == 0 {
-		req.Tol = 1e-9
-	}
-	if req.MaxIters == 0 {
-		req.MaxIters = 50
-	}
+	damping, tol, maxIters := orDefault(req.Damping, 0.85), orDefault(req.Tol, 1e-9), orDefault(req.MaxIters, 50)
 	s.run(w, r, req.requestCommon, "pagerank", req.Overlap, func(eng *core.Engine) (*response, error) {
-		ranks, iters, err := eng.PageRank(s.pools[req.Matrix].a, req.Damping, req.Tol, req.MaxIters, req.Overlap)
+		ranks, iters, err := eng.PageRank(s.pools[req.Matrix].a, damping, tol, maxIters, req.Overlap)
 		if err != nil {
 			return nil, err
 		}

@@ -314,10 +314,68 @@ func TestServerPageRankMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestServerPageRankExplicitZeros holds an explicit zero to its meaning:
+// only an omitted damping, tol or max_iters takes the default, so "tol":
+// 0 runs max_iters iterations and "damping": 0 serves the teleport-only
+// ranks, each bit for bit as the engine computes them.
+func TestServerPageRankExplicitZeros(t *testing.T) {
+	a := testGraph(t, 500, 6, 8)
+	ts := newTestServer(t, Config{}, newTestPool(t, "g", a, 1, 1))
+	cases := []struct {
+		name              string
+		body              map[string]any
+		damping, tol      float64
+		maxIters, wantIts int
+	}{
+		{"tol-zero", map[string]any{"matrix": "g", "tol": 0, "max_iters": 3}, 0.85, 0, 3, 3},
+		// Past the ~25 iterations the default tol would stop at.
+		{"tol-zero-past-convergence", map[string]any{"matrix": "g", "tol": 0, "max_iters": 40}, 0.85, 0, 40, 40},
+		// Every rank is 1/n from the start, so one iteration converges.
+		{"damping-zero", map[string]any{"matrix": "g", "damping": 0}, 0, 1e-9, 50, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := core.New(testEngineConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantIters, err := eng.PageRank(a, tc.damping, tc.tol, tc.maxIters, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantIters != tc.wantIts {
+				t.Fatalf("engine ran %d iterations, want %d", wantIters, tc.wantIts)
+			}
+			resp, body := postJSON(t, ts.URL+"/v1/pagerank", tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var out struct {
+				Y          vector.Dense `json:"y"`
+				Iterations int          `json:"iterations"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Iterations != wantIters {
+				t.Fatalf("served %d iterations, engine ran %d", out.Iterations, wantIters)
+			}
+			if len(out.Y) != len(want) {
+				t.Fatalf("served %d ranks, engine %d", len(out.Y), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(out.Y[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("rank %d: served %g, engine %g", i, out.Y[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // TestServerPageRankRejectsBadParams pins the answer to PageRank
-// parameters the engine rejects: damping outside [0, 1] or a negative
-// tolerance is a 400 with an error body, and the rejected request leaves
-// the pool's ledger where it was.
+// parameters the engine rejects: damping outside [0, 1], a negative
+// tolerance or a non-positive iteration cap is a 400 with an error body,
+// and the rejected request leaves the pool's ledger where it was.
 func TestServerPageRankRejectsBadParams(t *testing.T) {
 	a := testGraph(t, 300, 4, 16)
 	p := newTestPool(t, "g", a, 1, 1)
@@ -328,6 +386,7 @@ func TestServerPageRankRejectsBadParams(t *testing.T) {
 		"damping-negative":   {"matrix": "g", "damping": -0.5},
 		"tol-negative":       {"matrix": "g", "tol": -1},
 		"max-iters-negative": {"matrix": "g", "max_iters": -1},
+		"max-iters-zero":     {"matrix": "g", "max_iters": 0},
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/pagerank", body)
 		if resp.StatusCode != http.StatusBadRequest {
